@@ -76,28 +76,34 @@ def line_amplitudes(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
 
     Amplitude of transition T is rho[upper, lower] * F+[lower, upper]; the
     full FID is the sum of these oscillating at their catalog frequencies.
+    For a stack of states each amplitude is an array over the stack.
     """
     if catalog is None:
         catalog = transition_catalog(es)
     fplus = es.lowering_operator().conj().T
-    return {t.tid: complex(rho.mat[t.upper, t.lower] * fplus[t.lower, t.upper])
+    return {t.tid: rho.mat[..., t.upper, t.lower] * fplus[t.lower, t.upper]
             for t in catalog.entries}
 
 
 def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
                 points: int, dwell: float) -> np.ndarray:
-    """Time series s(m) = Tr(rho(m*dwell) F+) under free evolution."""
+    """Time series s(m) = Tr(rho(m*dwell) F+) under free evolution.
+
+    A stack of states gives one FID per state, shaped (..., points).
+    """
     if points < 1 or (points & (points - 1)) != 0:
         raise AcquisitionError(f"points must be a power of two, got {points}")
     fplus = es.lowering_operator().conj().T
     w = rho.mat * fplus.T                       # w_kl = rho_kl * F+_lk
-    k, l = np.nonzero(np.abs(w) > 1e-16)
+    # one exponential table for the union of the elements over the stack
+    k, l = np.nonzero((np.abs(w) > 1e-16).reshape(-1, es.dim, es.dim).any(axis=0))
     if k.size == 0:
-        return np.zeros(points, dtype=complex)
-    weights = w[k, l]
+        return np.zeros(w.shape[:-2] + (points,), dtype=complex)
     freqs = (es.energies[l] - es.energies[k]) / (2 * math.pi)
     t = np.arange(points) * dwell
-    return (weights[:, None] * np.exp(2j * math.pi * freqs[:, None] * t)).sum(axis=0)
+    table = 2j * math.pi * freqs[:, None] * t
+    np.exp(table, out=table)            # in place: K x points is the peak memory
+    return w[..., k, l] @ table
 
 
 def fft_spectrum(fid: np.ndarray, dwell: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,20 +162,23 @@ def run_2d(program: pl.PulseProgram, es: EigenSystem,
            catalog: TransitionCatalog | None = None) -> Dataset2D:
     """Execute a program with one symbolic t1 delay and a final acquire.
 
-    Each t1 row runs the (possibly phase-cycled) prefix and records the FID
-    of the trailing acquire instruction.  Rows are independent and are
-    assembled in index order for determinism.
+    The (possibly phase-cycled) prefix runs once with t1 bound to the
+    whole t1 grid, giving one state per row, and the FIDs of the trailing
+    acquire instruction are synthesized for all rows together.
     """
     if catalog is None:
         catalog = transition_catalog(es)
     if not program.instructions or not isinstance(program.instructions[-1], pl.Acquire):
         raise AcquisitionError("2D program must end with an acquire instruction")
+    if t1_points < 1:
+        raise AcquisitionError(f"t1 points must be at least 1, got {t1_points}")
     acq = program.instructions[-1]
     prefix = pl.PulseProgram(program.instructions[:-1], program.cycle)
-    data = np.zeros((t1_points, acq.points), dtype=complex)
-    for m in range(t1_points):
-        rho = pl.execute_cycled(prefix, es, rho0, catalog, t1=m * dwell1)
-        data[m] = acquire_fid(es, rho, acq.points, acq.dwell_s)
+    rho = pl.execute_cycled(prefix, es, rho0, catalog,
+                            t1=np.arange(t1_points) * dwell1)
+    data = acquire_fid(es, rho, acq.points, acq.dwell_s)
+    if data.ndim == 1:                  # no delay t1: every row is the same
+        data = np.tile(data, (t1_points, 1))
     return Dataset2D(t1_points, acq.points, dwell1, acq.dwell_s, data)
 
 
@@ -228,14 +237,6 @@ class CoherenceEstimate:
 @dataclass
 class CoherenceTable:
     rows: tuple[CoherenceEstimate, ...]
-
-    def value_of(self, k: int, l: int) -> complex:
-        for r in self.rows:
-            if (r.k, r.l) == (k, l):
-                return r.value
-            if (r.k, r.l) == (l, k):
-                return complex(np.conj(r.value))
-        return 0.0
 
 
 def _dirichlet(freq_hz: float, bin_index: int, points: int, dwell: float) -> complex:
@@ -560,8 +561,6 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
         catalog = transition_catalog(es)
     if dwell1 is None:
         dwell1 = default_tomo_dwell(es)
-    rho0 = dyn.equilibrium_deviation(es)
-    u_beta = dyn.hard_pulse_unitary(es, beta_deg, 0.0)
     ntr = len(catalog.entries)
     freqs = [t.freq_hz for t in catalog.entries]
     for i in range(ntr):
@@ -571,16 +570,12 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
                     "transitions at exactly opposite frequencies are not "
                     "separable in a cosine-modulated experiment; shift the "
                     "carrier off the spectral center")
-    amps = np.zeros((t1_points, ntr), dtype=complex)
-    for m in range(t1_points):
-        rho = dyn.apply_unitary(rho0, u_beta)
-        rho = dyn.free_evolution(es, rho, m * dwell1)
-        rho = dyn.apply_unitary(rho, u_beta)
-        rho = dyn.crush_gradient(rho)
-        rho = dyn.apply_unitary(rho, u_beta)
-        la = line_amplitudes(es, rho, catalog)
-        for j, t in enumerate(catalog.entries):
-            amps[m, j] = la[t.tid]
+    beta = pl.HardPulse(beta_deg, pl.PhaseSpec(degrees=0.0))
+    program = pl.PulseProgram((beta, pl.Delay(symbol="t1"), beta, pl.Grad(), beta))
+    t1 = np.arange(t1_points) * dwell1
+    rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
+    la = line_amplitudes(es, rho, catalog)
+    amps = np.stack([la[t.tid] for t in catalog.entries], axis=-1)   # [t1, line]
 
     # project each line's t1 trace onto the +/- transition frequencies
     basis: list[float] = [0.0]
@@ -588,7 +583,6 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
         for s in (f, -f):
             if not any(abs(s - b) < 1e-9 for b in basis):
                 basis.append(s)
-    t1 = np.arange(t1_points) * dwell1
     bmat = np.array([np.exp(2j * math.pi * f * t1) for f in basis]).T
     coef, *_ = np.linalg.lstsq(bmat, amps, rcond=None)
 

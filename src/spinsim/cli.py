@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -35,21 +34,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = USAGE_ERROR):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class RunConfig:
-    system_path: str = ""
-    program: str = ""
-    out_dir: Path = Path(".")
-    threshold: float = 0.05
-    points: int = 512
-    dwell: float | None = None
-    beta: float = 10.0
-    t1_points: int = 256
-    t2_points: int = 1024
-    init: str = "eq"
-    extra: dict = field(default_factory=dict)
 
 
 def _data_text(kind: str, name: str) -> str | None:

@@ -16,39 +16,15 @@ y -> 90 deg.  For a selective pulse the 2x2 block is written in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EigenSystem, spin_operator
+from .core import EigenSystem
 
 HERMITICITY_TOL = 1e-12
-
-_AXIS_NAMES = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
-
-
-@dataclass(frozen=True)
-class PulseAxis:
-    """Transverse r.f. phase in degrees, normalized to [0, 360)."""
-
-    phase: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phase", self.phase % 360.0)
-
-    @classmethod
-    def from_name(cls, name: str) -> "PulseAxis":
-        if name not in _AXIS_NAMES:
-            raise ValueError(f"unknown pulse axis {name!r}")
-        return cls(_AXIS_NAMES[name])
-
-    @property
-    def name(self) -> str | None:
-        for nm, deg in _AXIS_NAMES.items():
-            if math.isclose(self.phase, deg, abs_tol=1e-12):
-                return nm
-        return None
 
 
 class DynamicsError(ValueError):
@@ -57,7 +33,12 @@ class DynamicsError(ValueError):
 
 @dataclass
 class DeviationDensityMatrix:
-    """Traceless Hermitian state expressed in the eigenbasis of ``es``."""
+    """Traceless Hermitian state expressed in the eigenbasis of ``es``.
+
+    ``mat`` is d x d, or a stack shaped (..., d, d) after a symbolic delay
+    bound to an array of times (one state per time along the leading
+    axis); ``validate`` and ``populations`` take a single d x d state.
+    """
 
     mat: np.ndarray
     es: EigenSystem
@@ -145,17 +126,25 @@ def apply_unitary(rho: DeviationDensityMatrix, u: np.ndarray) -> DeviationDensit
 
 def crush_gradient(rho: DeviationDensityMatrix) -> DeviationDensityMatrix:
     """Idealized field-gradient crusher: zero every off-diagonal element."""
-    return DeviationDensityMatrix(np.diag(np.diag(rho.mat)), rho.es)
+    idx = np.arange(rho.mat.shape[-1])
+    mat = np.zeros_like(rho.mat)
+    mat[..., idx, idx] = rho.mat[..., idx, idx]
+    return DeviationDensityMatrix(mat, rho.es)
 
 
 def free_evolution(es: EigenSystem, rho: DeviationDensityMatrix,
-                   t_seconds: float) -> DeviationDensityMatrix:
-    """rho_kl <- rho_kl * exp(-i (E_k - E_l) t); populations are invariant."""
-    if t_seconds < 0:
+                   t_seconds: float | np.ndarray) -> DeviationDensityMatrix:
+    """rho_kl <- rho_kl * exp(-i (E_k - E_l) t); populations are invariant.
+
+    A 1-D array of times evolves rho to one state per time, stacked along
+    a new leading axis (or paired with an existing one of the same length).
+    """
+    t = np.asarray(t_seconds, dtype=float)
+    if np.any(t < 0):
         raise DynamicsError("evolution time must be nonnegative")
-    phase = np.exp(-1j * es.energies * t_seconds)
+    phase = np.exp(-1j * es.energies * t[..., None])
     return DeviationDensityMatrix(
-        (phase[:, None] * rho.mat) * np.conj(phase)[None, :], es)
+        (phase[..., :, None] * rho.mat) * np.conj(phase)[..., None, :], es)
 
 
 def selective_population_update(p_i: float, p_j: float,
@@ -231,26 +220,46 @@ def format_state(rho: DeviationDensityMatrix) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_state(text: str, es: EigenSystem) -> DeviationDensityMatrix:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("dim"):
-        raise DynamicsError("state text must start with a 'dim' header")
-    dim = int(lines[0].split()[1])
+def parse_state(text: str, es: EigenSystem,
+                source: str = "<string>") -> DeviationDensityMatrix:
+    """Read the text format above; errors name ``source:line``.
+
+    The matrix must be Hermitian.  Its trace is not checked: the identity
+    part is unobservable, and written states carry rounding in it.
+    """
+    lines = [(ln, raw.split("#", 1)[0].split())
+             for ln, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(ln, toks) for ln, toks in lines if toks]
+    if not lines or lines[0][1][0] != "dim":
+        raise DynamicsError(f"{source}: state text must start with a 'dim' header")
+    ln, head = lines[0]
+    if len(head) != 2 or not head[1].isdigit():
+        raise DynamicsError(f"{source}:{ln}: malformed header; expected 'dim <d>'")
+    dim = int(head[1])
     if dim != es.dim:
-        raise DynamicsError(f"state dimension {dim} does not match system {es.dim}")
+        raise DynamicsError(f"{source}:{ln}: state dimension {dim} does not "
+                            f"match system {es.dim}")
     mat = np.zeros((dim, dim), dtype=complex)
-    for ln in lines[1:]:
-        k, l, re, im = ln.split()
-        mat[int(k) - 1, int(l) - 1] = float(re) + 1j * float(im)
-    return DeviationDensityMatrix(mat, es)
-
-
-def save_state(rho: DeviationDensityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_state(rho))
+    for ln, toks in lines[1:]:
+        try:
+            k, l, re, im = toks
+            k, l, z = int(k), int(l), float(re) + 1j * float(im)
+            if not cmath.isfinite(z):
+                raise ValueError
+        except ValueError:
+            raise DynamicsError(f"{source}:{ln}: malformed entry "
+                                f"{' '.join(toks)!r}; expected 'k l re im'") from None
+        if not (1 <= k <= dim and 1 <= l <= dim):
+            raise DynamicsError(f"{source}:{ln}: index ({k}, {l}) outside 1..{dim}")
+        mat[k - 1, l - 1] = z
+    rho = DeviationDensityMatrix(mat, es)
+    try:
+        rho.validate(require_traceless=False)
+    except DynamicsError as exc:
+        raise DynamicsError(f"{source}: {exc}") from None
+    return rho
 
 
 def load_state(path, es: EigenSystem) -> DeviationDensityMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_state(fh.read(), es)
+        return parse_state(fh.read(), es, source=str(path))

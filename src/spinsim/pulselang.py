@@ -29,7 +29,7 @@ from .core import EigenSystem, TransitionCatalog
 from . import dynamics as dyn
 
 _AXIS_TO_DEG = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
-_DEG_TO_AXIS = {0.0: "x", 90.0: "y", 180.0: "-x", 270.0: "-y"}
+_DEG_TO_AXIS = {deg: name for name, deg in _AXIS_TO_DEG.items()}
 
 
 class PulseProgramError(ValueError):
@@ -246,9 +246,10 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
             if not ntok.isdigit():
                 raise PulseProgramError(f"malformed point count {ntok!r}",
                                         source, ln, ncol)
-            instructions.append(Acquire(
-                points=int(ntok),
-                dwell_s=_parse_float(dtok, "dwell", source, ln, dcol)))
+            dwell = _parse_float(dtok, "dwell", source, ln, dcol)
+            if dwell <= 0:
+                raise PulseProgramError("dwell must be positive", source, ln, dcol)
+            instructions.append(Acquire(points=int(ntok), dwell_s=dwell))
         elif kw == "cycle":
             if slots is not None:
                 raise PulseProgramError("duplicate cycle declaration",
@@ -337,13 +338,15 @@ def _resolved_phase(spec: PhaseSpec, cycle: PhaseCycle | None, row: int) -> floa
 def execute(program: PulseProgram, es: EigenSystem,
             rho0: dyn.DeviationDensityMatrix,
             catalog: TransitionCatalog | None = None,
-            row: int = 0, t1: float | None = None,
+            row: int = 0, t1: float | np.ndarray | None = None,
             t2: float | None = None) -> dyn.DeviationDensityMatrix:
     """Apply the instructions left to right to rho0 and return the result.
 
     Symbolic delays must be bound through t1/t2; acquire instructions are
     not executable here (use the acquisition module's runners).  When the
     program has a phase cycle, ``row`` selects which row resolves the slots.
+    Binding t1 to a 1-D array of times runs every t1 value at once: the
+    result is a stack of states with the t1 axis leading.
     """
     from .core import transition_catalog as _build_catalog
     if catalog is None:
@@ -378,7 +381,7 @@ def execute(program: PulseProgram, es: EigenSystem,
 def execute_cycled(program: PulseProgram, es: EigenSystem,
                    rho0: dyn.DeviationDensityMatrix,
                    catalog: TransitionCatalog | None = None,
-                   t1: float | None = None,
+                   t1: float | np.ndarray | None = None,
                    t2: float | None = None) -> dyn.DeviationDensityMatrix:
     """Receiver-weighted average of the per-row results of the phase cycle.
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsim import acquisition as acq, core, dynamics as dyn
 from spinsim import protocols as pr
+from spinsim import pulselang as pl
 
 
 @pytest.fixture(scope="module")
@@ -289,18 +291,20 @@ def test_zcosy_time_domain_agrees(shifted_citrate_es):
     assert np.array_equal(signs, cm.m)
 
 
-def test_zcosy_time_domain_demo3(demo3_es, demo3_cat):
-    cm = acq.zcosy_connectivity(demo3_es, 0.05, demo3_cat)
-    signs = acq.zcosy_time_domain(demo3_es, 10.0, 1024, catalog=demo3_cat)
+@pytest.mark.parametrize("system", ["demo3", "demo4"])
+def test_zcosy_time_domain_shipped(system, request):
+    es = request.getfixturevalue(f"{system}_es")
+    cat = request.getfixturevalue(f"{system}_cat")
+    cm = acq.zcosy_connectivity(es, 0.05, cat)
+    signs = acq.zcosy_time_domain(es, 10.0, 1024, catalog=cat)
     ids = [t - 1 for t in cm.ids]
     assert np.array_equal(signs[np.ix_(ids, ids)], cm.m)
     for u in cm.unconnected:
-        obs = [t.tid - 1 for t in demo3_cat.observable_entries()]
+        obs = [t.tid - 1 for t in cat.observable_entries()]
         assert not signs[u - 1, obs].any()
 
 
 def test_dataset2d_exports(citrate_es, citrate_cat):
-    from spinsim import pulselang as pl
     prog = pl.parse_program("delay t1\npulse 90 y\ngrad\npulse 45 -y\n"
                             "acquire 16 0.002\n")
     rho = dyn.equilibrium_deviation(citrate_es)
@@ -310,3 +314,72 @@ def test_dataset2d_exports(citrate_es, citrate_cat):
     assert text.startswith("t1_points 8\nt2_points 16\n")
     grid = ds.to_gnuplot_grid()
     assert "\n\n" in grid
+
+
+@st.composite
+def stacked_case(draw):
+    """A random n = 1..3 system, Hermitian state and 2D program."""
+    n = draw(st.integers(1, 3))
+    offs = [draw(st.floats(-300, 300)) for _ in range(n)]
+    j = np.zeros((n, n))
+    d = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            j[i, k] = j[k, i] = draw(st.floats(0, 15))
+            d[i, k] = d[k, i] = draw(st.floats(-200, 200))
+    es = core.eigensystem(core.SpinSystem.create("h", offs, j, d))
+    cat = core.transition_catalog(es)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
+    rho0 = dyn.DeviationDensityMatrix((a + a.conj().T) / 2, es)
+
+    rows = draw(st.sampled_from([0, 2, 3, 4]))
+    fixed = ["x", "y", "-x", "-y", "deg:33.5"]
+    phases = fixed + (["$P"] if rows else [])
+    angle = st.floats(-360, 360).map(lambda v: f"{v:.6f}")
+    ins = st.one_of(
+        st.builds(lambda tid, ang, ph: f"selpulse t{tid} {ang} {ph}",
+                  st.integers(1, len(cat.entries)), angle, st.sampled_from(phases)),
+        st.builds(lambda ang, ph: f"pulse {ang} {ph}", angle, st.sampled_from(phases)),
+        st.just("grad"),
+        st.floats(0, 0.01).map(lambda v: f"delay {v:.6g}"))
+    lines = draw(st.lists(ins, max_size=6))
+    lines.insert(draw(st.integers(0, len(lines))), "delay t1")
+    if rows:
+        cycle = ["cycle P"] + [
+            f"row {draw(st.sampled_from(fixed))} {draw(st.sampled_from('+-'))}"
+            for _ in range(rows)]
+        lines = cycle + lines
+    text = "\n".join(lines + ["acquire 16 0.001"]) + "\n"
+    return es, cat, rho0, pl.parse_program(text), draw(st.integers(1, 8)), \
+        draw(st.floats(1e-4, 1e-2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_case())
+def test_run_2d_stack_matches_row_by_row(case):
+    es, cat, rho0, program, t1_points, dwell1 = case
+    ds = acq.run_2d(program, es, rho0, t1_points, dwell1, cat)
+    prefix = pl.PulseProgram(program.instructions[:-1], program.cycle)
+    fplus = es.lowering_operator().conj().T
+    t2 = np.arange(16) * 0.001
+    for m in range(t1_points):
+        rho = pl.execute_cycled(prefix, es, rho0, cat, t1=m * dwell1)
+        ref = acq.acquire_fid(es, rho, 16, 0.001)
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.abs(ds.data[m] - ref).max() <= 1e-12 * scale
+        # the definition: Tr(rho(t2) F+) under free evolution
+        dense = np.einsum("tkl,lk->t", dyn.free_evolution(es, rho, t2).mat, fplus)
+        assert np.abs(dense - ref).max() <= 1e-12 * scale
+
+
+def test_run_2d_without_t1_repeats_the_fid(citrate_es, citrate_cat):
+    prog = pl.parse_program("pulse 90 y\nacquire 16 0.002\n")
+    rho = dyn.equilibrium_deviation(citrate_es)
+    ds = acq.run_2d(prog, citrate_es, rho, t1_points=4, dwell1=0.002,
+                    catalog=citrate_cat)
+    prefix = pl.PulseProgram(prog.instructions[:-1])
+    fid = acq.acquire_fid(citrate_es, pl.execute(prefix, citrate_es, rho,
+                                                 citrate_cat), 16, 0.002)
+    assert ds.data.shape == (4, 16)
+    assert all(np.array_equal(row, fid) for row in ds.data)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,50 @@ def test_tomo_epr(tmp_path, capsys):
     assert float(line.split("=")[1]) >= 0.99
     assert (tmp_path / "epr_tomo.state").exists()
     assert (tmp_path / "epr_tomo.coherences").exists()
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert (lines[0].startswith("spinsim: error:")
+            or re.match(r".+:\d+:\d+: ", lines[0]))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("5 5 1 0\n", ":2: index (5, 5) outside 1..4"),
+    ("1 1 one 0\n", ":2: malformed entry"),
+    ("1 1 1\n", ":2: malformed entry"),
+    ("1 1 nan 0\n", ":2: malformed entry"),
+    ("1 2 1 0\n", ": density matrix is not Hermitian"),
+])
+def test_tomo_malformed_state_file(tmp_path, capsys, body, message):
+    state = tmp_path / "f.state"
+    state.write_text("dim 4\n" + body, encoding="utf-8")
+    code, _, err = run_cli(capsys, "tomo", "citrate.spin", "--state", str(state),
+                           "--out", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert f"{state}{message}" in err
+
+
+@pytest.mark.parametrize("dwell", ["0", "-0.001"])
+def test_run_nonpositive_acquire_dwell(tmp_path, capsys, dwell):
+    prog = tmp_path / "bad.pp"
+    prog.write_text(f"pulse 90 x\nacquire 16 {dwell}\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "citrate.spin", str(prog),
+                           "--out", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert err.startswith(f"{prog}:2:12: dwell must be positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tomo", "citrate.spin", "--protocol", "epr"),
+    ("protocol", "dj2:f1", "demo3.spin"),
+])
+@pytest.mark.parametrize("points", ["0", "-4"])
+def test_too_few_t1_points(tmp_path, capsys, argv, points):
+    code, _, err = run_cli(capsys, *argv, "--t1-points", points,
+                           "--out", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert "t1 points must be at least 1" in err

@@ -49,6 +49,10 @@ def test_parse_errors_carry_location():
         pl.parse_program("row x y\n")
     with pytest.raises(pl.PulseProgramError, match="acquire must be"):
         pl.parse_program("acquire 64 0.001\ngrad\n")
+    for dwell in ("0", "-0.001"):
+        with pytest.raises(pl.PulseProgramError, match="dwell must be positive") as err:
+            pl.parse_program(f"grad\nacquire 16 {dwell}\n", source="prog.pp")
+        assert str(err.value).startswith("prog.pp:2:12:")
 
 
 def test_roundtrip_programs():
