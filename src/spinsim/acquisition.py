@@ -239,14 +239,33 @@ class CoherenceTable:
     rows: tuple[CoherenceEstimate, ...]
 
 
-def _dirichlet(freq_hz: float, bin_index: int, points: int, dwell: float) -> complex:
-    """Exact FFT response at one bin to exp(2pi i f t) sampled on the grid."""
+def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
+    """Exact FFT response at bins to exp(2pi i f t) sampled on the grid.
+
+    Frequencies and bin indices broadcast against each other.
+    """
     phi = 2 * math.pi * freq_hz * dwell - 2 * math.pi * bin_index / points
     num = 1.0 - np.exp(1j * phi * points)
     den = 1.0 - np.exp(1j * phi)
-    if abs(den) < 1e-12:
-        return complex(points)
-    return complex(num / den)
+    on_bin = _cabs(den) < 1e-12
+    return np.where(on_bin, points, num / np.where(on_bin, 1.0, den))
+
+
+# The tomography design matrix must come out bit for bit as the sum of
+# scalar complex products it models (the CLI sorts coherences by magnitude,
+# and at the 1e-16 noise floor their order follows the rounding).  numpy's
+# vectorized complex multiply and absolute value may use fused or SIMD
+# kernels that round differently from the scalar ones, so both are written
+# out in real arithmetic.
+
+def _cabs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _cmul(xr, xi, yr, yi, out: np.ndarray) -> None:
+    """(xr + i xi)(yr + i yi) into out[0] (real) and out[1] (imaginary)."""
+    np.subtract(xr * yr, xi * yi, out=out[0])
+    np.add(xr * yi, xi * yr, out=out[1])
 
 
 def default_tomo_dwell(es: EigenSystem) -> float:
@@ -277,8 +296,8 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         dwell2 = default_tomo_dwell(es)
     dim = es.dim
     energies = es.energies
-    fmax1 = max(abs(float(energies[a] - energies[b])) / (2 * math.pi)
-                for a in range(dim) for b in range(dim))
+    f1 = ((energies[None, :] - energies[:, None]) / (2 * math.pi)).ravel()
+    fmax1 = float(np.abs(f1).max())
     if fmax1 > 0.5 / dwell1 + 1e-12:
         raise AcquisitionError(
             "spectral folding in omega_1: dwell1 must be at most "
@@ -307,64 +326,68 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     gten = np.einsum("ma,mc->mac", u90, np.conj(u90))   # [m, a, c]
     kten = np.einsum("bm,mac->bac", hmat, gten)         # [b, a, c]
 
-    comps = [(a, c) for a in range(dim) for c in range(dim)]
-    f1_of = {(a, c): float(energies[c] - energies[a]) / (2 * math.pi)
-             for a, c in comps}
-    bins1 = sorted({int(round(f1_of[ac] * t1_points * dwell1)) % t1_points
-                    for ac in comps})
-    bins2 = sorted({int(round(t.freq_hz * t2_points * dwell2)) % t2_points
-                    for t in lines})
+    # element (a, c) sits at f1[a * dim + c] = (E_c - E_a)/2pi in omega_1
+    f2 = np.array([t.freq_hz for t in lines])
+    bins1 = np.unique(np.round(f1 * t1_points * dwell1).astype(int) % t1_points)
+    bins2 = np.unique(np.round(f2 * t2_points * dwell2).astype(int) % t2_points)
+    d1 = _dirichlet(f1[:, None], bins1, t1_points, dwell1)       # [ac, j1]
+    d1[_cabs(d1) <= 1e-9] = 0.0
+    keep = np.any(d1 != 0.0, axis=0)
+    bins1, d1 = bins1[keep], d1[:, keep]
+    d2 = _dirichlet(f2[:, None, None, None], bins2[:, None, None],
+                    t2_points, dwell2)                            # [line, j2, 1, 1]
+    d2[_cabs(d2) <= 1e-9] = 0.0
 
-    # unknowns: Re/Im of upper-triangle elements plus real diagonal nuisances
-    uppers = [(k, l) for k in range(dim) for l in range(k + 1, dim)]
-    n_unknowns = 2 * len(uppers) + dim
-    obs_rows = []
-    obs_vals = []
-    lineamp_at = {}
-    for t_idx, t in enumerate(lines):
-        for j2 in bins2:
-            d2 = _dirichlet(t.freq_hz, j2, t2_points, dwell2)
-            if abs(d2) > 1e-9:
-                lineamp_at.setdefault(j2, []).append((t_idx, d2))
-    for j1 in bins1:
-        d1_of = {}
-        for ac in comps:
-            d1 = _dirichlet(f1_of[ac], j1, t1_points, dwell1)
-            if abs(d1) > 1e-9:
-                d1_of[ac] = d1
-        if not d1_of:
-            continue
-        for j2 in bins2:
-            row = np.zeros(n_unknowns, dtype=complex)
-            for (t_idx, d2) in lineamp_at.get(j2, ()):
-                for (a, c), d1 in d1_of.items():
-                    w = kten[t_idx, a, c] * d1 * d2
-                    if abs(w) < 1e-14:
-                        continue
-                    if a == c:
-                        row[2 * len(uppers) + a] += w
-                    elif a < c:
-                        e = uppers.index((a, c))
-                        row[2 * e] += w
-                        row[2 * e + 1] += 1j * w
-                    else:
-                        e = uppers.index((c, a))
-                        row[2 * e] += w
-                        row[2 * e + 1] += -1j * w
-            obs_rows.append(row)
-            obs_vals.append(spec[j1, j2])
-    a_mat = np.array(obs_rows)
-    b_vec = np.array(obs_vals)
-    a_real = np.vstack([a_mat.real, a_mat.imag])
+    # unknowns: Re/Im of upper-triangle elements plus real diagonal nuisances.
+    # Observation (j1, j2) sums kten[line, a, c] * d1 * d2 over lines in
+    # catalog order and, within a line, element (k, l) before (l, k), each
+    # term dropped below 1e-14; the sums below keep that order.  Arrays are
+    # [re/im, j2, element, j1].
+    upper_k, upper_l = np.triu_indices(dim, 1)
+    kl = upper_k * dim + upper_l
+    lk = upper_l * dim + upper_k
+    aa = np.arange(dim) * (dim + 1)
+    n_up = len(kl)
+    n1, n2 = len(bins1), len(bins2)
+    s_plus = np.zeros((2, n2, n_up, n1))        # Re(rho_kl) column
+    s_minus = np.zeros((2, n2, n_up, n1))       # Im(rho_kl) column / 1j
+    s_diag = np.zeros((2, n2, dim, n1))
+    kd = np.empty((2, dim * dim, n1))
+    term = np.empty((2, n2, dim * dim, n1))
+    for t_idx in range(len(lines)):
+        k = kten[t_idx].reshape(-1, 1)
+        _cmul(k.real, k.imag, d1.real, d1.imag, out=kd)
+        _cmul(kd[0], kd[1], d2[t_idx].real, d2[t_idx].imag, out=term)
+        # |z| >= max(|Re z|, |Im z|): only terms with both parts below the
+        # cut can fall below it
+        small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
+        small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
+        np.copyto(term, 0.0, where=small)
+        s_plus += term[:, :, kl]
+        s_plus += term[:, :, lk]
+        s_minus += term[:, :, kl]
+        s_minus -= term[:, :, lk]
+        s_diag += term[:, :, aa]
+
+    # rows (j1, j2) with j2 fastest; columns Re/Im of each element, then the
+    # diagonal.  The Im column is 1j * s_minus = -Im(s_minus) + 1j Re(s_minus),
+    # and 0.0 - x keeps zero sums +0.0 as the term-by-term sums had them.
+    a_real = np.empty((2, n1, n2, 2 * n_up + dim))  # [Re rows; Im rows]
+    a_real[..., 0:2 * n_up:2] = s_plus.transpose(0, 3, 1, 2)
+    a_real[0, ..., 1:2 * n_up:2] = 0.0 - s_minus[1].transpose(2, 0, 1)
+    a_real[1, ..., 1:2 * n_up:2] = s_minus[0].transpose(2, 0, 1)
+    a_real[..., 2 * n_up:] = s_diag.transpose(0, 3, 1, 2)
+    a_real = a_real.reshape(2 * n1 * n2, -1)
+    b_vec = spec[np.ix_(bins1, bins2)].ravel()
     b_real = np.concatenate([b_vec.real, b_vec.imag])
     sol, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
 
     rows = []
-    for e, (k, l) in enumerate(uppers):
+    for e, (k, l) in enumerate(zip(upper_k.tolist(), upper_l.tolist())):
         val = complex(sol[2 * e], sol[2 * e + 1])
         rows.append(CoherenceEstimate(
             k=k, l=l, order=int(round(es.mz[k] - es.mz[l])),
-            freq_hz=f1_of[(k, l)], value=val, magnitude=abs(val)))
+            freq_hz=float(f1[kl[e]]), value=val, magnitude=abs(val)))
     return dataset, CoherenceTable(rows=tuple(rows))
 
 

@@ -146,11 +146,21 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _index_argument(name: str) -> int:
+    """The integer after the colon of a `pops:<tid>` or `gate:<n>` name."""
+    text = name.split(":", 1)[1]
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"protocol {name!r}: the index must be an integer, "
+                       f"got {text!r}") from None
+
+
 def _protocol_report(es, cat, name: str, args):
     if name.startswith("pps"):
         return pr.pseudopure_2spin(es, name[3:], cat), None
     if name.startswith("pops:"):
-        res = pr.pops_pair(es, int(name.split(":", 1)[1]), cat)
+        res = pr.pops_pair(es, _index_argument(name), cat)
         rep = pr.ProtocolReport(
             name=f"pops{res.transition.tid}", program_text=res.program_text,
             final_state=res.difference,
@@ -170,7 +180,7 @@ def _protocol_report(es, cat, name: str, args):
     if name == "ghz":
         return pr.ghz_create(es, cat), None
     if name.startswith("gate:"):
-        return pr.gate_library_2spin(es, int(name.split(":", 1)[1]), cat), None
+        return pr.gate_library_2spin(es, _index_argument(name), cat), None
     if name == "c3not":
         return pr.c3not_4spin(es, cat), None
     if name == "c2swap":

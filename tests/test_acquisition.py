@@ -199,6 +199,121 @@ def test_coherence_order_assignment(shifted_citrate_es):
         assert abs(order) == abs(int(round(es.mz[k] - es.mz[l])))
 
 
+def _reference_design(es, cat, t1_points, t2_points, dwell1, dwell2):
+    """The scalar loop that built the tomography design matrix, term by term.
+
+    Kept as the reference for the array code in tomo_offdiagonal_2d, which
+    must give the same matrix bit for bit: the CLI sorts coherences by
+    magnitude, and at the 1e-16 noise floor their order follows rounding.
+    Returns the real design matrix and the (j1, j2) bin of each row.
+    """
+    dim = es.dim
+    u90 = dyn.hard_pulse_unitary(es, 90.0, 90.0)
+    u45 = dyn.hard_pulse_unitary(es, 45.0, 270.0)
+    fplus = es.lowering_operator().conj().T
+    lines = cat.entries
+    hmat = np.array([[u45[t.upper, m] * np.conj(u45[t.lower, m])
+                      * fplus[t.lower, t.upper] for m in range(dim)]
+                     for t in lines])
+    gten = np.einsum("ma,mc->mac", u90, np.conj(u90))
+    kten = np.einsum("bm,mac->bac", hmat, gten)
+
+    def dirichlet(freq_hz, bin_index, points, dwell):
+        phi = 2 * math.pi * freq_hz * dwell - 2 * math.pi * bin_index / points
+        num = 1.0 - np.exp(1j * phi * points)
+        den = 1.0 - np.exp(1j * phi)
+        if abs(den) < 1e-12:
+            return complex(points)
+        return complex(num / den)
+
+    comps = [(a, c) for a in range(dim) for c in range(dim)]
+    f1_of = {(a, c): float(es.energies[c] - es.energies[a]) / (2 * math.pi)
+             for a, c in comps}
+    bins1 = sorted({int(round(f1_of[ac] * t1_points * dwell1)) % t1_points
+                    for ac in comps})
+    bins2 = sorted({int(round(t.freq_hz * t2_points * dwell2)) % t2_points
+                    for t in lines})
+    uppers = [(k, l) for k in range(dim) for l in range(k + 1, dim)]
+    obs_rows, obs_bins, lineamp_at = [], [], {}
+    for t_idx, t in enumerate(lines):
+        for j2 in bins2:
+            d2 = dirichlet(t.freq_hz, j2, t2_points, dwell2)
+            if abs(d2) > 1e-9:
+                lineamp_at.setdefault(j2, []).append((t_idx, d2))
+    for j1 in bins1:
+        d1_of = {}
+        for ac in comps:
+            d1 = dirichlet(f1_of[ac], j1, t1_points, dwell1)
+            if abs(d1) > 1e-9:
+                d1_of[ac] = d1
+        if not d1_of:
+            continue
+        for j2 in bins2:
+            row = np.zeros(2 * len(uppers) + dim, dtype=complex)
+            for (t_idx, d2) in lineamp_at.get(j2, ()):
+                for (a, c), d1 in d1_of.items():
+                    w = kten[t_idx, a, c] * d1 * d2
+                    if abs(w) < 1e-14:
+                        continue
+                    if a == c:
+                        row[2 * len(uppers) + a] += w
+                    elif a < c:
+                        e = uppers.index((a, c))
+                        row[2 * e] += w
+                        row[2 * e + 1] += 1j * w
+                    else:
+                        e = uppers.index((c, a))
+                        row[2 * e] += w
+                        row[2 * e + 1] += -1j * w
+            obs_rows.append(row)
+            obs_bins.append((j1, j2))
+    a_mat = np.array(obs_rows)
+    return np.vstack([a_mat.real, a_mat.imag]), tuple(zip(*obs_bins))
+
+
+@pytest.mark.parametrize("system, t1_points, t2_points", [
+    ("citrate", 64, 32), ("demo3", 32, 16), ("demo4", 16, 8)])
+def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
+                                                request, monkeypatch):
+    es = request.getfixturevalue(f"{system}_es")
+    cat = core.transition_catalog(es)
+    captured = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        captured.append((a, b))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    # the model uses the default dwells as computed, not dataset.dwell2,
+    # which the acquire line rounds to 12 digits
+    dwell = acq.default_tomo_dwell(es)
+    a_ref, bins = _reference_design(es, cat, t1_points, t2_points, dwell, dwell)
+    rng = np.random.default_rng(es.dim)
+    for _ in range(2):
+        a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
+        rho = dyn.DeviationDensityMatrix((a + a.conj().T) / 2, es)
+        captured.clear()
+        dataset, _ = acq.tomo_offdiagonal_2d(es, rho, t1_points=t1_points,
+                                             t2_points=t2_points, catalog=cat)
+        b_ref = np.fft.fft2(dataset.data)[bins]
+        assert len(captured) == 1
+        a_new, b_new = captured[0]
+        assert np.array_equal(a_new, a_ref)
+        assert np.array_equal(b_new, np.concatenate([b_ref.real, b_ref.imag]))
+
+
+@pytest.mark.parametrize("build", [pr.c2swap_4spin, pr.c3not_4spin])
+def test_tomo_4spin_gate_outputs_roundtrip(build, demo4_es, demo4_cat):
+    es, cat = demo4_es, demo4_cat
+    rho = build(es, cat).final_state
+    diag, _ = acq.tomo_diagonal(es, rho, catalog=cat)
+    _, table = acq.tomo_offdiagonal_2d(es, rho, t1_points=32, t2_points=16,
+                                       catalog=cat)
+    _, fidelity = acq.reconstruct_density(es, diag, table, reference=rho)
+    assert fidelity >= 0.999999
+
+
 def test_scale_calibration_epr(citrate_es, citrate_cat):
     rho = pr.epr_create(citrate_es, citrate_cat).final_state
     cal = acq.tomo_scale_calibration(citrate_es, rho, citrate_cat)

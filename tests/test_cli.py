@@ -197,3 +197,14 @@ def test_too_few_t1_points(tmp_path, capsys, argv, points):
                            "--out", str(tmp_path))
     assert_one_line_error(code, err)
     assert "t1 points must be at least 1" in err
+
+
+@pytest.mark.parametrize("name, system, text", [
+    ("pops:x", "citrate.spin", "'x'"),
+    ("pops:", "citrate.spin", "''"),
+    ("gate:abc", "compound1.spin", "'abc'"),
+])
+def test_protocol_non_integer_index(tmp_path, capsys, name, system, text):
+    code, _, err = run_cli(capsys, "protocol", name, system, "--out", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert f"index must be an integer, got {text}" in err
