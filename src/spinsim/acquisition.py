@@ -137,23 +137,26 @@ class Dataset2D:
         return f1, f2, spec
 
     def to_text(self) -> str:
-        out = [f"t1_points {self.t1_points}", f"t2_points {self.t2_points}",
-               f"dwell1 {self.dwell1:.12g}", f"dwell2 {self.dwell2:.12g}"]
-        for i in range(self.t1_points):
-            for j in range(self.t2_points):
-                z = self.data[i, j]
-                if abs(z) >= 1e-14:
-                    out.append(f"{i + 1} {j + 1} {z.real:.12g} {z.imag:.12g}")
-        return "\n".join(out) + "\n"
+        """The time-domain data in the sparse ``k l re im`` state format."""
+        return dyn.format_sparse(
+            f"t1_points {self.t1_points}\nt2_points {self.t2_points}\n"
+            f"dwell1 {self.dwell1:.12g}\ndwell2 {self.dwell2:.12g}", self.data)
 
     def to_gnuplot_grid(self) -> str:
-        """Magnitude spectrum as a gnuplot-compatible grid (blank-line rows)."""
+        """Magnitude spectrum as a gnuplot-compatible grid (blank-line rows).
+
+        The axis text is formatted once and joined into each f1 block's
+        pattern; one ``%`` per block formats the magnitudes as Python
+        floats.
+        """
         f1, f2, spec = self.fft2()
         mag = np.abs(spec)
+        cells = [f" {y:.12g} %.12g" for y in f2.tolist()]
         blocks = []
-        for i, x in enumerate(f1):
-            rows = [f"{x:.12g} {y:.12g} {mag[i, j]:.12g}" for j, y in enumerate(f2)]
-            blocks.append("\n".join(rows))
+        for i, x in enumerate(f1.tolist()):
+            x_text = f"{x:.12g}"
+            pattern = x_text + ("\n" + x_text).join(cells)
+            blocks.append(pattern % tuple(mag[i].tolist()))
         return "\n\n".join(blocks) + "\n"
 
 

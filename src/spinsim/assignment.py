@@ -190,6 +190,11 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     ``truncated`` flag reports a hit cap).  If no diagram exists the result
     carries the first mutually unsatisfiable transition triple.
     """
+    if n < 1:
+        raise AssignmentError(f"the number of spins must be at least 1, got {n}")
+    if max_solutions < 1:
+        raise AssignmentError(
+            f"max_solutions must be at least 1, got {max_solutions}")
     t_count = cm.size
     if t_count > math.comb(2 * n, n - 1):
         raise AssignmentError(

@@ -135,15 +135,21 @@ def cmd_run(args) -> int:
     _write(out_dir / f"{stem}.spectrum", spec.to_csv())
     if acquire is not None:
         fid = acq.acquire_fid(es, final, acquire.points, acquire.dwell_s)
-        rows = [f"{m * acquire.dwell_s:.12g},{z.real:.12g},{z.imag:.12g}"
-                for m, z in enumerate(fid)]
-        _write(out_dir / f"{stem}.fid", "\n".join(rows) + "\n")
+        times = [m * acquire.dwell_s for m in range(fid.size)]
+        _write(out_dir / f"{stem}.fid", _complex_rows(times, fid))
         freqs, vals = acq.fft_spectrum(fid, acquire.dwell_s)
-        rows = [f"{f:.12g},{z.real:.12g},{z.imag:.12g}"
-                for f, z in zip(freqs, vals)]
-        _write(out_dir / f"{stem}.fft", "\n".join(rows) + "\n")
+        _write(out_dir / f"{stem}.fft", _complex_rows(freqs.tolist(), vals))
     print(f"wrote {out_dir / (stem + '.state')} and spectrum")
     return 0
+
+
+def _complex_rows(xs: list[float], zs: np.ndarray) -> str:
+    """One ``x,re,im`` line per point, 12 significant digits, one ``%``."""
+    args = [None] * (3 * len(xs))
+    args[0::3] = xs
+    args[1::3] = zs.real.tolist()
+    args[2::3] = zs.imag.tolist()
+    return "\n".join(["%.12g,%.12g,%.12g"] * len(xs)) % tuple(args) + "\n"
 
 
 def _index_argument(name: str) -> int:

@@ -430,6 +430,41 @@ def test_dataset2d_exports(citrate_es, citrate_cat):
     grid = ds.to_gnuplot_grid()
     assert "\n\n" in grid
 
+    # the 90-grad pair leaves no population difference from equilibrium;
+    # a 45-degree pulse first gives t1-modulated signal
+    prog = pl.parse_program("pulse 45 x\ndelay t1\npulse 90 y\ngrad\n"
+                            "pulse 45 -y\nacquire 16 0.002\n")
+    ds = acq.run_2d(prog, citrate_es, rho, t1_points=8, dwell1=0.002,
+                    catalog=citrate_cat)
+    text = ds.to_text()
+    lines = text.splitlines()
+    assert lines[:2] == ["t1_points 8", "t2_points 16"]
+    assert lines[2:4] == ["dwell1 0.002", "dwell2 0.002"]
+    assert text.endswith("\n")
+    # one row-major `i j re im` row per element at or above the cut
+    rows = [ln.split() for ln in lines[4:]]
+    kept = np.hypot(ds.data.real, ds.data.imag) >= 1e-14
+    assert len(rows) == np.count_nonzero(kept) > 0
+    ij = [(int(i) - 1, int(j) - 1) for i, j, _, _ in rows]
+    assert ij == sorted(ij) == list(zip(*np.nonzero(kept)))
+    back = np.array([complex(float(re_), float(im_)) for _, _, re_, im_ in rows])
+    assert np.allclose(back, ds.data[kept], rtol=1e-11, atol=0)
+
+    grid = ds.to_gnuplot_grid()
+    assert grid.endswith("\n") and not grid.endswith("\n\n")
+    blocks = grid[:-1].split("\n\n")
+    assert len(blocks) == 8
+    f1, f2, spec = ds.fft2()
+    peak = np.abs(spec).max()
+    for i, block in enumerate(blocks):
+        vals = np.array([[float(v) for v in ln.split()]
+                         for ln in block.split("\n")])
+        assert vals.shape == (16, 3)
+        assert np.allclose(vals[:, 0], f1[i], rtol=1e-11, atol=0)
+        assert np.allclose(vals[:, 1], f2, rtol=1e-11, atol=0)
+        assert np.allclose(vals[:, 2], np.abs(spec[i]), rtol=1e-11,
+                           atol=1e-11 * peak)
+
 
 @st.composite
 def stacked_case(draw):

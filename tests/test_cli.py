@@ -141,6 +141,21 @@ def test_assign_unsatisfiable(tmp_path, capsys):
     assert "1,2,3" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("0",), "the number of spins must be at least 1, got 0"),
+    (("-1",), "the number of spins must be at least 1, got -1"),
+    (("3", "--max-solutions", "0"), "max_solutions must be at least 1, got 0"),
+    (("3", "--max-solutions", "-2"), "max_solutions must be at least 1, got -2"),
+])
+def test_assign_invalid_arguments(tmp_path, capsys, argv, text):
+    code, out, err = run_cli(capsys, "assign", "eq13.cm", *argv,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"spinsim: error: {text}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tomo_epr(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "tomo", "citrate.spin",
                            "--protocol", "epr", "--out", str(tmp_path),
