@@ -7,7 +7,11 @@ per written file, per captured stdout and stderr and per exit code, in a
 fixed order.  The temporary directory is replaced by ``<out>`` in captured
 text, and warnings are captured as ``Category: message`` lines (without the
 source location), so two checkouts that behave the same print the same
-lines.  Diff the output of two checkouts to prove a change byte-identical:
+lines.  Inputs that are not shipped with the package (an 8-spin system and
+a full 5-spin connectivity matrix) are written from the literals below into
+an ``inputs`` directory of the temporary directory first; ``{in}`` in an
+argv names it.  Diff the output of two checkouts to prove a change
+byte-identical:
 
     python3 scripts/output_digests.py > after.txt
 
@@ -26,6 +30,61 @@ import warnings
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from spinsim.cli import main as cli_main  # noqa: E402
+
+SPIN8 = """\
+name spin8
+nspins 8
+offset_hz 410.5 -275.25 130.75 -45.5 362.125 -190 15.375 -330.625
+j_hz 1 2 12.5
+j_hz 1 3 -3.25
+j_hz 2 3 8.75
+j_hz 3 4 15
+j_hz 4 5 -6.5
+j_hz 5 6 11.25
+j_hz 6 7 4
+j_hz 7 8 9.5
+j_hz 1 8 -2.75
+d_hz 1 2 85
+d_hz 2 4 -120.5
+d_hz 3 5 60.25
+d_hz 5 7 -45.75
+d_hz 6 8 140
+"""
+
+
+def full_connectivity(manifold_sizes, stride):
+    """Connectivity-matrix text of every level pair across adjacent M_z
+    manifolds: +1 when two pairs share a level in a row, -1 when they share
+    a top or bottom level.  Pair i of the file is pair (i * stride) mod T of
+    the manifold-major list, so the file order is not the level order."""
+    starts = [sum(manifold_sizes[:k]) for k in range(len(manifold_sizes))]
+    pairs = [(lo, up)
+             for k in range(len(manifold_sizes) - 1)
+             for lo in range(starts[k], starts[k] + manifold_sizes[k])
+             for up in range(starts[k + 1], starts[k + 1] + manifold_sizes[k + 1])]
+    count = len(pairs)
+    pairs = [pairs[(i * stride) % count] for i in range(count)]
+    rows = []
+    for alo, aup in pairs:
+        row = []
+        for blo, bup in pairs:
+            if (alo, aup) == (blo, bup):
+                row.append(0)
+            elif aup == blo or bup == alo:
+                row.append(1)
+            elif alo == blo or aup == bup:
+                row.append(-1)
+            else:
+                row.append(0)
+        rows.append(" ".join(f"{v:2d}" for v in row))
+    return "\n".join(rows) + "\n"
+
+
+INPUTS = {
+    "spin8.spin": SPIN8,
+    # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
+    "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
+}
 
 # (case name, argv); "{out}" is the case's output directory.
 CASES = [
@@ -54,6 +113,11 @@ CASES = [
     ("tomo_ghz", ["tomo", "demo3.spin", "--protocol", "ghz", "--out", "{out}"]),
     ("tomo_c3not", ["tomo", "demo4.spin", "--protocol", "c3not",
                     "--t1-points", "32", "--t2-points", "16", "--out", "{out}"]),
+    # 8-spin eigensystem and time-domain run, full 5-spin level assignment
+    ("eigen_spin8", ["eigen", "{in}/spin8.spin"]),
+    ("run_spin8_tomo_mq", ["run", "{in}/spin8.spin", "tomo_mq.pp", "--t1", "0.001",
+                           "--out", "{out}"]),
+    ("assign_full5", ["assign", "{in}/full5.cm", "5", "--out", "{out}"]),
 ]
 
 
@@ -61,10 +125,12 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(argv: list[str], out_dir: pathlib.Path, root: str):
+def run_case(argv: list[str], out_dir: pathlib.Path, in_dir: pathlib.Path,
+             root: str):
     """(exit code or 'exception', stdout, stderr) of one CLI run."""
     out, err = io.StringIO(), io.StringIO()
-    argv = [a.replace("{out}", str(out_dir)) for a in argv]
+    argv = [a.replace("{out}", str(out_dir)).replace("{in}", str(in_dir))
+            for a in argv]
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -84,10 +150,14 @@ def run_case(argv: list[str], out_dir: pathlib.Path, root: str):
 def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
+        in_dir = pathlib.Path(tmp) / "inputs"
+        in_dir.mkdir()
+        for fname, text in INPUTS.items():
+            (in_dir / fname).write_text(text, encoding="utf-8")
         for name, argv in CASES:
             out_dir = pathlib.Path(tmp) / name
             out_dir.mkdir()
-            code, out, err = run_case(argv, out_dir, tmp)
+            code, out, err = run_case(argv, out_dir, in_dir, tmp)
             failed |= code == "exception"
             print(f"{digest(code.encode())}  {name}/exit")
             print(f"{digest(out.encode())}  {name}/stdout")

@@ -64,9 +64,14 @@ def parse_connectivity(text: str, source: str = "<string>") -> ConnectivityMatri
         if not line:
             continue
         try:
-            rows.append([int(x) for x in line.split()])
+            row = [int(x) for x in line.split()]
         except ValueError:
             raise AssignmentError(f"{source}:{ln}: malformed row {line!r}") from None
+        bad = [v for v in row if v not in (-1, 0, 1)]
+        if bad:
+            raise AssignmentError(
+                f"{source}:{ln}: entries must be -1, 0 or +1, got {bad[0]}")
+        rows.append(row)
     if not rows:
         raise AssignmentError(f"{source}: empty connectivity matrix")
     if any(len(r) != len(rows) for r in rows):
@@ -202,6 +207,7 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
             f"possible for {n} spins")
     caps = [math.comb(n, k) for k in range(n + 1)]
     order = _search_order(cm.m)
+    rows = cm.m.tolist()   # Python ints: the search reads single entries
     ambiguous = tuple(cm.ids[i] for i in range(t_count)
                       if t_count > 1 and not np.any(cm.m[i]))
 
@@ -228,7 +234,8 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
         del handle_manifold[h]
 
     def candidates(t: int):
-        neighbors = [s for s in placed if cm.m[t, s] != 0]
+        row = rows[t]
+        neighbors = [s for s in placed if row[s] != 0]
         cands: list[tuple[int, int | None, int | None]] = []
         if not neighbors:
             layers = range(n)
@@ -239,7 +246,7 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
         else:
             s0 = neighbors[0]
             p0, u0, v0 = placed[s0]
-            if cm.m[t, s0] == 1:
+            if row[s0] == 1:
                 if p0 + 1 < n:
                     cands.append((p0 + 1, v0, None))
                 if p0 - 1 >= 0:
@@ -251,7 +258,7 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
                 ps, us, vs = placed[s]
                 refined = []
                 for (p, u, v) in cands:
-                    if cm.m[t, s] == 1:
+                    if row[s] == 1:
                         if p == ps + 1 and (u is None or u == vs):
                             refined.append((p, vs, v))
                         if p == ps - 1 and (v is None or v == us):
@@ -285,8 +292,9 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
         edge = (p, u, v)
         ok = (u, v) not in used_edges
         if ok:
+            row = rows[t]
             for s, es_edge in placed.items():
-                if _edge_relation(edge, es_edge) != cm.m[t, s]:
+                if _edge_relation(edge, es_edge) != row[s]:
                     ok = False
                     break
         if not ok:
@@ -343,19 +351,21 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
 
 
 def _search_order(m: np.ndarray) -> list[int]:
+    """Most-constrained-first order: repeatedly pick the transition with the
+    most links to those already picked, then the highest degree, then the
+    lowest index."""
     t_count = m.shape[0]
-    degree = np.count_nonzero(m, axis=1)
-    remaining = set(range(t_count))
+    nonzero = m != 0
+    # (links, degree, -t) packed into one integer: links * T^2 + degree * T
+    # + (T - 1 - t); a picked transition's key is pushed far below zero
+    key = (nonzero.sum(axis=1) * t_count
+           + (t_count - 1 - np.arange(t_count))).astype(np.int64)
     order: list[int] = []
-    while remaining:
-        if order:
-            links = {t: sum(1 for s in order if m[t, s] != 0) for t in remaining}
-        else:
-            links = {t: 0 for t in remaining}
-        best = max(remaining,
-                   key=lambda t: (links[t], degree[t], -t))
+    for _ in range(t_count):
+        best = int(np.argmax(key))
         order.append(best)
-        remaining.discard(best)
+        key += t_count * t_count * nonzero[:, best]
+        key[best] = np.iinfo(np.int64).min
     return order
 
 

@@ -120,28 +120,43 @@ def build_hamiltonian(sys: SpinSystem, weak: bool = False) -> np.ndarray:
       + sum_{i<j} 2*pi*D_ij (3 I_iz I_jz - I_i.I_j)
 
     The dipolar term keeps its truncated full form in both modes.
+
+    H is assembled from the spin bits of the basis states: I_iz I_jz is
+    diagonal (+-1/4), and I_ix I_jx + I_iy I_jy is 1/2 on the flip-flop
+    pairs (k, k ^ (bit_i | bit_j)) where bits i and j of k differ.  Every
+    operator factor is a power of two, and the terms are added in the
+    order of the dense operator sum (offsets, then pairs i < j with J
+    before D), so H equals that sum bit for bit.  Overflow to inf is left
+    for ``diagonalize`` to reject.
     """
     sys.validate()
     n = sys.n
     dim = 2**n
+    k = np.arange(dim)
+    # diagonals of I_iz; spin 0 is the top bit of the basis index
+    iz = [np.where(k & (1 << (n - 1 - i)), -0.5, 0.5) for i in range(n)]
     h = np.zeros((dim, dim), dtype=complex)
-    iz = [spin_operator(n, i, "z") for i in range(n)]
-    ix = [spin_operator(n, i, "x") for i in range(n)]
-    iy = [spin_operator(n, i, "y") for i in range(n)]
-    for i in range(n):
-        h += 2 * math.pi * sys.offset_hz[i] * iz[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            zz = iz[i] @ iz[j]
-            if sys.j_hz[i, j] != 0.0:
-                if weak:
-                    h += 2 * math.pi * sys.j_hz[i, j] * zz
-                else:
-                    dot = zz + ix[i] @ ix[j] + iy[i] @ iy[j]
-                    h += 2 * math.pi * sys.j_hz[i, j] * dot
-            if sys.d_hz[i, j] != 0.0:
-                dot = zz + ix[i] @ ix[j] + iy[i] @ iy[j]
-                h += 2 * math.pi * sys.d_hz[i, j] * (3 * zz - dot)
+    diag = np.zeros(dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            diag += 2 * math.pi * sys.offset_hz[i] * iz[i]
+        for i in range(n):
+            for j in range(i + 1, n):
+                zz = iz[i] * iz[j]
+                flip = 0.0                      # the flip-flop element
+                if sys.j_hz[i, j] != 0.0:
+                    c = 2 * math.pi * sys.j_hz[i, j]
+                    diag += c * zz
+                    if not weak:
+                        flip = flip + c * 0.5
+                if sys.d_hz[i, j] != 0.0:
+                    c = 2 * math.pi * sys.d_hz[i, j]
+                    diag += c * (2 * zz)        # the diagonal of 3 zz - I_i.I_j
+                    flip = flip + c * -0.5
+                if sys.d_hz[i, j] != 0.0 or (sys.j_hz[i, j] != 0.0 and not weak):
+                    rows = np.flatnonzero(iz[i] != iz[j])
+                    h[rows, rows ^ ((1 << (n - 1 - i)) | (1 << (n - 1 - j)))] = flip
+    h[k, k] = diag
     return h
 
 
@@ -225,6 +240,8 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
     dim = 2**n
     if h.shape != (dim, dim):
         raise SpinSystemError("Hamiltonian dimension does not match system")
+    if not np.all(np.isfinite(h)):
+        raise SpinSystemError("Hamiltonian has a non-finite entry")
     hnorm = np.linalg.norm(h)
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise SpinSystemError("Hamiltonian is not Hermitian")
@@ -339,19 +356,21 @@ def transition_catalog(es: EigenSystem, threshold: float = 0.05) -> TransitionCa
     if not 0 <= threshold < 1:
         raise SpinSystemError("threshold must be in [0, 1)")
     fme = es.lowering_operator()
-    raw = []
-    for lo in range(es.dim):
-        for up in range(es.dim):
-            if es.mz[up] == es.mz[lo] - 1:
-                inten = float(abs(fme[up, lo]) ** 2)
-                freq = float((es.energies[lo] - es.energies[up]) / (2 * math.pi))
-                raw.append((lo, up, freq, inten))
-    raw.sort(key=lambda r: (-r[3], r[2], r[0], r[1]))
-    max_i = max((r[3] for r in raw), default=0.0)
+    lo, up = np.nonzero(es.mz[None, :] == es.mz[:, None] - 1)
+    amp = fme[up, lo]
+    # float_power calls C pow, as `**` on a numpy scalar does; `**2` on
+    # an array squares, which rounds differently
+    inten = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+    freq = (es.energies[lo] - es.energies[up]) / (2 * math.pi)
+    order = np.lexsort((up, lo, freq, -inten))
+    max_i = float(inten.max()) if inten.size else 0.0
+    observable = (inten >= threshold * max_i) & (max_i > 0)
     entries = tuple(
-        Transition(tid=i + 1, lower=lo, upper=up, freq_hz=fr, intensity=inten,
-                   observable=bool(max_i > 0 and inten >= threshold * max_i))
-        for i, (lo, up, fr, inten) in enumerate(raw)
+        Transition(tid=i + 1, lower=a, upper=b, freq_hz=fr, intensity=it,
+                   observable=ob)
+        for i, (a, b, fr, it, ob) in enumerate(zip(
+            lo[order].tolist(), up[order].tolist(), freq[order].tolist(),
+            inten[order].tolist(), observable[order].tolist()))
     )
     return TransitionCatalog(entries=entries, threshold=threshold)
 

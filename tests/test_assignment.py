@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsim import acquisition as acq, assignment as asg, core
 from spinsim.acceptance import oracle_reconstruct, random_system
@@ -161,3 +162,46 @@ def test_diagram_format(eq13):
     assert "edge 1 " in text
     assert text.count("level") == 8
     assert text.count("edge") == 8
+
+
+def cubic_search_order(m):
+    """Reference: the search order with links recounted at every pick."""
+    t_count = m.shape[0]
+    degree = np.count_nonzero(m, axis=1)
+    remaining = set(range(t_count))
+    order = []
+    while remaining:
+        if order:
+            links = {t: sum(1 for s in order if m[t, s] != 0) for t in remaining}
+        else:
+            links = {t: 0 for t in remaining}
+        best = max(remaining, key=lambda t: (links[t], degree[t], -t))
+        order.append(best)
+        remaining.discard(best)
+    return order
+
+
+@st.composite
+def signed_matrices(draw):
+    t = draw(st.integers(1, 30))
+    upper = draw(st.lists(st.sampled_from([-1, 0, 0, 1]),
+                          min_size=t * (t - 1) // 2, max_size=t * (t - 1) // 2))
+    m = np.zeros((t, t), dtype=int)
+    m[np.triu_indices(t, 1)] = upper
+    return m + m.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_matrices())
+def test_search_order_matches_cubic_reference(m):
+    assert asg._search_order(m) == cubic_search_order(m)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_search_order_matches_reference_on_zcosy():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 5):
+        es = core.eigensystem(random_system(rng, n))
+        cat = core.transition_catalog(es, threshold=0.0)
+        m = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat).m
+        assert asg._search_order(m) == cubic_search_order(m)

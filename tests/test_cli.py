@@ -223,3 +223,23 @@ def test_protocol_non_integer_index(tmp_path, capsys, name, system, text):
     code, _, err = run_cli(capsys, "protocol", name, system, "--out", str(tmp_path))
     assert_one_line_error(code, err)
     assert f"index must be an integer, got {text}" in err
+
+
+def test_eigen_overflowing_offset(tmp_path, capsys):
+    # 2*pi*1e308 overflows to inf; the eigensolve must not print nan lines
+    spin = tmp_path / "huge.spin"
+    spin.write_text("nspins 2\noffset_hz 1e308 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eigen", str(spin))
+    assert_one_line_error(code, err)
+    assert "Hamiltonian has a non-finite entry" in err
+    assert "nan" not in out
+
+
+def test_assign_out_of_range_entry(tmp_path, capsys):
+    cm = tmp_path / "big.cm"
+    cm.write_text("0 99999999999999999999\n99999999999999999999 0\n",
+                  encoding="utf-8")
+    code, _, err = run_cli(capsys, "assign", str(cm), "2")
+    assert_one_line_error(code, err)
+    assert err == (f"spinsim: error: {cm}:1: entries must be -1, 0 or +1, "
+                   "got 99999999999999999999\n")

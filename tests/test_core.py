@@ -237,3 +237,112 @@ def test_validation_errors():
         core.SpinSystem.create("asym", [0, 0], [[0, 1], [2, 0]])
     with pytest.raises(core.SpinSystemError):
         core.SpinSystem.create("nan", [float("nan"), 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the array builders against the code they replaced, bit for bit
+
+def dense_hamiltonian(sys_, weak=False):
+    """Reference: H as a sum of dense Kronecker operator products."""
+    n = sys_.n
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    iz = [core.spin_operator(n, i, "z") for i in range(n)]
+    ix = [core.spin_operator(n, i, "x") for i in range(n)]
+    iy = [core.spin_operator(n, i, "y") for i in range(n)]
+    for i in range(n):
+        h += 2 * math.pi * sys_.offset_hz[i] * iz[i]
+    for i in range(n):
+        for j in range(i + 1, n):
+            zz = iz[i] @ iz[j]
+            if sys_.j_hz[i, j] != 0.0:
+                if weak:
+                    h += 2 * math.pi * sys_.j_hz[i, j] * zz
+                else:
+                    dot = zz + ix[i] @ ix[j] + iy[i] @ iy[j]
+                    h += 2 * math.pi * sys_.j_hz[i, j] * dot
+            if sys_.d_hz[i, j] != 0.0:
+                dot = zz + ix[i] @ ix[j] + iy[i] @ iy[j]
+                h += 2 * math.pi * sys_.d_hz[i, j] * (3 * zz - dot)
+    return h
+
+
+def loop_catalog(es, threshold=0.05):
+    """Reference: catalog rows from a Python loop over all state pairs."""
+    fme = es.lowering_operator()
+    raw = []
+    for lo in range(es.dim):
+        for up in range(es.dim):
+            if es.mz[up] == es.mz[lo] - 1:
+                inten = float(abs(fme[up, lo]) ** 2)
+                freq = float((es.energies[lo] - es.energies[up]) / (2 * math.pi))
+                raw.append((lo, up, freq, inten))
+    raw.sort(key=lambda r: (-r[3], r[2], r[0], r[1]))
+    max_i = max((r[3] for r in raw), default=0.0)
+    return [(lo, up, fr, inten, bool(max_i > 0 and inten >= threshold * max_i))
+            for lo, up, fr, inten in raw]
+
+
+def catalog_rows(cat):
+    return [(t.lower, t.upper, t.freq_hz, t.intensity, t.observable)
+            for t in cat.entries]
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def assert_matches_references(sys_, weak):
+    h = core.build_hamiltonian(sys_, weak=weak)
+    assert_same_bits(h, dense_hamiltonian(sys_, weak=weak))
+    es = core.diagonalize(h, sys_)
+    for threshold in (0.0, 0.05):
+        assert (catalog_rows(core.transition_catalog(es, threshold))
+                == loop_catalog(es, threshold))
+
+
+@st.composite
+def reference_systems(draw):
+    """Systems of 1..7 spins; a few shared offset values make degenerate
+    levels, and couplings are zero, negative or positive."""
+    n = draw(st.integers(1, 7))
+    hz = st.floats(-300, 300)
+    offs = [draw(st.one_of(st.sampled_from([0.0, 40.0, -40.0]), hz))
+            for _ in range(n)]
+    j = np.zeros((n, n))
+    d = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            j[i, k] = j[k, i] = draw(st.one_of(st.just(0.0), st.floats(-20, 20)))
+            d[i, k] = d[k, i] = draw(st.one_of(st.just(0.0), hz))
+    return core.SpinSystem.create("ref", offs, j, d)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=40, deadline=None)
+@given(reference_systems(), st.booleans())
+def test_builders_match_dense_references(sys_, weak):
+    assert_matches_references(sys_, weak)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("name", ["citrate.spin", "compound1.spin",
+                                  "demo3.spin", "demo4.spin"])
+@pytest.mark.parametrize("weak", [False, True])
+def test_builders_match_references_shipped(name, weak):
+    from importlib import resources
+    text = resources.files("spinsim").joinpath(
+        "data", "systems", name).read_text(encoding="utf-8")
+    assert_matches_references(core.parse_spin_system(text, source=name), weak)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_builders_match_references_eight_spins():
+    rng = np.random.default_rng(8)
+    offs = rng.uniform(-300, 300, 8)
+    offs[5] = offs[2]
+    j = np.triu(rng.uniform(-20, 20, (8, 8)) * (rng.random((8, 8)) < 0.7), 1)
+    d = np.triu(rng.uniform(-200, 200, (8, 8)) * (rng.random((8, 8)) < 0.7), 1)
+    assert_matches_references(
+        core.SpinSystem.create("r8", offs, j + j.T, d + d.T), weak=False)
