@@ -7,10 +7,11 @@ per written file, per captured stdout and stderr and per exit code, in a
 fixed order.  The temporary directory is replaced by ``<out>`` in captured
 text, and warnings are captured as ``Category: message`` lines (without the
 source location), so two checkouts that behave the same print the same
-lines.  Inputs that are not shipped with the package (an 8-spin system and
-a full 5-spin connectivity matrix) are written from the literals below into
-an ``inputs`` directory of the temporary directory first; ``{in}`` in an
-argv names it.  Diff the output of two checkouts to prove a change
+lines.  Inputs that are not shipped with the package (6- and 8-spin
+systems, a 90-degree-pulse FID program and a full 5-spin connectivity
+matrix) are written from the literals below into an ``inputs`` directory of
+the temporary directory first; ``{in}`` in an argv names it.  BLAS runs on
+one thread, so the digests do not depend on the core count.  Diff the output of two checkouts to prove a change
 byte-identical:
 
     python3 scripts/output_digests.py > after.txt
@@ -21,11 +22,18 @@ The exit status is 1 if any case raised an exception, 0 otherwise.
 import contextlib
 import hashlib
 import io
+import os
 import pathlib
 import sys
 import tempfile
 import traceback
 import warnings
+
+# one BLAS thread, set before numpy loads: threaded BLAS sums in an order
+# that depends on the core count, and the noise-floor digits of the
+# tomography outputs follow it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -49,6 +57,28 @@ d_hz 2 4 -120.5
 d_hz 3 5 60.25
 d_hz 5 7 -45.75
 d_hz 6 8 140
+"""
+
+SPIN6 = """\
+name spin6
+nspins 6
+offset_hz 320.5 -210.25 95.75 -140.5 250.125 -30
+j_hz 1 2 7.5
+j_hz 2 3 -4.25
+j_hz 3 4 12
+j_hz 4 5 3.5
+j_hz 5 6 -9.75
+j_hz 1 6 6.25
+d_hz 1 3 -75.5
+d_hz 2 5 110.25
+d_hz 4 6 -55
+d_hz 1 4 35.75
+"""
+
+# a 90 degree pulse on equilibrium: every single-quantum line carries signal
+FID90 = """\
+pulse 90 y
+acquire 1024 0.0002
 """
 
 
@@ -81,7 +111,9 @@ def full_connectivity(manifold_sizes, stride):
 
 
 INPUTS = {
+    "spin6.spin": SPIN6,
     "spin8.spin": SPIN8,
+    "fid90.pp": FID90,
     # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
     "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
 }
@@ -118,6 +150,11 @@ CASES = [
     ("run_spin8_tomo_mq", ["run", "{in}/spin8.spin", "tomo_mq.pp", "--t1", "0.001",
                            "--out", "{out}"]),
     ("assign_full5", ["assign", "{in}/full5.cm", "5", "--out", "{out}"]),
+    # FIDs with signal on the 6- and 8-spin systems
+    ("run_spin6_fid90", ["run", "{in}/spin6.spin", "{in}/fid90.pp",
+                         "--out", "{out}"]),
+    ("run_spin8_fid90", ["run", "{in}/spin8.spin", "{in}/fid90.pp",
+                         "--out", "{out}"]),
 ]
 
 

@@ -30,6 +30,18 @@ class AcquisitionError(ValueError):
     pass
 
 
+# acquire_fid builds the FID from per-level phases when it has at least
+# this many lines K per stacked state and per level d, and from a K x
+# points exponential table below that.  The measured crossover is near
+# one line per state and level (5 spins, 256 states, 1024 points: 23 ms on
+# the table, 160 ms factored; 8 spins, one state: 480 ms, 26 ms).  The
+# margin above it keeps every call on 4 or fewer spins (K <= C(2n, n-1)
+# < 4d) on the table, only because bench/reference.json pins the order of
+# `spinsim tomo` coherence rows, which follows rounding at the 1e-16 noise
+# floor; after ROADMAP item 3 step 1 the constant can drop to the crossover.
+_FACTORED_LINES = 4
+
+
 @dataclass
 class StickSpectrum:
     """Linear-response stick spectrum: (freq_hz, signed amplitude, tid)."""
@@ -90,17 +102,28 @@ def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     """Time series s(m) = Tr(rho(m*dwell) F+) under free evolution.
 
     A stack of states gives one FID per state, shaped (..., points).
+    Below ``_FACTORED_LINES`` lines per state and level the FID is a sum
+    over a table of one exponential per line and point; above, a sum over
+    per-level phases.
     """
     if points < 1 or (points & (points - 1)) != 0:
         raise AcquisitionError(f"points must be a power of two, got {points}")
     fplus = es.lowering_operator().conj().T
     w = rho.mat * fplus.T                       # w_kl = rho_kl * F+_lk
-    # one exponential table for the union of the elements over the stack
-    k, l = np.nonzero((np.abs(w) > 1e-16).reshape(-1, es.dim, es.dim).any(axis=0))
+    # the lines: the union of the elements over the stack
+    on = (np.abs(w) > 1e-16).reshape(-1, es.dim, es.dim).any(axis=0)
+    k, l = np.nonzero(on)
     if k.size == 0:
         return np.zeros(w.shape[:-2] + (points,), dtype=complex)
-    freqs = (es.energies[l] - es.energies[k]) / (2 * math.pi)
     t = np.arange(points) * dwell
+    if k.size >= _FACTORED_LINES * math.prod(w.shape[:-2]) * es.dim:
+        # exp(i (E_l - E_k) t) = p_l(t) conj(p_k(t)) with p = exp(i E t),
+        # the phases of free_evolution: d x points exponentials and one
+        # matmul in place of a K x points table
+        p = np.exp(1j * es.energies[:, None] * t)
+        wp = np.where(on, w, 0) @ p
+        return (p.conj() * wp).sum(axis=-2)
+    freqs = (es.energies[l] - es.energies[k]) / (2 * math.pi)
     table = 2j * math.pi * freqs[:, None] * t
     np.exp(table, out=table)            # in place: K x points is the peak memory
     return w[..., k, l] @ table

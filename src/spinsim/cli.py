@@ -53,7 +53,10 @@ def _read_resource(path: str, kind: str) -> tuple[str, str]:
     """Return (text, display_name); filesystem first, shipped data second."""
     p = Path(path)
     if p.exists():
-        return p.read_text(encoding="utf-8"), str(path)
+        try:
+            return p.read_text(encoding="utf-8"), str(path)
+        except OSError as exc:          # a directory, no permission
+            raise CliError(f"cannot read {path!r}: {exc.strerror}") from exc
     text = _data_text(kind, Path(path).name)
     if text is not None:
         return text, Path(path).name
@@ -83,8 +86,12 @@ def _initial_state(es, init: str, catalog) -> dyn.DeviationDensityMatrix:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:              # --out names a file, no permission
+        raise CliError(f"cannot write {exc.filename or str(path)!r}: "
+                       f"{exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -467,9 +467,9 @@ def test_dataset2d_exports(citrate_es, citrate_cat):
 
 
 @st.composite
-def stacked_case(draw):
-    """A random n = 1..3 system, Hermitian state and 2D program."""
-    n = draw(st.integers(1, 3))
+def spin_system(draw, sizes):
+    """The eigensystem of a random oriented system of one of ``sizes`` spins."""
+    n = draw(st.sampled_from(sizes))
     offs = [draw(st.floats(-300, 300)) for _ in range(n)]
     j = np.zeros((n, n))
     d = np.zeros((n, n))
@@ -477,7 +477,13 @@ def stacked_case(draw):
         for k in range(i + 1, n):
             j[i, k] = j[k, i] = draw(st.floats(0, 15))
             d[i, k] = d[k, i] = draw(st.floats(-200, 200))
-    es = core.eigensystem(core.SpinSystem.create("h", offs, j, d))
+    return core.eigensystem(core.SpinSystem.create("h", offs, j, d))
+
+
+@st.composite
+def stacked_case(draw):
+    """A random n = 1..3 system, Hermitian state and 2D program."""
+    es = draw(spin_system((1, 2, 3)))
     cat = core.transition_catalog(es)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
@@ -533,3 +539,116 @@ def test_run_2d_without_t1_repeats_the_fid(citrate_es, citrate_cat):
                                                  citrate_cat), 16, 0.002)
     assert ds.data.shape == (4, 16)
     assert all(np.array_equal(row, fid) for row in ds.data)
+
+
+# ---------------------------------------------------------------------------
+# acquire_fid: the per-level phases against the dense definition, and the
+# line table of small systems against the formula it has always used
+
+def table_fid(es, rho, points, dwell):
+    """The K x points table FID: one exponential per line and point."""
+    fplus = es.lowering_operator().conj().T
+    w = rho.mat * fplus.T
+    k, l = np.nonzero((np.abs(w) > 1e-16).reshape(-1, es.dim, es.dim).any(axis=0))
+    if k.size == 0:
+        return np.zeros(w.shape[:-2] + (points,), dtype=complex)
+    freqs = (es.energies[l] - es.energies[k]) / (2 * math.pi)
+    t = np.arange(points) * dwell
+    return w[..., k, l] @ np.exp(2j * math.pi * freqs[:, None] * t)
+
+
+def dense_fid(es, rho, points, dwell):
+    """Tr(rho(t) F+), rho propagated element by element in the eigenbasis,
+    F+ built from Kronecker products and rotated into it."""
+    sp = np.array([[0, 1], [0, 0]], dtype=complex)
+    fplus = np.zeros((es.dim, es.dim), dtype=complex)
+    for i in range(es.n):
+        op = np.eye(1, dtype=complex)
+        for m in range(es.n):
+            op = np.kron(op, sp if m == i else np.eye(2))
+        fplus += op
+    fplus = es.vectors.conj().T @ fplus @ es.vectors
+    gap = es.energies[:, None] - es.energies[None, :]
+    out = np.empty(rho.mat.shape[:-2] + (points,), dtype=complex)
+    for m in range(points):
+        rho_t = rho.mat * np.exp(-1j * gap * (m * dwell))
+        out[..., m] = np.einsum("...kl,lk->...", rho_t, fplus)
+    return out
+
+
+def random_states(es, rows, seed):
+    """Random Hermitian states: one d x d state when rows is 0, else a
+    stack of that many."""
+    rng = np.random.default_rng(seed)
+    shape = (max(rows, 1), es.dim, es.dim)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mat = (a + a.conj().transpose(0, 2, 1)) / 2
+    return dyn.DeviationDensityMatrix(mat if rows else mat[0], es)
+
+
+def factored(es, rho):
+    """Whether acquire_fid takes the per-level phases for rho."""
+    fplus = es.lowering_operator().conj().T
+    w = (rho.mat * fplus.T).reshape(-1, es.dim, es.dim)
+    lines = np.count_nonzero((np.abs(w) > 1e-16).any(axis=0))
+    return lines >= acq._FACTORED_LINES * w.shape[0] * es.dim
+
+
+def assert_matches_dense(es, rho, points, dwell):
+    ref = dense_fid(es, rho, points, dwell)
+    fid = acq.acquire_fid(es, rho, points, dwell)
+    assert fid.shape == ref.shape
+    assert np.abs(fid - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=25, deadline=None)
+@given(spin_system((5, 6)), st.sampled_from([0, 1, 2, 3, 8]),
+       st.integers(0, 2 ** 32 - 1), st.floats(1e-4, 1e-3))
+def test_acquire_fid_matches_dense_5_6_spins(es, rows, seed, dwell):
+    assert_matches_dense(es, random_states(es, rows, seed), 64, dwell)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("rows", [0, 3, 16])
+def test_acquire_fid_matches_dense_8_spins(rows):
+    from spinsim.acceptance import random_system
+    es = core.eigensystem(random_system(np.random.default_rng(8), 8))
+    rho = random_states(es, rows, rows)
+    # a single state and 3 rows on the phases, 16 rows on the table
+    assert factored(es, rho) == (rows < 16)
+    assert_matches_dense(es, rho, 64, 2e-4)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_acquire_fid_paths_cover_both_sides():
+    rng = np.random.default_rng(5)
+    from spinsim.acceptance import random_system
+    es = core.eigensystem(random_system(rng, 5))
+    assert factored(es, random_states(es, 0, 1))
+    assert not factored(es, random_states(es, 2, 1))
+    for rows in (0, 1, 2):
+        assert_matches_dense(es, random_states(es, rows, rows), 256, 3e-4)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=60, deadline=None)
+@given(spin_system((1, 2, 3, 4)), st.sampled_from([0, 1, 2, 5, 64]),
+       st.integers(0, 2 ** 32 - 1), st.floats(1e-4, 1e-2))
+def test_acquire_fid_small_systems_keep_the_table(es, rows, seed, dwell):
+    rho = random_states(es, rows, seed)
+    assert not factored(es, rho)
+    assert np.array_equal(acq.acquire_fid(es, rho, 32, dwell),
+                          table_fid(es, rho, 32, dwell))
+
+
+@pytest.mark.parametrize("system", ["citrate_es", "compound1_es", "demo3_es",
+                                    "demo4_es"])
+def test_acquire_fid_shipped_systems_keep_the_table(system, request):
+    es = request.getfixturevalue(system)
+    cat = core.transition_catalog(es)
+    prefix = pl.parse_program("pulse 90 y\n")
+    pulsed = pl.execute(prefix, es, dyn.equilibrium_deviation(es), cat)
+    for rho in (pulsed, random_states(es, 0, 3), random_states(es, 7, 4)):
+        assert np.array_equal(acq.acquire_fid(es, rho, 1024, 2e-4),
+                              table_fid(es, rho, 1024, 2e-4))

@@ -243,3 +243,20 @@ def test_assign_out_of_range_entry(tmp_path, capsys):
     assert_one_line_error(code, err)
     assert err == (f"spinsim: error: {cm}:1: entries must be -1, 0 or +1, "
                    "got 99999999999999999999\n")
+
+
+def test_eigen_directory_argument(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "eigen", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert err == f"spinsim: error: cannot read {str(tmp_path)!r}: Is a directory\n"
+    assert out == ""
+
+
+def test_run_out_names_an_existing_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", "citrate.spin", "epr.pp",
+                           "--out", str(target))
+    assert_one_line_error(code, err)
+    assert err == f"spinsim: error: cannot write {str(target)!r}: File exists\n"
+    assert target.read_text(encoding="utf-8") == "keep\n"

@@ -239,6 +239,25 @@ def test_validation_errors():
         core.SpinSystem.create("nan", [float("nan"), 0.0])
 
 
+@pytest.mark.parametrize("field", ["j_hz", "d_hz"])
+def test_validation_requires_exact_symmetry(field):
+    near = {field: [[0, 10.0], [10.00001, 0]]}
+    with pytest.raises(core.SpinSystemError, match=f"{field} must be symmetric"):
+        core.SpinSystem.create("near", [0, 0], **near)
+    one_ulp = {field: [[0, 0.1 + 0.2], [0.3, 0]]}
+    with pytest.raises(core.SpinSystemError, match=f"{field} must be symmetric"):
+        core.SpinSystem.create("ulp", [0, 0], **one_ulp)
+
+
+@pytest.mark.parametrize("field", ["j_hz", "d_hz"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validation_reports_non_finite_coupling(field, bad):
+    with pytest.raises(core.SpinSystemError, match="non-finite value"):
+        core.SpinSystem.create("bad", [0, 0], **{field: [[0, bad], [bad, 0]]})
+    with pytest.raises(core.SpinSystemError, match="non-finite value"):
+        core.SpinSystem.create("bad", [0, 0], **{field: [[0, bad], [1.0, 0]]})
+
+
 # ---------------------------------------------------------------------------
 # the array builders against the code they replaced, bit for bit
 
