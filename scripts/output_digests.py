@@ -8,11 +8,13 @@ fixed order.  The temporary directory is replaced by ``<out>`` in captured
 text, and warnings are captured as ``Category: message`` lines (without the
 source location), so two checkouts that behave the same print the same
 lines.  Inputs that are not shipped with the package (6- and 8-spin
-systems, a 90-degree-pulse FID program and a full 5-spin connectivity
-matrix) are written from the literals below into an ``inputs`` directory of
-the temporary directory first; ``{in}`` in an argv names it.  BLAS runs on
-one thread, so the digests do not depend on the core count.  Diff the output of two checkouts to prove a change
-byte-identical:
+systems, a 90-degree-pulse FID program, a full 5-spin connectivity matrix
+and a file that is not UTF-8) are written from the literals below into an
+``inputs`` directory of the temporary directory first; ``{in}`` in an argv
+names it.  A case may read what an earlier case wrote, through
+``{out}/../<earlier case>``.  BLAS runs on one thread, so the digests do
+not depend on the core count.  Diff the output of two checkouts to prove a
+change byte-identical:
 
     python3 scripts/output_digests.py > after.txt
 
@@ -116,6 +118,8 @@ INPUTS = {
     "fid90.pp": FID90,
     # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
     "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
+    # a UTF-16 byte-order mark: the CLI must reject it with one error line
+    "utf16.spin": b"\xff\xfe" + "nspins 1\n".encode("utf-16-le"),
 }
 
 # (case name, argv); "{out}" is the case's output directory.
@@ -155,6 +159,12 @@ CASES = [
                          "--out", "{out}"]),
     ("run_spin8_fid90", ["run", "{in}/spin8.spin", "{in}/fid90.pp",
                          "--out", "{out}"]),
+    # tomography of a state file, and input files that cannot be read
+    ("tomo_epr_state", ["tomo", "citrate.spin", "--state",
+                        "{out}/../run_epr/epr.state", "--out", "{out}"]),
+    ("tomo_missing_state", ["tomo", "citrate.spin", "--state",
+                            "{out}/missing.state", "--out", "{out}"]),
+    ("eigen_not_utf8", ["eigen", "{in}/utf16.spin"]),
 ]
 
 
@@ -190,7 +200,8 @@ def main() -> int:
         in_dir = pathlib.Path(tmp) / "inputs"
         in_dir.mkdir()
         for fname, text in INPUTS.items():
-            (in_dir / fname).write_text(text, encoding="utf-8")
+            data = text.encode("utf-8") if isinstance(text, str) else text
+            (in_dir / fname).write_bytes(data)
         for name, argv in CASES:
             out_dir = pathlib.Path(tmp) / name
             out_dir.mkdir()

@@ -45,8 +45,7 @@ def main() -> None:
           f"magnitude {top.magnitude:.6f}")
     cal = acq.tomo_scale_calibration(es, rho, cat)
     print(f"  scale check (iv)/(iii) = {cal.ratio:.3g}")
-    recon, fid = acq.reconstruct_density(es, diag, table, cal.scale,
-                                         reference=rho)
+    recon, fid = acq.reconstruct_density(es, diag, table, reference=rho)
     print(f"  reconstruction fidelity = {fid:.9f}")
 
 

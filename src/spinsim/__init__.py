@@ -15,7 +15,7 @@ from .pulselang import (PulseProgram, PulseProgramError, parse_program,
                         format_program, execute, execute_cycled)
 from .assignment import (ConnectivityMatrix, LevelDiagram, AssignmentError,
                          reconstruct_levels, verify_diagram,
-                         parse_connectivity, format_connectivity,
-                         diagram_from_catalog, diagrams_isomorphic)
+                         parse_connectivity, diagram_from_catalog,
+                         diagrams_isomorphic)
 
 __version__ = "0.1.0"

@@ -143,8 +143,7 @@ def criterion_5_epr() -> CriterionResult:
     diag, _ = acq.tomo_diagonal(es_s, rho_s, catalog=cat_s)
     _, table = acq.tomo_offdiagonal_2d(es_s, rho_s, t1_points=128,
                                        t2_points=256, catalog=cat_s)
-    _, fidelity = acq.reconstruct_density(es_s, diag, table, scale.scale,
-                                          reference=rho_s)
+    _, fidelity = acq.reconstruct_density(es_s, diag, table, reference=rho_s)
     ok = (d_eq11 <= 1e-12 and d_eq12 <= 1e-12
           and rep.metrics["sq_amplitude"] <= 1e-12
           and rep.metrics["zq_amplitude"] <= 1e-12

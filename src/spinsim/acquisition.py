@@ -52,12 +52,6 @@ class StickSpectrum:
         rows = sorted(self.lines, key=lambda r: (r[0], r[2]))
         return "\n".join(f"{f:.12g},{a:.12g}" for f, a, _ in rows) + "\n"
 
-    def amplitude_of(self, tid: int) -> float:
-        for f, a, t in self.lines:
-            if t == tid:
-                return a
-        raise KeyError(f"no line for transition t{tid}")
-
 
 def detect_small_angle(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
                        beta_deg: float = 10.0,
@@ -417,21 +411,6 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     return dataset, CoherenceTable(rows=tuple(rows))
 
 
-def assign_order_from_f1(es: EigenSystem, f1: float) -> tuple[int, int, int]:
-    """Match an omega_1 coordinate to the nearest eigenpair; returns (k,l,order)."""
-    best = None
-    for k in range(es.dim):
-        for l in range(es.dim):
-            if k == l:
-                continue
-            f = float(es.energies[l] - es.energies[k]) / (2 * math.pi)
-            d = abs(f - f1)
-            if best is None or d < best[0]:
-                best = (d, k, l)
-    _, k, l = best
-    return k, l, int(round(es.mz[k] - es.mz[l]))
-
-
 def peak_pick_2d(dataset: Dataset2D, rel_threshold: float = 0.05
                  ) -> list[tuple[float, float, float]]:
     """Local maxima of the magnitude spectrum above rel_threshold * max.
@@ -481,11 +460,10 @@ class ScaleCalibration:
     double-quantum terms, the (pi/4)_x ones to their differences, so for an
     ideal EPR state the (iv)/(iii) amplitude ratio vanishes and is reported
     as an error metric.  In this workbench both tomography routes are
-    calibrated absolutely, so the relative scale is unity by construction.
+    calibrated absolutely, so no relative scale is applied.
     """
 
     ratio: float
-    scale: float
     amp_iii: dict[int, complex]
     amp_iv: dict[int, complex]
 
@@ -504,7 +482,7 @@ def tomo_scale_calibration(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     n3 = math.sqrt(sum(abs(v) ** 2 for v in a3.values()))
     n4 = math.sqrt(sum(abs(v) ** 2 for v in a4.values()))
     ratio = n4 / n3 if n3 > 0 else math.inf
-    return ScaleCalibration(ratio=ratio, scale=1.0, amp_iii=a3, amp_iv=a4)
+    return ScaleCalibration(ratio=ratio, amp_iii=a3, amp_iv=a4)
 
 
 def traceless_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -519,21 +497,20 @@ def traceless_overlap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reconstruct_density(es: EigenSystem, diag: np.ndarray,
-                        coherences: CoherenceTable, scale: float = 1.0,
+                        coherences: CoherenceTable,
                         reference: dyn.DeviationDensityMatrix | None = None
                         ) -> tuple[dyn.DeviationDensityMatrix, float | None]:
     """Assemble a Hermitian matrix from tomography outputs.
 
-    Off-diagonal estimates are multiplied by the relative scale.  A
-    non-Hermitian assembly (conflicting duplicate estimates) is symmetrized
+    A non-Hermitian assembly (conflicting duplicate estimates) is symmetrized
     with a warning.  The fidelity metric against the optional reference is
     the normalized overlap of the traceless parts, which ignores the
     unobservable uniform background.
     """
     mat = np.diag(np.asarray(diag, dtype=complex))
     for r in coherences.rows:
-        mat[r.k, r.l] += scale * r.value
-        mat[r.l, r.k] += scale * np.conj(r.value)
+        mat[r.k, r.l] += r.value
+        mat[r.l, r.k] += np.conj(r.value)
     herm_defect = np.linalg.norm(mat - mat.conj().T)
     if herm_defect > 1e-9 * max(1.0, np.linalg.norm(mat)):
         warnings.warn("inconsistent tomography inputs; symmetrizing")

@@ -79,10 +79,6 @@ def parse_connectivity(text: str, source: str = "<string>") -> ConnectivityMatri
     return ConnectivityMatrix(m=np.array(rows, dtype=int))
 
 
-def format_connectivity(cm: ConnectivityMatrix) -> str:
-    return "\n".join(" ".join(f"{v:2d}" for v in row) for row in cm.m) + "\n"
-
-
 @dataclass
 class LevelDiagram:
     """2^n levels partitioned into M_z manifolds plus transition edges.

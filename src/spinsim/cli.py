@@ -57,6 +57,9 @@ def _read_resource(path: str, kind: str) -> tuple[str, str]:
             return p.read_text(encoding="utf-8"), str(path)
         except OSError as exc:          # a directory, no permission
             raise CliError(f"cannot read {path!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot read {path!r}: not UTF-8 text "
+                           f"(byte {exc.start})") from exc
     text = _data_text(kind, Path(path).name)
     if text is not None:
         return text, Path(path).name
@@ -251,7 +254,8 @@ def cmd_tomo(args) -> int:
         rho = rep.final_state
         label = rep.name
     elif args.state:
-        rho = dyn.load_state(args.state, es)
+        text, name = _read_resource(args.state, "states")
+        rho = dyn.parse_state(text, es, source=name)
         label = Path(args.state).stem
     else:
         raise CliError("tomo needs --protocol NAME or --state FILE")
@@ -260,8 +264,7 @@ def cmd_tomo(args) -> int:
         es, rho, t1_points=args.t1_points, t2_points=args.t2_points,
         catalog=cat)
     scale = acq.tomo_scale_calibration(es, rho, cat)
-    recon, fidelity = acq.reconstruct_density(es, diag, table,
-                                              scale.scale, reference=rho)
+    recon, fidelity = acq.reconstruct_density(es, diag, table, reference=rho)
     out_dir = Path(args.out)
     _write(out_dir / f"{label}_tomo.state", dyn.format_state(recon))
     rows = ["k,l,order,freq_hz,re,im,magnitude"]

@@ -27,36 +27,9 @@ import numpy as np
 
 MAX_SPINS = 8
 
-_SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
-_SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # I- : |alpha> -> |beta>
-_ID2 = np.eye(2, dtype=complex)
-_AXES = {"x": _SX, "y": _SY, "z": _SZ, "-": _SM}
-
 
 class SpinSystemError(ValueError):
     """Invalid spin-system definition (shape, symmetry or range violations)."""
-
-
-def spin_operator(n: int, i: int, axis: str) -> np.ndarray:
-    """Single-spin operator I_{i,axis} embedded in the n-spin product space.
-
-    Spin indices are 0-based; spin 0 is the most significant label bit.
-    """
-    op = np.array([[1.0 + 0j]])
-    for k in range(n):
-        op = np.kron(op, _AXES[axis] if k == i else _ID2)
-    return op
-
-
-def total_operator(n: int, axis: str) -> np.ndarray:
-    """F_axis = sum_i I_{i,axis}."""
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        out += spin_operator(n, i, axis)
-    return out
 
 
 def product_mz(n: int) -> np.ndarray:
@@ -211,8 +184,18 @@ class EigenSystem:
             raise KeyError(f"no eigenstate labeled {label!r}") from None
 
     def lowering_operator(self) -> np.ndarray:
-        """F- in the eigenbasis."""
-        fm = total_operator(self.n, "-")
+        """F- in the eigenbasis.
+
+        F- = sum_i I_i- is built from the spin bits, as ``build_hamiltonian``
+        builds H: 1.0 at (k | bit_i, k) for every spin i whose bit is 0
+        (alpha) in basis state k.
+        """
+        k = np.arange(self.dim)
+        fm = np.zeros((self.dim, self.dim), dtype=complex)
+        for i in range(self.n):
+            bit = 1 << (self.n - 1 - i)
+            alpha = k[(k & bit) == 0]
+            fm[alpha | bit, alpha] = 1.0
         return self.vectors.conj().T @ fm @ self.vectors
 
     def with_swapped_labels(self, a: str, b: str) -> "EigenSystem":

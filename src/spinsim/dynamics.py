@@ -304,8 +304,3 @@ def parse_state(text: str, es: EigenSystem,
     except DynamicsError as exc:
         raise DynamicsError(f"{source}: {exc}") from None
     return rho
-
-
-def load_state(path, es: EigenSystem) -> DeviationDensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_state(fh.read(), es, source=str(path))

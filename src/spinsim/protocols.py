@@ -199,6 +199,8 @@ def dj_one_qubit(es: EigenSystem, f: str,
 # EPR creation with the 8-row phase cycle
 
 _EPR_ROWS = ["x -x", "-x x", "y y", "-y -y"] * 2
+_EPR_CYCLE = "cycle P1 P2\n" + "".join(f"row {row} +\n" for row in _EPR_ROWS)
+_EPR_PULSES = "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n"
 
 
 def epr_create(es: EigenSystem,
@@ -213,11 +215,7 @@ def epr_create(es: EigenSystem,
         raise ProtocolError("epr_create needs a two-spin system")
     if catalog is None:
         catalog = transition_catalog(es)
-    text = "cycle P1 P2\n"
-    for row in _EPR_ROWS:
-        text += f"row {row} +\n"
-    text += _pps_program("00")
-    text += "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n"
+    text = _EPR_CYCLE + _pps_program("00") + _EPR_PULSES
     rep = _run("epr", text, es, dyn.equilibrium_deviation(es), catalog)
 
     i00, i01 = es.index_of_label("00"), es.index_of_label("01")
@@ -239,15 +237,13 @@ def epr_create(es: EigenSystem,
 
 
 def epr_pure_projector(es: EigenSystem) -> np.ndarray:
-    """U_epr |00><00| U_epr^dagger in eigenstate-index order."""
+    """U_epr |00><00| U_epr^dagger in eigenstate-index order: the EPR
+    pulses of ``epr_create`` under the first row of its phase cycle."""
+    program = pl.parse_program(_EPR_CYCLE + _EPR_PULSES, source="epr")
     i00 = es.index_of_label("00")
-    i10 = es.index_of_label("10")
-    i11 = es.index_of_label("11")
-    u = dyn.selective_pulse_unitary(es, i10, i11, 180.0, 180.0) \
-        @ dyn.selective_pulse_unitary(es, i00, i10, 90.0, 0.0)
     p0 = np.zeros((4, 4), dtype=complex)
     p0[i00, i00] = 1.0
-    return u @ p0 @ u.conj().T
+    return pl.execute(program, es, dyn.DeviationDensityMatrix(p0, es)).mat
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +400,7 @@ def gate_library_2spin(es: EigenSystem, gate: int,
     Gate g (1-based) is the g-th permutation of the eigenstate labels
     (00, 01, 10, 11) in lexicographic order, decomposed into the shortest
     product of transpositions along allowed transitions.  The truth table
-    is verified by conjugating every basis projector.
+    is verified by running the program on every basis projector.
     """
     if es.n != 2:
         raise ProtocolError("gate_library_2spin needs a two-spin system")
@@ -418,26 +414,21 @@ def gate_library_2spin(es: EigenSystem, gate: int,
     for gi in word:
         a, b = _GATE_GENERATORS[gi]
         text += f"selpulse ({_GATE_LABELS[a]},{_GATE_LABELS[b]}) 180 x\n"
+    text = text or "# identity\n"
     rho0 = dyn.equilibrium_deviation(es)
-    rep = _run(f"gate{gate:02d}", text or "# identity\n", es, rho0, catalog)
+    rep = _run(f"gate{gate:02d}", text, es, rho0, catalog)
 
-    u = np.eye(es.dim, dtype=complex)
-    for gi in word:
-        a, b = _GATE_GENERATORS[gi]
-        ia = es.index_of_label(_GATE_LABELS[a])
-        ib = es.index_of_label(_GATE_LABELS[b])
-        u = dyn.selective_pulse_unitary(es, ia, ib, 180.0, 0.0) @ u
-    ok = True
-    for k in range(4):
-        src = es.index_of_label(_GATE_LABELS[k])
-        dst = es.index_of_label(_GATE_LABELS[perm[k]])
-        p = np.zeros((4, 4), dtype=complex)
-        p[src, src] = 1.0
-        out = u @ p @ u.conj().T
-        expect = np.zeros((4, 4), dtype=complex)
-        expect[dst, dst] = 1.0
-        if np.abs(out - expect).max() > 1e-12:
-            ok = False
+    # the truth table: the program maps projector k onto projector perm[k]
+    src = [es.index_of_label(_GATE_LABELS[k]) for k in range(4)]
+    dst = [es.index_of_label(_GATE_LABELS[p]) for p in perm]
+    projectors = np.zeros((4, es.dim, es.dim), dtype=complex)
+    projectors[np.arange(4), src, src] = 1.0
+    expect = np.zeros_like(projectors)
+    expect[np.arange(4), dst, dst] = 1.0
+    program = pl.parse_program(text, source=rep.name)
+    out = pl.execute(program, es, dyn.DeviationDensityMatrix(projectors, es),
+                     catalog).mat
+    ok = np.abs(out - expect).max() <= 1e-12
     rep.metrics["truth_table_ok"] = 1.0 if ok else 0.0
     rep.metrics["n_pulses"] = float(len(word))
     rep.info["permutation"] = "".join(str(p) for p in perm)

@@ -47,7 +47,7 @@ def test_run_epr_program_matches_eq12(tmp_path, capsys, citrate_es):
                          "--init", "pure:00", "--out", str(tmp_path))
     assert code == 0
     es = citrate_es
-    rho = dyn.load_state(tmp_path / "epr.state", es)
+    rho = dyn.parse_state((tmp_path / "epr.state").read_text(), es)
     perm = [es.index_of_label(l) for l in ("00", "01", "10", "11")]
     eq12 = 0.5 * np.array([[1, 0, 0, 1], [0, 0, 0, 0],
                            [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex)
@@ -260,3 +260,30 @@ def test_run_out_names_an_existing_file(tmp_path, capsys):
     assert_one_line_error(code, err)
     assert err == f"spinsim: error: cannot write {str(target)!r}: File exists\n"
     assert target.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_tomo_missing_state_file(tmp_path, capsys):
+    missing = tmp_path / "missing.state"
+    code, out, err = run_cli(capsys, "tomo", "citrate.spin", "--state",
+                             str(missing), "--out", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert err.startswith(f"spinsim: error: cannot find {str(missing)!r}")
+    assert out == ""
+
+
+def test_tomo_state_directory_argument(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "tomo", "citrate.spin", "--state",
+                             str(tmp_path), "--out", str(tmp_path))
+    assert_one_line_error(code, err)
+    assert err == f"spinsim: error: cannot read {str(tmp_path)!r}: Is a directory\n"
+    assert out == ""
+
+
+def test_eigen_non_utf8_file(tmp_path, capsys):
+    spin = tmp_path / "utf16.spin"
+    spin.write_bytes(b"\xff\xfe" + "nspins 1\n".encode("utf-16-le"))
+    code, out, err = run_cli(capsys, "eigen", str(spin))
+    assert_one_line_error(code, err)
+    assert err == (f"spinsim: error: cannot read {str(spin)!r}: "
+                   "not UTF-8 text (byte 0)\n")
+    assert out == ""

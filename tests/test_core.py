@@ -40,7 +40,7 @@ def test_hamiltonian_traceless_hermitian(citrate):
 @given(random_system_strategy())
 def test_hamiltonian_commutes_with_fz(sys_):
     h = core.build_hamiltonian(sys_)
-    fz = core.total_operator(sys_.n, "z")
+    fz = total_operator(sys_.n, "z")
     comm = h @ fz - fz @ h
     hnorm = np.linalg.norm(h)
     assert np.linalg.norm(comm) <= 1e-12 * max(1.0, hnorm)
@@ -261,13 +261,38 @@ def test_validation_reports_non_finite_coupling(field, bad):
 # ---------------------------------------------------------------------------
 # the array builders against the code they replaced, bit for bit
 
+_SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+_SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
+_SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # I- : |alpha> -> |beta>
+_ID2 = np.eye(2, dtype=complex)
+_AXES = {"x": _SX, "y": _SY, "z": _SZ, "-": _SM}
+
+
+def spin_operator(n, i, axis):
+    """Reference: I_{i,axis} as a dense Kronecker product; spin 0 is the
+    most significant label bit."""
+    op = np.array([[1.0 + 0j]])
+    for k in range(n):
+        op = np.kron(op, _AXES[axis] if k == i else _ID2)
+    return op
+
+
+def total_operator(n, axis):
+    """Reference: F_axis = sum_i I_{i,axis}."""
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        out += spin_operator(n, i, axis)
+    return out
+
+
 def dense_hamiltonian(sys_, weak=False):
     """Reference: H as a sum of dense Kronecker operator products."""
     n = sys_.n
     h = np.zeros((2**n, 2**n), dtype=complex)
-    iz = [core.spin_operator(n, i, "z") for i in range(n)]
-    ix = [core.spin_operator(n, i, "x") for i in range(n)]
-    iy = [core.spin_operator(n, i, "y") for i in range(n)]
+    iz = [spin_operator(n, i, "z") for i in range(n)]
+    ix = [spin_operator(n, i, "x") for i in range(n)]
+    iy = [spin_operator(n, i, "y") for i in range(n)]
     for i in range(n):
         h += 2 * math.pi * sys_.offset_hz[i] * iz[i]
     for i in range(n):
@@ -312,10 +337,17 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
 
 
+def assert_lowering_matches_reference(es):
+    v = es.vectors
+    assert_same_bits(es.lowering_operator(),
+                     v.conj().T @ total_operator(es.n, "-") @ v)
+
+
 def assert_matches_references(sys_, weak):
     h = core.build_hamiltonian(sys_, weak=weak)
     assert_same_bits(h, dense_hamiltonian(sys_, weak=weak))
     es = core.diagonalize(h, sys_)
+    assert_lowering_matches_reference(es)
     for threshold in (0.0, 0.05):
         assert (catalog_rows(core.transition_catalog(es, threshold))
                 == loop_catalog(es, threshold))
@@ -365,3 +397,14 @@ def test_builders_match_references_eight_spins():
     d = np.triu(rng.uniform(-200, 200, (8, 8)) * (rng.random((8, 8)) < 0.7), 1)
     assert_matches_references(
         core.SpinSystem.create("r8", offs, j + j.T, d + d.T), weak=False)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lowering_operator_matches_reference(n):
+    rng = np.random.default_rng(n)
+    offs = rng.uniform(-300, 300, n)
+    j = np.triu(rng.uniform(-20, 20, (n, n)), 1)
+    d = np.triu(rng.uniform(-200, 200, (n, n)), 1)
+    es = core.eigensystem(core.SpinSystem.create("r", offs, j + j.T, d + d.T))
+    assert_lowering_matches_reference(es)

@@ -196,12 +196,3 @@ def test_state_serialization_drops_tiny(citrate_es):
     mat[1, 1] = 1.0
     text = dyn.format_state(dyn.DeviationDensityMatrix(mat, citrate_es))
     assert text == "dim 4\n2 2 1 0\n"
-
-
-def test_partial_trace_epr(citrate_es):
-    from spinsim.protocols import epr_pure_projector
-    proj = epr_pure_projector(citrate_es)
-    rho = dyn.DeviationDensityMatrix(proj, citrate_es)
-    for q in (0, 1):
-        red = dyn.partial_trace_labels(rho, q)
-        assert np.abs(red - np.eye(2) / 2).max() <= 1e-12

@@ -255,3 +255,23 @@ def test_protocol_report_format(citrate_es, citrate_cat):
     text = rep.format_report()
     assert text.startswith("name=epr\n")
     assert "dq_amplitude=0.5\n" in text
+
+
+def _shipped_program(name):
+    from importlib import resources
+    return resources.files("spinsim").joinpath(
+        "data", "programs", name).read_text(encoding="utf-8")
+
+
+def test_shipped_programs_match_emitters(citrate_es, citrate_cat,
+                                         demo3_es, demo3_cat):
+    es, cat = citrate_es, citrate_cat
+    emitted = {f"pps{t}.pp": pr.pseudopure_2spin(es, t, cat)
+               for t in ("00", "01", "10", "11")}
+    emitted.update({f"dj1_{f}.pp": pr.dj_one_qubit(es, f, cat)
+                    for f in pr.DJ1_TRUTH})
+    emitted["epr.pp"] = pr.epr_create(es, cat)
+    for name, rep in emitted.items():
+        assert _shipped_program(name) == rep.program_text, name
+    ghz = pr.ghz_create(demo3_es, demo3_cat).program_text
+    assert _shipped_program("ghz.pp").endswith(ghz)
