@@ -8,13 +8,13 @@ fixed order.  The temporary directory is replaced by ``<out>`` in captured
 text, and warnings are captured as ``Category: message`` lines (without the
 source location), so two checkouts that behave the same print the same
 lines.  Inputs that are not shipped with the package (6- and 8-spin
-systems, a 90-degree-pulse FID program, a full 5-spin connectivity matrix
-and a file that is not UTF-8) are written from the literals below into an
-``inputs`` directory of the temporary directory first; ``{in}`` in an argv
-names it.  A case may read what an earlier case wrote, through
-``{out}/../<earlier case>``.  BLAS runs on one thread, so the digests do
-not depend on the core count.  Diff the output of two checkouts to prove a
-change byte-identical:
+systems, a 90-degree-pulse FID program, a phase-cycled program, a full
+5-spin connectivity matrix and a file that is not UTF-8) are written from
+the literals below into an ``inputs`` directory of the temporary directory
+first; ``{in}`` in an argv names it.  A case may read what an earlier case
+wrote, through ``{out}/../<earlier case>``.  BLAS runs on one thread, so
+the digests do not depend on the core count.  Diff the output of two
+checkouts to prove a change byte-identical:
 
     python3 scripts/output_digests.py > after.txt
 
@@ -112,10 +112,32 @@ def full_connectivity(manifold_sizes, stride):
     return "\n".join(rows) + "\n"
 
 
+# a phase cycle on 8 spins: rows 1 and 2 are identical, row 3 has the -
+# receiver, a slot-phased hard pulse follows the first branch and the
+# fixed-phase hard pulse comes twice
+CYCLED8 = """\
+cycle P1 P2
+row x y +
+row x y +
+row -x y -
+row y -y +
+pulse 90 y
+selpulse t1 90 $P1
+pulse 45 $P2
+grad
+selpulse t3 180 x
+pulse 30 -x
+delay 0.0007
+selpulse t2 60 $P2
+pulse 30 -x
+"""
+
+
 INPUTS = {
     "spin6.spin": SPIN6,
     "spin8.spin": SPIN8,
     "fid90.pp": FID90,
+    "cycled8.pp": CYCLED8,
     # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
     "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
     # a UTF-16 byte-order mark: the CLI must reject it with one error line
@@ -165,6 +187,9 @@ CASES = [
     ("tomo_missing_state", ["tomo", "citrate.spin", "--state",
                             "{out}/missing.state", "--out", "{out}"]),
     ("eigen_not_utf8", ["eigen", "{in}/utf16.spin"]),
+    # phase-cycled rows sharing a prefix on 8 spins
+    ("run_spin8_cycled", ["run", "{in}/spin8.spin", "{in}/cycled8.pp",
+                          "--out", "{out}"]),
 ]
 
 

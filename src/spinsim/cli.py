@@ -2,7 +2,9 @@
 level-diagram assignment, tomography and the acceptance suite.
 
 All file output uses fixed 12-significant-digit float formatting, so
-identical inputs produce byte-identical files.  Every error path exits
+identical inputs produce byte-identical files for a fixed BLAS thread
+count (threaded BLAS sums in an order that follows the thread count;
+``OPENBLAS_NUM_THREADS=1`` pins it).  Every error path exits
 nonzero with a single machine-parseable line on stderr.  System and
 program arguments resolve against the filesystem first and then against
 the data shipped with the package, so `spinsim eigen citrate.spin` works
@@ -12,6 +14,7 @@ from any directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from importlib import resources
@@ -107,18 +110,17 @@ def cmd_eigen(args) -> int:
     if sys_.n == 2:
         th = mixing_angle_ab(sys_)
         out.append(f"theta_ab {th:.1f} deg ({th:.12g})")
-    for k in range(es.dim):
-        out.append(
-            f"level {k + 1} label {es.labels[k]} mz {es.mz[k]:.12g} "
-            f"energy_hz {es.energies[k] / (2 * math.pi):.12g}")
-    nobs = 0
-    for t in cat.entries:
-        nobs += 1 if t.observable else 0
-        out.append(
-            f"transition {t.tid} lower {es.labels[t.lower]} "
-            f"upper {es.labels[t.upper]} freq_hz {t.freq_hz:.12g} "
-            f"intensity {t.intensity:.12g} obs {1 if t.observable else 0}")
-    out.append(f"observable {nobs} of {len(cat.entries)}")
+    out.append(_table("level %d label %s mz %.12g energy_hz %.12g", [
+        range(1, es.dim + 1), es.labels, es.mz.tolist(),
+        (es.energies / (2 * math.pi)).tolist()]))
+    entries = cat.entries
+    obs = [int(t.observable) for t in entries]
+    out.append(_table(
+        "transition %d lower %s upper %s freq_hz %.12g intensity %.12g obs %d", [
+            [t.tid for t in entries], [es.labels[t.lower] for t in entries],
+            [es.labels[t.upper] for t in entries], [t.freq_hz for t in entries],
+            [t.intensity for t in entries], obs]))
+    out.append(f"observable {sum(obs)} of {len(entries)}")
     print("\n".join(out))
     return 0
 
@@ -153,13 +155,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _table(pattern: str, columns: list) -> str:
+    """One ``pattern`` line per row of the equal-length ``columns``, joined
+    by newlines and formatted by one ``%``."""
+    rows = len(columns[0])
+    args = [None] * (len(columns) * rows)
+    for i, col in enumerate(columns):
+        args[i::len(columns)] = col
+    return "\n".join([pattern] * rows) % tuple(args)
+
+
 def _complex_rows(xs: list[float], zs: np.ndarray) -> str:
-    """One ``x,re,im`` line per point, 12 significant digits, one ``%``."""
-    args = [None] * (3 * len(xs))
-    args[0::3] = xs
-    args[1::3] = zs.real.tolist()
-    args[2::3] = zs.imag.tolist()
-    return "\n".join(["%.12g,%.12g,%.12g"] * len(xs)) % tuple(args) + "\n"
+    """One ``x,re,im`` line per point, 12 significant digits."""
+    return _table("%.12g,%.12g,%.12g", [xs, zs.real.tolist(),
+                                        zs.imag.tolist()]) + "\n"
 
 
 def _index_argument(name: str) -> int:
@@ -350,9 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small job's work."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except pl.PulseProgramError as exc:

@@ -172,6 +172,8 @@ class EigenSystem:
     labels: tuple[str, ...]
     mz: np.ndarray
     label_conflicts: int = 0
+    _lowering: np.ndarray | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -184,19 +186,23 @@ class EigenSystem:
             raise KeyError(f"no eigenstate labeled {label!r}") from None
 
     def lowering_operator(self) -> np.ndarray:
-        """F- in the eigenbasis.
+        """F- in the eigenbasis, read-only: built on the first call and
+        returned by every later one.
 
         F- = sum_i I_i- is built from the spin bits, as ``build_hamiltonian``
         builds H: 1.0 at (k | bit_i, k) for every spin i whose bit is 0
         (alpha) in basis state k.
         """
-        k = np.arange(self.dim)
-        fm = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.n):
-            bit = 1 << (self.n - 1 - i)
-            alpha = k[(k & bit) == 0]
-            fm[alpha | bit, alpha] = 1.0
-        return self.vectors.conj().T @ fm @ self.vectors
+        if self._lowering is None:
+            k = np.arange(self.dim)
+            fm = np.zeros((self.dim, self.dim), dtype=complex)
+            for i in range(self.n):
+                bit = 1 << (self.n - 1 - i)
+                alpha = k[(k & bit) == 0]
+                fm[alpha | bit, alpha] = 1.0
+            self._lowering = self.vectors.conj().T @ fm @ self.vectors
+            self._lowering.flags.writeable = False
+        return self._lowering
 
     def with_swapped_labels(self, a: str, b: str) -> "EigenSystem":
         """Copy of this eigensystem with two state labels interchanged."""

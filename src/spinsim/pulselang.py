@@ -335,6 +335,55 @@ def _resolved_phase(spec: PhaseSpec, cycle: PhaseCycle | None, row: int) -> floa
     return cycle.phase_of(spec.slot, row)
 
 
+class _Executor:
+    """The instruction dispatch of ``execute`` and ``execute_cycled``.
+
+    ``step`` applies one instruction of ``program`` to a state.  A hard
+    pulse of fixed phase is built once per executor and kept by its
+    instruction index; a slot-phased one is built on every step.
+    """
+
+    def __init__(self, program: PulseProgram, es: EigenSystem,
+                 catalog: TransitionCatalog | None,
+                 t1: float | np.ndarray | None, t2: float | None):
+        from .core import transition_catalog
+        self.program, self.es = program, es
+        self.catalog = transition_catalog(es) if catalog is None else catalog
+        self.delays = {"t1": t1, "t2": t2}
+        self.hard: dict[int, np.ndarray] = {}
+
+    def phase(self, k: int, row: int) -> float | None:
+        """Phase of instruction k in cycle row ``row``; None without one."""
+        spec = getattr(self.program.instructions[k], "phase", None)
+        return None if spec is None else _resolved_phase(
+            spec, self.program.cycle, row)
+
+    def step(self, k: int, rho: dyn.DeviationDensityMatrix,
+             row: int) -> dyn.DeviationDensityMatrix:
+        ins, es = self.program.instructions[k], self.es
+        if isinstance(ins, SelPulse):
+            lo, up = resolve_transition(ins.ref, es, self.catalog)
+            return dyn.apply_unitary(rho, dyn.selective_pulse_unitary(
+                es, lo, up, ins.angle_deg, self.phase(k, row)))
+        if isinstance(ins, HardPulse):
+            u = self.hard.get(k)
+            if u is None:
+                u = dyn.hard_pulse_unitary(es, ins.angle_deg, self.phase(k, row))
+                if ins.phase.slot is None:
+                    self.hard[k] = u
+            return dyn.apply_unitary(rho, u)
+        if isinstance(ins, Grad):
+            return dyn.crush_gradient(rho)
+        if isinstance(ins, Delay):
+            if ins.symbol is None:
+                return dyn.free_evolution(es, rho, ins.seconds)
+            if self.delays[ins.symbol] is None:
+                raise PulseProgramError(f"unresolved symbolic delay {ins.symbol}")
+            return dyn.free_evolution(es, rho, self.delays[ins.symbol])
+        raise PulseProgramError("acquire cannot be executed directly; "
+                                "use an acquisition runner")
+
+
 def execute(program: PulseProgram, es: EigenSystem,
             rho0: dyn.DeviationDensityMatrix,
             catalog: TransitionCatalog | None = None,
@@ -348,33 +397,10 @@ def execute(program: PulseProgram, es: EigenSystem,
     Binding t1 to a 1-D array of times runs every t1 value at once: the
     result is a stack of states with the t1 axis leading.
     """
-    from .core import transition_catalog as _build_catalog
-    if catalog is None:
-        catalog = _build_catalog(es)
+    run = _Executor(program, es, catalog, t1, t2)
     rho = rho0.copy()
-    for ins in program.instructions:
-        if isinstance(ins, SelPulse):
-            lo, up = resolve_transition(ins.ref, es, catalog)
-            ph = _resolved_phase(ins.phase, program.cycle, row)
-            u = dyn.selective_pulse_unitary(es, lo, up, ins.angle_deg, ph)
-            rho = dyn.apply_unitary(rho, u)
-        elif isinstance(ins, HardPulse):
-            ph = _resolved_phase(ins.phase, program.cycle, row)
-            rho = dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, ins.angle_deg, ph))
-        elif isinstance(ins, Grad):
-            rho = dyn.crush_gradient(rho)
-        elif isinstance(ins, Delay):
-            if ins.symbol is not None:
-                bound = {"t1": t1, "t2": t2}[ins.symbol]
-                if bound is None:
-                    raise PulseProgramError(
-                        f"unresolved symbolic delay {ins.symbol}")
-                rho = dyn.free_evolution(es, rho, bound)
-            else:
-                rho = dyn.free_evolution(es, rho, ins.seconds)
-        elif isinstance(ins, Acquire):
-            raise PulseProgramError("acquire cannot be executed directly; "
-                                    "use an acquisition runner")
+    for k in range(len(program.instructions)):
+        rho = run.step(k, rho, row)
     return rho
 
 
@@ -385,14 +411,33 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
                    t2: float | None = None) -> dyn.DeviationDensityMatrix:
     """Receiver-weighted average of the per-row results of the phase cycle.
 
-    Rows are independent; the stack is reduced with numpy's pairwise
-    summation so the result does not depend on evaluation order.
+    The rows run as a prefix tree, depth first: at each instruction, the
+    rows of a branch that resolve the same phase share one state, so work
+    common to several rows is done once.  Each row's weighted state fills
+    its own slot of one (rows, ...) array, which is reduced with numpy's
+    pairwise summation: the same arithmetic, bit for bit, as running the
+    rows one by one and stacking the results.
     """
     if program.cycle is None:
         return execute(program, es, rho0, catalog, t1=t1, t2=t2)
-    mats = []
-    for row, recv in enumerate(program.cycle.receivers):
-        out = execute(program, es, rho0, catalog, row=row, t1=t1, t2=t2)
-        mats.append(recv * out.mat)
-    avg = np.mean(np.stack(mats), axis=0)
-    return dyn.DeviationDensityMatrix(avg, es)
+    run = _Executor(program, es, catalog, t1, t2)
+    receivers = program.cycle.receivers
+    out = None
+    # (next instruction, rows, state before it) of each branch still to
+    # run; a state is dropped once the last branch that needs it takes it
+    pending = [(0, list(range(len(receivers))), rho0)]
+    while pending:
+        start, rows, rho = pending.pop()
+        for k in range(start, len(program.instructions)):
+            groups: dict = {}
+            for r in rows:
+                groups.setdefault(run.phase(k, r), []).append(r)
+            rows, *others = groups.values()
+            pending += [(k, g, rho) for g in others]
+            rho = run.step(k, rho, rows[0])
+        for r in rows:
+            weighted = receivers[r] * rho.mat
+            if out is None:
+                out = np.empty((len(receivers),) + weighted.shape, weighted.dtype)
+            out[r] = weighted
+    return dyn.DeviationDensityMatrix(np.mean(out, axis=0), es)

@@ -287,3 +287,20 @@ def test_eigen_non_utf8_file(tmp_path, capsys):
     assert err == (f"spinsim: error: cannot read {str(spin)!r}: "
                    "not UTF-8 text (byte 0)\n")
     assert out == ""
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    from spinsim import cli
+    cli.cmd_eigen(cli.build_parser().parse_args(["eigen", "demo3.spin"]))
+    fresh = capsys.readouterr().out
+    code, weak, _ = run_cli(capsys, "eigen", "demo3.spin", "--weak")
+    assert code == 0 and weak != fresh
+    code, out, _ = run_cli(capsys, "eigen", "demo3.spin")
+    assert code == 0 and out == fresh
+
+    argv = ("run", "citrate.spin", "tomo_mq.pp", "--out", str(tmp_path))
+    code, _, _ = run_cli(capsys, *argv, "--t1", "0.001")
+    assert code == 0
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1 and "unresolved symbolic delay t1" in err

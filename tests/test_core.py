@@ -408,3 +408,11 @@ def test_lowering_operator_matches_reference(n):
     d = np.triu(rng.uniform(-200, 200, (n, n)), 1)
     es = core.eigensystem(core.SpinSystem.create("r", offs, j + j.T, d + d.T))
     assert_lowering_matches_reference(es)
+
+
+def test_lowering_operator_built_once_and_read_only(demo3):
+    es = core.eigensystem(demo3)
+    fme = es.lowering_operator()
+    assert es.lowering_operator() is fme
+    with pytest.raises(ValueError, match="read-only"):
+        fme[0, 0] = 1.0

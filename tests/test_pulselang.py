@@ -1,8 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinsim import dynamics as dyn, pulselang as pl
+from spinsim import core, dynamics as dyn, pulselang as pl
 
 EPR_TEXT = """# EPR with the eight-row cycle
 cycle P1 P2
@@ -177,3 +180,180 @@ def test_acquire_not_executable(citrate_es, citrate_cat):
     with pytest.raises(pl.PulseProgramError, match="acquire"):
         pl.execute(prog, citrate_es,
                    dyn.equilibrium_deviation(citrate_es), citrate_cat)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-tree walk of execute_cycled against running the rows one by one
+
+def reference_execute(program, es, rho0, catalog, row=0, t1=None, t2=None):
+    """Reference: the instructions applied one at a time to one cycle row,
+    every unitary built anew."""
+    rho = rho0.copy()
+    for ins in program.instructions:
+        if isinstance(ins, (pl.SelPulse, pl.HardPulse)):
+            spec = ins.phase
+            ph = (spec.degrees if spec.slot is None
+                  else program.cycle.phase_of(spec.slot, row))
+        if isinstance(ins, pl.SelPulse):
+            lo, up = pl.resolve_transition(ins.ref, es, catalog)
+            u = dyn.selective_pulse_unitary(es, lo, up, ins.angle_deg, ph)
+            rho = dyn.apply_unitary(rho, u)
+        elif isinstance(ins, pl.HardPulse):
+            rho = dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, ins.angle_deg, ph))
+        elif isinstance(ins, pl.Grad):
+            rho = dyn.crush_gradient(rho)
+        elif isinstance(ins, pl.Delay):
+            secs = ins.seconds if ins.symbol is None else {"t1": t1, "t2": t2}[ins.symbol]
+            rho = dyn.free_evolution(es, rho, secs)
+        else:
+            raise AssertionError(f"reference cannot run {ins}")
+    return rho
+
+
+def reference_cycled(program, es, rho0, catalog, t1=None, t2=None):
+    """Reference: every cycle row run on its own, weighted by its receiver,
+    stacked and averaged."""
+    if program.cycle is None:
+        return reference_execute(program, es, rho0, catalog, t1=t1, t2=t2).mat
+    mats = [recv * reference_execute(program, es, rho0, catalog, row, t1, t2).mat
+            for row, recv in enumerate(program.cycle.receivers)]
+    return np.mean(np.stack(mats), axis=0)
+
+
+def assert_same_bits(got, want):
+    """Equal bit patterns, so the signs of zeros count too."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+def assert_tree_matches_rows(program, es, rho0, catalog, t1=None):
+    got = pl.execute_cycled(program, es, rho0, catalog, t1=t1)
+    assert_same_bits(got.mat, reference_cycled(program, es, rho0, catalog, t1=t1))
+
+
+_T1 = np.array([0.0, 4e-4, 1.3e-3])
+_PHASES = ("x", "y", "-x", "-y", "deg:33.25")
+
+
+@functools.cache
+def strongly_coupled(n):
+    """Eigensystem and catalog of a fixed strongly coupled n-spin system."""
+    rng = np.random.default_rng(100 + n)
+    j = np.triu(rng.uniform(-40, 40, (n, n)), 1)
+    d = np.triu(rng.uniform(-150, 150, (n, n)), 1)
+    es = core.eigensystem(core.SpinSystem.create(
+        f"s{n}", rng.uniform(-200, 200, n), j + j.T, d + d.T))
+    return es, core.transition_catalog(es)
+
+
+def random_state(es, seed):
+    """A dense Hermitian traceless state, so that every element carries a
+    value (and a sign) through the pulses."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
+    h = a + a.conj().T
+    h -= np.trace(h) / es.dim * np.eye(es.dim)
+    return dyn.DeviationDensityMatrix(h, es)
+
+
+@st.composite
+def cycled_cases(draw):
+    """(spin count, program text, state seed or None): a phase cycle of 1-2
+    slots whose rows often repeat, and pulses of fixed or slot phase
+    mixed with crushers, numeric delays and t1 delays."""
+    n = draw(st.integers(1, 4))
+    slots = [f"P{i}" for i in range(1, draw(st.integers(1, 2)) + 1)]
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.sampled_from(_PHASES), min_size=len(slots),
+                 max_size=len(slots)),
+        st.sampled_from("+-")), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows += rows
+    phase = st.sampled_from(_PHASES + tuple(f"${s}" for s in slots))
+    angle = st.sampled_from(["90", "180", "45", "70.5287793655", "313.7"])
+    tid = st.integers(1, math.comb(2 * n, n - 1))
+    line = st.one_of(
+        st.builds("selpulse t{} {} {}".format, tid, angle, phase),
+        st.builds("pulse {} {}".format, angle, phase),
+        st.just("grad"), st.just("delay 0.00123"), st.just("delay t1"))
+    lines = ["cycle " + " ".join(slots)]
+    lines += ["row " + " ".join(phases) + " " + recv for phases, recv in rows]
+    lines += draw(st.lists(line, max_size=7))
+    seed = draw(st.none() | st.integers(0, 2**16))
+    return n, "\n".join(lines) + "\n", seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycled_cases())
+def test_prefix_tree_equals_rows_one_by_one(case):
+    n, text, seed = case
+    es, cat = strongly_coupled(n)
+    rho0 = dyn.equilibrium_deviation(es) if seed is None else random_state(es, seed)
+    assert_tree_matches_rows(pl.parse_program(text), es, rho0, cat, t1=_T1)
+
+
+def _shipped_program(name):
+    from importlib import resources
+    text = resources.files("spinsim").joinpath(
+        "data", "programs", name).read_text(encoding="utf-8")
+    prog = pl.parse_program(text, source=name)
+    if prog.instructions and isinstance(prog.instructions[-1], pl.Acquire):
+        prog = pl.PulseProgram(prog.instructions[:-1], prog.cycle)
+    return prog
+
+
+def test_prefix_tree_shipped_programs(citrate_es, citrate_cat, demo3_es, demo3_cat):
+    p0 = np.zeros((4, 4), dtype=complex)
+    p0[citrate_es.index_of_label("00"), citrate_es.index_of_label("00")] = 1.0
+    assert_tree_matches_rows(_shipped_program("epr.pp"), citrate_es,
+                             dyn.DeviationDensityMatrix(p0, citrate_es), citrate_cat)
+    assert_tree_matches_rows(_shipped_program("ghz.pp"), demo3_es,
+                             random_state(demo3_es, 3), demo3_cat)
+    assert_tree_matches_rows(_shipped_program("tomo_mq.pp"), citrate_es,
+                             random_state(citrate_es, 4), citrate_cat, t1=_T1)
+
+
+# rows 1 and 2 are identical and row 3 has the - receiver; a slot-phased
+# hard pulse follows the first branch and a fixed-phase one comes twice
+SPIN8_CYCLED = """\
+cycle P1 P2
+row x y +
+row x y +
+row -x y -
+row y -y +
+pulse 90 y
+selpulse t1 90 $P1
+pulse 45 $P2
+grad
+selpulse t3 180 x
+pulse 30 -x
+delay 0.0007
+selpulse t2 60 $P2
+pulse 30 -x
+"""
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_prefix_tree_eight_spins():
+    es, cat = strongly_coupled(8)
+    prog = pl.parse_program(SPIN8_CYCLED)
+    assert_tree_matches_rows(prog, es, dyn.equilibrium_deviation(es), cat)
+    assert_tree_matches_rows(prog, es, random_state(es, 8), cat)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("delay t1\n", "unresolved symbolic delay t1"),
+    ("cycle P\nrow x +\nrow y -\npulse 90 $P\ndelay t1\n",
+     "unresolved symbolic delay t1"),
+    ("cycle P\nrow x +\nrow y -\npulse 90 $P\nacquire 8 0.001\n",
+     "acquire cannot be executed"),
+])
+def test_entry_points_raise_alike(citrate_es, citrate_cat, text, message):
+    prog = pl.parse_program(text)
+    rho = dyn.equilibrium_deviation(citrate_es)
+    with pytest.raises(pl.PulseProgramError, match=message) as single:
+        pl.execute(prog, citrate_es, rho, citrate_cat)
+    with pytest.raises(pl.PulseProgramError) as cycled:
+        pl.execute_cycled(prog, citrate_es, rho, citrate_cat)
+    assert str(cycled.value) == str(single.value)
