@@ -9,7 +9,8 @@ text, and warnings are captured as ``Category: message`` lines (without the
 source location), so two checkouts that behave the same print the same
 lines.  Inputs that are not shipped with the package (6- and 8-spin
 systems, a 90-degree-pulse FID program, a phase-cycled program, a full
-5-spin connectivity matrix and a file that is not UTF-8) are written from
+5-spin and a thresholded 4-spin connectivity matrix, a program naming a
+missing transition and a file that is not UTF-8) are written from
 the literals below into an ``inputs`` directory of the temporary directory
 first; ``{in}`` in an argv names it.  A case may read what an earlier case
 wrote, through ``{out}/../<earlier case>``.  BLAS runs on one thread, so
@@ -133,11 +134,41 @@ pulse 30 -x
 """
 
 
+# the Z-COSY connectivity of the 17 lines above 0.3 of the maximum
+# intensity in a random oriented 4-spin system: four level diagrams fit it
+THRESHOLDED4 = """\
+ 0  0  1  0  0  0  1  0  0  0  0 -1  0  0  0  0  0
+ 0  0  0  0  1  1  0  1  0  0  0 -1  0  0  0 -1  0
+ 1  0  0  1  0  0  0 -1  0  0  0  0  0  0  0  0  0
+ 0  0  1  0  0  0  0  1  0 -1  0  0  0  0  0  0  0
+ 0  1  0  0  0  0 -1  0  0  0  0  0  0  0  0  1  0
+ 0  1  0  0  0  0  0 -1  0  1  0  1  0  0  0  0  0
+ 1  0  0  0 -1  0  0  0  0  0  0  1  0  0  0  0  0
+ 0  1 -1  1  0 -1  0  0  0  0  0  1  0  0  0  0  0
+ 0  0  0  0  0  0  0  0  0  0  1  0  0  0  0  0  0
+ 0  0  0 -1  0  1  0  0  0  0  0  0  0  0  0  0  0
+ 0  0  0  0  0  0  0  0  1  0  0  0  0  0  0  0  0
+-1 -1  0  0  0  1  1  1  0  0  0  0  0  0  0  0  0
+ 0  0  0  0  0  0  0  0  0  0  0  0  0  1 -1  0  0
+ 0  0  0  0  0  0  0  0  0  0  0  0  1  0  0  0 -1
+ 0  0  0  0  0  0  0  0  0  0  0  0 -1  0  0  0  1
+ 0 -1  0  0  1  0  0  0  0  0  0  0  0  0  0  0  0
+ 0  0  0  0  0  0  0  0  0  0  0  0  0 -1  1  0  0
+"""
+
+# a transition id past the 4 lines of a 2-spin system
+UNKNOWN_T9 = """\
+selpulse t9 90 x
+"""
+
+
 INPUTS = {
     "spin6.spin": SPIN6,
     "spin8.spin": SPIN8,
     "fid90.pp": FID90,
     "cycled8.pp": CYCLED8,
+    "thresholded4.cm": THRESHOLDED4,
+    "unknown_t9.pp": UNKNOWN_T9,
     # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
     "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
     # a UTF-16 byte-order mark: the CLI must reject it with one error line
@@ -190,6 +221,13 @@ CASES = [
     # phase-cycled rows sharing a prefix on 8 spins
     ("run_spin8_cycled", ["run", "{in}/spin8.spin", "{in}/cycled8.pp",
                           "--out", "{out}"]),
+    # several level diagrams; pulse programs that fail while they run
+    ("assign_thresholded4", ["assign", "{in}/thresholded4.cm", "4",
+                             "--out", "{out}"]),
+    ("run_tomo_mq_unbound_t1", ["run", "citrate.spin", "tomo_mq.pp",
+                                "--out", "{out}"]),
+    ("run_unknown_t9", ["run", "citrate.spin", "{in}/unknown_t9.pp",
+                        "--out", "{out}"]),
 ]
 
 

@@ -84,8 +84,8 @@ def criterion_3_transition_counts() -> CriterionResult:
         cat = transition_catalog(es)
         brute = sum(1 for k in range(es.dim) for l in range(es.dim)
                     if es.mz[k] - es.mz[l] == 1)
-        ok &= (sq_transition_count(n) == count == len(cat.entries) == brute)
-        details.append(f"n={n}: {len(cat.entries)}")
+        ok &= (sq_transition_count(n) == count == len(cat) == brute)
+        details.append(f"n={n}: {len(cat)}")
     return CriterionResult(3, "transition counts 4/15/56 vs brute force", ok,
                            ", ".join(details))
 
@@ -234,6 +234,17 @@ def criterion_8_gates() -> CriterionResult:
         f"POPS match {pops_rep.metrics['pops_output_error']:.1e}")
 
 
+def _edge_relation(ea, eb) -> int:
+    """Connectivity of two (layer, lower, upper) edges, the levels numbered
+    within their manifolds."""
+    (pa, ua, va), (pb, ub, vb) = ea, eb
+    if (pa == pb + 1 and ua == vb) or (pb == pa + 1 and ub == va):
+        return 1
+    if pa == pb and (ua == ub or va == vb):
+        return -1
+    return 0
+
+
 def oracle_reconstruct(cm: asg.ConnectivityMatrix, n: int) -> set:
     """Exhaustive enumeration over all injective edge assignments.
 
@@ -249,7 +260,7 @@ def oracle_reconstruct(cm: asg.ConnectivityMatrix, n: int) -> set:
     rel = {}
     for ea in edges:
         for eb in edges:
-            rel[(ea, eb)] = asg._edge_relation(ea, eb)
+            rel[(ea, eb)] = _edge_relation(ea, eb)
     sigs = set()
     for combo in itertools.permutations(edges, t):
         ok = True
@@ -327,7 +338,7 @@ def criterion_9_assignment() -> CriterionResult:
     for n, tmax in ((2, 4), (2, 3), (3, 4), (3, 5)):
         es = eigensystem(random_system(rng2, n))
         cat = transition_catalog(es, threshold=0.0)
-        ids = [t.tid for t in cat.entries]
+        ids = list(range(1, len(cat) + 1))
         pick = sorted(rng2.choice(len(ids), size=tmax, replace=False).tolist())
         sub_ids = tuple(ids[k] for k in pick)
         full = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +44,20 @@ _FACTORED_LINES = 4
 
 @dataclass
 class StickSpectrum:
-    """Linear-response stick spectrum: (freq_hz, signed amplitude, tid)."""
+    """Linear-response stick spectrum: the frequency and signed amplitude of
+    every catalog line, in transition-id order."""
 
-    lines: tuple[tuple[float, float, int], ...]
+    freq_hz: np.ndarray
+    amplitude: np.ndarray
 
     def to_csv(self) -> str:
-        rows = sorted(self.lines, key=lambda r: (r[0], r[2]))
-        return "\n".join(f"{f:.12g},{a:.12g}" for f, a, _ in rows) + "\n"
+        """``freq,amplitude`` rows by ascending frequency, then id; one
+        ``%`` formats them all."""
+        order = np.argsort(self.freq_hz, kind="stable")
+        args = [None] * (2 * order.size)
+        args[0::2] = self.freq_hz[order].tolist()
+        args[1::2] = self.amplitude[order].tolist()
+        return "\n".join(["%.12g,%.12g"] * order.size) % tuple(args) + "\n"
 
 
 def detect_small_angle(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
@@ -70,25 +77,23 @@ def detect_small_angle(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         warnings.warn("small-angle detection ignores off-diagonal elements")
     pops = np.real(np.diag(rho.mat))
     s = math.sin(math.radians(beta_deg))
-    lines = tuple(
-        (t.freq_hz, s * (pops[t.lower] - pops[t.upper]) * t.intensity, t.tid)
-        for t in catalog.entries)
-    return StickSpectrum(lines=lines)
+    amp = s * (pops[catalog.lower] - pops[catalog.upper]) * catalog.intensity
+    return StickSpectrum(freq_hz=catalog.freq_hz, amplitude=amp)
 
 
 def line_amplitudes(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
-                    catalog: TransitionCatalog | None = None) -> dict[int, complex]:
-    """Complex amplitude of each catalog line in the detected signal.
+                    catalog: TransitionCatalog | None = None) -> np.ndarray:
+    """Complex amplitude of each catalog line in the detected signal, in
+    transition-id order: shape (lines,), or (..., lines) for a stack.
 
     Amplitude of transition T is rho[upper, lower] * F+[lower, upper]; the
     full FID is the sum of these oscillating at their catalog frequencies.
-    For a stack of states each amplitude is an array over the stack.
     """
     if catalog is None:
         catalog = transition_catalog(es)
     fplus = es.lowering_operator().conj().T
-    return {t.tid: rho.mat[..., t.upper, t.lower] * fplus[t.lower, t.upper]
-            for t in catalog.entries}
+    return (rho.mat[..., catalog.upper, catalog.lower]
+            * fplus[catalog.lower, catalog.upper])
 
 
 def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
@@ -193,7 +198,7 @@ def run_2d(program: pl.PulseProgram, es: EigenSystem,
     if t1_points < 1:
         raise AcquisitionError(f"t1 points must be at least 1, got {t1_points}")
     acq = program.instructions[-1]
-    prefix = pl.PulseProgram(program.instructions[:-1], program.cycle)
+    prefix = replace(program, instructions=program.instructions[:-1])
     rho = pl.execute_cycled(prefix, es, rho0, catalog,
                             t1=np.arange(t1_points) * dwell1)
     data = acquire_fid(es, rho, acq.points, acq.dwell_s)
@@ -222,20 +227,12 @@ def tomo_diagonal(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     crushed = dyn.crush_gradient(rho)
     spec = detect_small_angle(es, crushed, beta_deg, catalog)
     s = math.sin(math.radians(beta_deg))
-    rows, rhs = [], []
-    for (freq, amp, tid) in spec.lines:
-        t = catalog.by_id(tid)
-        if t.intensity <= 1e-12:
-            continue
-        row = np.zeros(es.dim)
-        row[t.lower] = 1.0
-        row[t.upper] = -1.0
-        rows.append(row)
-        rhs.append(amp / (s * t.intensity))
-    rows.append(np.ones(es.dim))    # trace-free gauge
-    rhs.append(0.0)
-    a = np.array(rows)
-    b = np.array(rhs)
+    seen = np.flatnonzero(catalog.intensity > 1e-12)
+    a = np.zeros((seen.size + 1, es.dim))
+    a[np.arange(seen.size), catalog.lower[seen]] = 1.0
+    a[np.arange(seen.size), catalog.upper[seen]] = -1.0
+    a[-1] = 1.0                     # trace-free gauge
+    b = np.append(spec.amplitude[seen] / (s * catalog.intensity[seen]), 0.0)
     underdetermined = np.linalg.matrix_rank(a, tol=1e-9) < es.dim
     if underdetermined:
         warnings.warn("diagonal tomography underdetermined; "
@@ -322,7 +319,8 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         raise AcquisitionError(
             "spectral folding in omega_1: dwell1 must be at most "
             f"{0.5 / fmax1:.6g} s for this system")
-    fmax2 = max(abs(t.freq_hz) for t in catalog.entries)
+    f2 = catalog.freq_hz
+    fmax2 = float(np.abs(f2).max())
     if fmax2 > 0.5 / dwell2 + 1e-12:
         raise AcquisitionError(
             "spectral folding in omega_2: dwell2 must be at most "
@@ -339,15 +337,15 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     u90 = dyn.hard_pulse_unitary(es, 90.0, 90.0)
     u45 = dyn.hard_pulse_unitary(es, 45.0, 270.0)
     fplus = es.lowering_operator().conj().T
-    lines = catalog.entries
-    hmat = np.array([[u45[t.upper, m] * np.conj(u45[t.lower, m])
-                      * fplus[t.lower, t.upper] for m in range(dim)]
-                     for t in lines])          # [line, m]
+    # scalar products, in this order: see _cmul
+    hmat = np.array([[u45[up, m] * np.conj(u45[lo, m]) * fplus[lo, up]
+                      for m in range(dim)]
+                     for lo, up in zip(catalog.lower.tolist(),
+                                       catalog.upper.tolist())])   # [line, m]
     gten = np.einsum("ma,mc->mac", u90, np.conj(u90))   # [m, a, c]
     kten = np.einsum("bm,mac->bac", hmat, gten)         # [b, a, c]
 
     # element (a, c) sits at f1[a * dim + c] = (E_c - E_a)/2pi in omega_1
-    f2 = np.array([t.freq_hz for t in lines])
     bins1 = np.unique(np.round(f1 * t1_points * dwell1).astype(int) % t1_points)
     bins2 = np.unique(np.round(f2 * t2_points * dwell2).astype(int) % t2_points)
     d1 = _dirichlet(f1[:, None], bins1, t1_points, dwell1)       # [ac, j1]
@@ -374,7 +372,7 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     s_diag = np.zeros((2, n2, dim, n1))
     kd = np.empty((2, dim * dim, n1))
     term = np.empty((2, n2, dim * dim, n1))
-    for t_idx in range(len(lines)):
+    for t_idx in range(len(catalog)):
         k = kten[t_idx].reshape(-1, 1)
         _cmul(k.real, k.imag, d1.real, d1.imag, out=kd)
         _cmul(kd[0], kd[1], d2[t_idx].real, d2[t_idx].imag, out=term)
@@ -464,8 +462,8 @@ class ScaleCalibration:
     """
 
     ratio: float
-    amp_iii: dict[int, complex]
-    amp_iv: dict[int, complex]
+    amp_iii: np.ndarray     # line amplitudes in transition-id order
+    amp_iv: np.ndarray
 
 
 def tomo_scale_calibration(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
@@ -479,8 +477,8 @@ def tomo_scale_calibration(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 0.0)), catalog)
     a4 = line_amplitudes(
         es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 90.0)), catalog)
-    n3 = math.sqrt(sum(abs(v) ** 2 for v in a3.values()))
-    n4 = math.sqrt(sum(abs(v) ** 2 for v in a4.values()))
+    n3 = math.sqrt(sum(abs(v) ** 2 for v in a3))
+    n4 = math.sqrt(sum(abs(v) ** 2 for v in a4))
     ratio = n4 / n3 if n3 > 0 else math.inf
     return ScaleCalibration(ratio=ratio, amp_iii=a3, amp_iv=a4)
 
@@ -539,15 +537,14 @@ def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
     """
     if catalog is None:
         catalog = transition_catalog(es, threshold)
-    obs = catalog.observable_entries()
-    tids = [t.tid for t in obs]
-    m = np.zeros((len(obs), len(obs)), dtype=int)
-    for i, a in enumerate(obs):
-        for j, b in enumerate(obs):
-            if i == j:
-                continue
-            m[i, j] = _connectivity_sign(a, b)
-    connected = [i for i in range(len(obs)) if np.any(m[i] != 0)]
+    obs = np.flatnonzero(catalog.observable)
+    tids = (obs + 1).tolist()
+    lo, up = catalog.lower[obs], catalog.upper[obs]
+    progressive = (up[:, None] == lo[None, :]) | (lo[:, None] == up[None, :])
+    regressive = (lo[:, None] == lo[None, :]) | (up[:, None] == up[None, :])
+    m = np.where(progressive, 1, np.where(regressive, -1, 0))
+    np.fill_diagonal(m, 0)
+    connected = np.flatnonzero(m.any(axis=1)).tolist()
     dropped = tuple(tids[i] for i in range(len(obs)) if i not in connected)
     if len(obs) == 1:
         connected, dropped = [0], ()
@@ -555,14 +552,6 @@ def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
     return ConnectivityMatrix(m=sub,
                               ids=tuple(tids[i] for i in connected),
                               unconnected=dropped)
-
-
-def _connectivity_sign(a, b) -> int:
-    if a.upper == b.lower or b.upper == a.lower:
-        return 1
-    if a.lower == b.lower or a.upper == b.upper:
-        return -1
-    return 0
 
 
 def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
@@ -587,21 +576,20 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
         catalog = transition_catalog(es)
     if dwell1 is None:
         dwell1 = default_tomo_dwell(es)
-    ntr = len(catalog.entries)
-    freqs = [t.freq_hz for t in catalog.entries]
-    for i in range(ntr):
-        for j in range(ntr):
-            if i != j and abs(freqs[i] + freqs[j]) < 1e-9:
-                raise AcquisitionError(
-                    "transitions at exactly opposite frequencies are not "
-                    "separable in a cosine-modulated experiment; shift the "
-                    "carrier off the spectral center")
+    ntr = len(catalog)
+    freqs = catalog.freq_hz.tolist()
+    opposite = np.abs(catalog.freq_hz[:, None] + catalog.freq_hz) < 1e-9
+    np.fill_diagonal(opposite, False)
+    if opposite.any():
+        raise AcquisitionError(
+            "transitions at exactly opposite frequencies are not "
+            "separable in a cosine-modulated experiment; shift the "
+            "carrier off the spectral center")
     beta = pl.HardPulse(beta_deg, pl.PhaseSpec(degrees=0.0))
     program = pl.PulseProgram((beta, pl.Delay(symbol="t1"), beta, pl.Grad(), beta))
     t1 = np.arange(t1_points) * dwell1
     rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
-    la = line_amplitudes(es, rho, catalog)
-    amps = np.stack([la[t.tid] for t in catalog.entries], axis=-1)   # [t1, line]
+    amps = line_amplitudes(es, rho, catalog)                   # [t1, line]
 
     # project each line's t1 trace onto the +/- transition frequencies
     basis: list[float] = [0.0]

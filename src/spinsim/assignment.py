@@ -149,14 +149,6 @@ class AssignmentResult:
 # internal solution representation: per transition index, (layer, u, v)
 # with u, v global level handles; handles carry their manifold.
 
-def _edge_relation(ea, eb) -> int:
-    (pa, ua, va), (pb, ub, vb) = ea, eb
-    if (pa == pb + 1 and ua == vb) or (pb == pa + 1 and ub == va):
-        return 1
-    if pa == pb and (ua == ub or va == vb):
-        return -1
-    return 0
-
 
 def _canonical_signature(n: int, edges: list[tuple[int, int, int]]):
     """Rename levels by first use (per manifold) over both orientations."""
@@ -183,11 +175,12 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     """Backtracking search for all diagrams consistent with cm, up to symmetry.
 
     Transitions are placed most-constrained-first; each endpoint is either
-    forced by a placed neighbor or fresh.  All pairwise relations
-    (including required zeros) are checked on every placement, so a
-    complete assignment is consistent by construction.  Solutions are
-    deduplicated modulo within-manifold level permutation and global
-    inversion, canonicalized, and capped at ``max_solutions`` (the
+    forced by a placed neighbor or fresh.  A placement is checked against
+    the placed transitions that share one of its levels, which with the
+    forced endpoints covers every pairwise relation (including required
+    zeros), so a complete assignment is consistent by construction.
+    Solutions are deduplicated modulo within-manifold level permutation and
+    global inversion, canonicalized, and capped at ``max_solutions`` (the
     ``truncated`` flag reports a hit cap).  If no diagram exists the result
     carries the first mutually unsatisfiable transition triple.
     """
@@ -207,6 +200,12 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     ambiguous = tuple(cm.ids[i] for i in range(t_count)
                       if t_count > 1 and not np.any(cm.m[i]))
 
+    # at depth pos the placed transitions are order[:pos], so each
+    # transition's placed neighbors are its nonzero entries among those
+    # before it in the search order, in that order
+    earlier = {t: [s for s in order[:pos] if rows[t][s] != 0]
+               for pos, t in enumerate(order)}
+
     solutions: list[list[tuple[int, int, int]]] = []
     seen: set = set()
     truncated = [False]
@@ -214,28 +213,31 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     used_levels: dict[int, list[int]] = {k: [] for k in range(n + 1)}
     used_edges: set[tuple[int, int]] = set()
     next_handle = [0]
-    handle_manifold: dict[int, int] = {}
+    # the placed transitions having each live handle as their lower
+    # (upper) level, in placement order
+    lower_of: dict[int, list[int]] = {}
+    upper_of: dict[int, list[int]] = {}
 
     def fresh(man: int) -> int | None:
         if len(used_levels[man]) >= caps[man]:
             return None
         h = next_handle[0]
         next_handle[0] += 1
-        handle_manifold[h] = man
+        lower_of[h], upper_of[h] = [], []
         used_levels[man].append(h)
         return h
 
     def release(man: int, h: int) -> None:
         used_levels[man].remove(h)
-        del handle_manifold[h]
+        del lower_of[h], upper_of[h]
 
-    def candidates(t: int):
+    def candidates(t: int, pos: int):
         row = rows[t]
-        neighbors = [s for s in placed if row[s] != 0]
+        neighbors = earlier[t]
         cands: list[tuple[int, int | None, int | None]] = []
         if not neighbors:
             layers = range(n)
-            if not placed:
+            if pos == 0:
                 layers = range((n + 1) // 2)   # global-inversion quotient
             for p in layers:
                 cands.append((p, None, None))
@@ -270,6 +272,21 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
                     return []
         return list(dict.fromkeys(cands))
 
+    def consistent(t: int, u: int, v: int) -> bool:
+        """Whether edge (u, v) for t relates to every placed transition as
+        row t requires.  The candidate already meets the relation of each
+        placed neighbor.  Handles are unique across manifolds, so any other
+        placed edge relates to it only through a shared level: +1 where u
+        is its upper level or v its lower one, -1 where u is its lower
+        level or v its upper one."""
+        row = rows[t]
+        for rel, group in ((1, upper_of[u]), (1, lower_of[v]),
+                           (-1, lower_of[u]), (-1, upper_of[v])):
+            for s in group:
+                if row[s] != rel:
+                    return False
+        return True
+
     def place(t: int, cand) -> tuple[int, int, int] | None:
         p, u, v = cand
         created = []
@@ -285,26 +302,23 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
                     release(man, h)
                 return None
             created.append((p + 1, v))
-        edge = (p, u, v)
-        ok = (u, v) not in used_edges
-        if ok:
-            row = rows[t]
-            for s, es_edge in placed.items():
-                if _edge_relation(edge, es_edge) != row[s]:
-                    ok = False
-                    break
-        if not ok:
+        if (u, v) in used_edges or not consistent(t, u, v):
             for man, h in created:
                 release(man, h)
             return None
+        edge = (p, u, v)
         placed[t] = edge
         used_edges.add((u, v))
+        lower_of[u].append(t)
+        upper_of[v].append(t)
         return edge
 
     def unplace(t: int, edge, cand) -> None:
         p, u, v = edge
         del placed[t]
         used_edges.discard((u, v))
+        lower_of[u].pop()             # t was placed last
+        upper_of[v].pop()
         if cand[1] is None:
             release(p, u)
         if cand[2] is None:
@@ -324,7 +338,7 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
                 solutions.append(list(sig))
             return
         t = order[pos]
-        for cand in candidates(t):
+        for cand in candidates(t, pos):
             edge = place(t, cand)
             if edge is None:
                 continue
@@ -412,7 +426,7 @@ def verify_diagram(ld: LevelDiagram, cm: ConnectivityMatrix
 def diagram_from_catalog(es, catalog, ids=None) -> LevelDiagram:
     """Ground-truth diagram of a simulated system for the given transitions."""
     if ids is None:
-        ids = tuple(t.tid for t in catalog.observable_entries())
+        ids = tuple((np.flatnonzero(catalog.observable) + 1).tolist())
     n = es.n
     bases = [0]
     for k in range(n + 1):

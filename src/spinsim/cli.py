@@ -14,6 +14,7 @@ from any directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -113,14 +114,13 @@ def cmd_eigen(args) -> int:
     out.append(_table("level %d label %s mz %.12g energy_hz %.12g", [
         range(1, es.dim + 1), es.labels, es.mz.tolist(),
         (es.energies / (2 * math.pi)).tolist()]))
-    entries = cat.entries
-    obs = [int(t.observable) for t in entries]
+    labels = np.array(es.labels)
     out.append(_table(
         "transition %d lower %s upper %s freq_hz %.12g intensity %.12g obs %d", [
-            [t.tid for t in entries], [es.labels[t.lower] for t in entries],
-            [es.labels[t.upper] for t in entries], [t.freq_hz for t in entries],
-            [t.intensity for t in entries], obs]))
-    out.append(f"observable {sum(obs)} of {len(entries)}")
+            range(1, len(cat) + 1), labels[cat.lower].tolist(),
+            labels[cat.upper].tolist(), cat.freq_hz.tolist(),
+            cat.intensity.tolist(), cat.observable.tolist()]))
+    out.append(f"observable {np.count_nonzero(cat.observable)} of {len(cat)}")
     print("\n".join(out))
     return 0
 
@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
     instructions = program.instructions
     if instructions and isinstance(instructions[-1], pl.Acquire):
         acquire = instructions[-1]
-        program = pl.PulseProgram(instructions[:-1], program.cycle)
+        program = dataclasses.replace(program, instructions=instructions[:-1])
     final = pl.execute_cycled(program, es, rho0, cat, t1=args.t1, t2=args.t2)
 
     out_dir = Path(args.out)

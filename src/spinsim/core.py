@@ -270,14 +270,16 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
         used_p: set[int] = set()
         used_e: set[int] = set()
         first_choice = {int(np.argmax(overlaps[:, e])): e for e in range(idx.size)}
-        for p_loc, e_loc in order:
+        for p_loc, e_loc in order.tolist():
             if p_loc in used_p or e_loc in used_e:
                 continue
-            used_p.add(int(p_loc))
-            used_e.add(int(e_loc))
+            used_p.add(p_loc)
+            used_e.add(e_loc)
             labels[pos + e_loc] = label_of_index(int(idx[p_loc]), n)
-            if first_choice.get(int(p_loc)) not in (None, int(e_loc)):
+            if first_choice.get(p_loc) not in (None, e_loc):
                 conflicts += 1
+            if len(used_e) == idx.size:     # every later pair is skipped
+                break
         pos += idx.size
 
     if conflicts:
@@ -301,33 +303,53 @@ class Transition:
     observable: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class TransitionCatalog:
-    """All single-quantum transitions, numbered by descending intensity."""
+    """All single-quantum transitions, stored as read-only columns in id order.
 
-    entries: tuple[Transition, ...]
+    Transition ``tid`` (1-based) is row ``tid - 1`` of every column.  Ids
+    run by descending intensity, ties broken by ascending frequency, then
+    by lower and upper eigenstate index.  ``pair_tid[lower, upper]`` is the
+    id of the line between two eigenstates, 0 where there is none.  The
+    lookups build one ``Transition`` record per call.
+    """
+
+    lower: np.ndarray        # eigenstate index in the higher-M_z manifold
+    upper: np.ndarray        # eigenstate index one quantum below
+    freq_hz: np.ndarray
+    intensity: np.ndarray
+    observable: np.ndarray   # bool
+    pair_tid: np.ndarray     # (dim, dim) ids, 0 for no line
     threshold: float
-    _by_pair: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self._by_pair = {(t.lower, t.upper): t for t in self.entries}
+        for col in (self.lower, self.upper, self.freq_hz, self.intensity,
+                    self.observable, self.pair_tid):
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.lower.size
 
     def by_id(self, tid: int) -> Transition:
-        if not 1 <= tid <= len(self.entries):
+        if not 1 <= tid <= len(self):
             raise KeyError(f"unknown transition t{tid}")
-        return self.entries[tid - 1]
+        k = tid - 1
+        return Transition(tid=tid, lower=int(self.lower[k]),
+                          upper=int(self.upper[k]),
+                          freq_hz=float(self.freq_hz[k]),
+                          intensity=float(self.intensity[k]),
+                          observable=bool(self.observable[k]))
 
     def by_pair(self, a: int, b: int) -> Transition:
-        t = self._by_pair.get((a, b)) or self._by_pair.get((b, a))
-        if t is None:
-            raise KeyError(f"no single-quantum transition between states {a} and {b}")
-        return t
+        dim = self.pair_tid.shape[0]
+        if 0 <= a < dim and 0 <= b < dim:
+            tid = int(self.pair_tid[a, b] or self.pair_tid[b, a])
+            if tid:
+                return self.by_id(tid)
+        raise KeyError(f"no single-quantum transition between states {a} and {b}")
 
     def by_labels(self, es: EigenSystem, la: str, lb: str) -> Transition:
         return self.by_pair(es.index_of_label(la), es.index_of_label(lb))
-
-    def observable_entries(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.entries if t.observable)
 
 
 def sq_transition_count(n: int) -> int:
@@ -355,16 +377,14 @@ def transition_catalog(es: EigenSystem, threshold: float = 0.05) -> TransitionCa
     inten = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
     freq = (es.energies[lo] - es.energies[up]) / (2 * math.pi)
     order = np.lexsort((up, lo, freq, -inten))
+    lo, up, freq, inten = lo[order], up[order], freq[order], inten[order]
     max_i = float(inten.max()) if inten.size else 0.0
     observable = (inten >= threshold * max_i) & (max_i > 0)
-    entries = tuple(
-        Transition(tid=i + 1, lower=a, upper=b, freq_hz=fr, intensity=it,
-                   observable=ob)
-        for i, (a, b, fr, it, ob) in enumerate(zip(
-            lo[order].tolist(), up[order].tolist(), freq[order].tolist(),
-            inten[order].tolist(), observable[order].tolist()))
-    )
-    return TransitionCatalog(entries=entries, threshold=threshold)
+    pair_tid = np.zeros((es.dim, es.dim), dtype=np.int32)
+    pair_tid[lo, up] = np.arange(1, lo.size + 1)
+    return TransitionCatalog(lower=lo, upper=up, freq_hz=freq, intensity=inten,
+                             observable=observable, pair_tid=pair_tid,
+                             threshold=threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def dj_one_qubit(es: EigenSystem, f: str,
     amps = line_amplitudes(es, rep.final_state, catalog)
     t_a = find_transition_by_labels(es, catalog, "00", "10")
     t_b = find_transition_by_labels(es, catalog, "01", "11")
-    a1, a2 = amps[t_a.tid], amps[t_b.tid]
+    a1, a2 = amps[t_a.tid - 1], amps[t_b.tid - 1]
     agreement = float(np.real(a1 * np.conj(a2)))
     verdict = "constant" if agreement > 0 else "balanced"
     rep.metrics["line_phase_agreement"] = agreement

@@ -21,7 +21,7 @@ Diagnostics use the conventional ``file:line:col: message`` format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,16 @@ def _format_phase(deg: float) -> str:
 
 
 @dataclass(frozen=True)
-class SelPulse:
+class _Located:
+    """Where an instruction was written: its line and the column of its
+    keyword, 0 for one built in code.  Not part of its value."""
+
+    line: int = field(default=0, kw_only=True, compare=False, repr=False)
+    col: int = field(default=0, kw_only=True, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class SelPulse(_Located):
     ref: TransitionRef
     angle_deg: float
     phase: PhaseSpec
@@ -81,7 +90,7 @@ class SelPulse:
 
 
 @dataclass(frozen=True)
-class HardPulse:
+class HardPulse(_Located):
     angle_deg: float
     phase: PhaseSpec
 
@@ -90,13 +99,13 @@ class HardPulse:
 
 
 @dataclass(frozen=True)
-class Grad:
+class Grad(_Located):
     def __str__(self):
         return "grad"
 
 
 @dataclass(frozen=True)
-class Delay:
+class Delay(_Located):
     seconds: float | None = None
     symbol: str | None = None
 
@@ -105,7 +114,7 @@ class Delay:
 
 
 @dataclass(frozen=True)
-class Acquire:
+class Acquire(_Located):
     points: int
     dwell_s: float
 
@@ -136,6 +145,7 @@ class PhaseCycle:
 class PulseProgram:
     instructions: tuple[Instruction, ...]
     cycle: PhaseCycle | None = None
+    source: str = field(default="<string>", compare=False)
 
 
 def _token_columns(raw: str) -> list[tuple[str, int]]:
@@ -208,6 +218,7 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
         if not toks:
             continue
         (kw, col0) = toks[0]
+        at = {"line": ln, "col": col0}
 
         def need(k: int, what: str):
             if len(toks) <= k:
@@ -222,24 +233,24 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
             instructions.append(SelPulse(
                 ref=_parse_transition(rtok, source, ln, rcol),
                 angle_deg=_parse_float(atok, "angle", source, ln, acol),
-                phase=_parse_phase(ptok, source, ln, pcol)))
+                phase=_parse_phase(ptok, source, ln, pcol), **at))
         elif kw == "pulse":
             atok, acol = need(1, "angle")
             ptok, pcol = need(2, "phase")
             instructions.append(HardPulse(
                 angle_deg=_parse_float(atok, "angle", source, ln, acol),
-                phase=_parse_phase(ptok, source, ln, pcol)))
+                phase=_parse_phase(ptok, source, ln, pcol), **at))
         elif kw == "grad":
-            instructions.append(Grad())
+            instructions.append(Grad(**at))
         elif kw == "delay":
             dtok, dcol = need(1, "duration")
             if dtok in ("t1", "t2"):
-                instructions.append(Delay(symbol=dtok))
+                instructions.append(Delay(symbol=dtok, **at))
             else:
                 secs = _parse_float(dtok, "delay", source, ln, dcol)
                 if secs < 0:
                     raise PulseProgramError("negative delay", source, ln, dcol)
-                instructions.append(Delay(seconds=secs))
+                instructions.append(Delay(seconds=secs, **at))
         elif kw == "acquire":
             ntok, ncol = need(1, "point count")
             dtok, dcol = need(2, "dwell")
@@ -249,7 +260,7 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
             dwell = _parse_float(dtok, "dwell", source, ln, dcol)
             if dwell <= 0:
                 raise PulseProgramError("dwell must be positive", source, ln, dcol)
-            instructions.append(Acquire(points=int(ntok), dwell_s=dwell))
+            instructions.append(Acquire(points=int(ntok), dwell_s=dwell, **at))
         elif kw == "cycle":
             if slots is not None:
                 raise PulseProgramError("duplicate cycle declaration",
@@ -286,20 +297,20 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
         cycle = PhaseCycle(slots=slots, rows=tuple(rows),
                            receivers=tuple(receivers))
 
-    used = {ins.phase.slot for ins in instructions
-            if isinstance(ins, (SelPulse, HardPulse)) and ins.phase.slot}
     declared = set(slots or ())
-    missing = sorted(used - declared)
-    if missing:
-        raise PulseProgramError(
-            f"phase slot {missing[0]!r} used but not defined in cycle table",
-            source, 0, 0)
+    for ins in instructions:
+        slot = ins.phase.slot if isinstance(ins, (SelPulse, HardPulse)) else None
+        if slot and slot not in declared:
+            raise PulseProgramError(
+                f"phase slot {slot!r} used but not defined in cycle table",
+                source, ins.line, ins.col)
 
-    for k, ins in enumerate(instructions):
-        if isinstance(ins, Acquire) and k != len(instructions) - 1:
+    for ins in instructions[:-1]:
+        if isinstance(ins, Acquire):
             raise PulseProgramError("acquire must be the final instruction",
-                                    source, 0, 0)
-    return PulseProgram(instructions=tuple(instructions), cycle=cycle)
+                                    source, ins.line, ins.col)
+    return PulseProgram(instructions=tuple(instructions), cycle=cycle,
+                        source=source)
 
 
 def format_program(program: PulseProgram) -> str:
@@ -325,7 +336,10 @@ def resolve_transition(ref: TransitionRef, es: EigenSystem,
                 raise KeyError(f"labels {a},{b} do not match a {es.n}-spin system")
             t = catalog.by_labels(es, a, b)
     except KeyError as exc:
-        raise PulseProgramError(f"unknown transition: {exc.args[0]}") from None
+        reason = exc.args[0]
+        if ref.tid is None:         # by_id's reason already names the id
+            reason = f"unknown transition {ref}: {reason}"
+        raise PulseProgramError(reason) from None
     return t.lower, t.upper
 
 
@@ -358,11 +372,17 @@ class _Executor:
         return None if spec is None else _resolved_phase(
             spec, self.program.cycle, row)
 
+    def error(self, ins: Instruction, message: str) -> PulseProgramError:
+        return PulseProgramError(message, self.program.source, ins.line, ins.col)
+
     def step(self, k: int, rho: dyn.DeviationDensityMatrix,
              row: int) -> dyn.DeviationDensityMatrix:
         ins, es = self.program.instructions[k], self.es
         if isinstance(ins, SelPulse):
-            lo, up = resolve_transition(ins.ref, es, self.catalog)
+            try:
+                lo, up = resolve_transition(ins.ref, es, self.catalog)
+            except PulseProgramError as exc:
+                raise self.error(ins, exc.reason) from None
             return dyn.apply_unitary(rho, dyn.selective_pulse_unitary(
                 es, lo, up, ins.angle_deg, self.phase(k, row)))
         if isinstance(ins, HardPulse):
@@ -378,10 +398,10 @@ class _Executor:
             if ins.symbol is None:
                 return dyn.free_evolution(es, rho, ins.seconds)
             if self.delays[ins.symbol] is None:
-                raise PulseProgramError(f"unresolved symbolic delay {ins.symbol}")
+                raise self.error(ins, f"unresolved symbolic delay {ins.symbol}")
             return dyn.free_evolution(es, rho, self.delays[ins.symbol])
-        raise PulseProgramError("acquire cannot be executed directly; "
-                                "use an acquisition runner")
+        raise self.error(ins, "acquire cannot be executed directly; "
+                              "use an acquisition runner")
 
 
 def execute(program: PulseProgram, es: EigenSystem,

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,3 +208,151 @@ def test_search_order_matches_reference_on_zcosy():
         cat = core.transition_catalog(es, threshold=0.0)
         m = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat).m
         assert asg._search_order(m) == cubic_search_order(m)
+
+
+def edge_relation(ea, eb):
+    (pa, ua, va), (pb, ub, vb) = ea, eb
+    if (pa == pb + 1 and ua == vb) or (pb == pa + 1 and ub == va):
+        return 1
+    if pa == pb and (ua == ub or va == vb):
+        return -1
+    return 0
+
+
+def full_scan_reconstruct(cm, n, max_solutions=64, analyze_conflict=True):
+    """Reference: the backtracking search with each placement checked
+    against every placed transition, and the first unsatisfiable triple."""
+    t_count = cm.size
+    caps = [math.comb(n, k) for k in range(n + 1)]
+    order = asg._search_order(cm.m)
+    rows = cm.m.tolist()
+    ambiguous = tuple(cm.ids[i] for i in range(t_count)
+                      if t_count > 1 and not np.any(cm.m[i]))
+    solutions, seen, truncated = [], set(), [False]
+    placed = {}
+    used_levels = {k: [] for k in range(n + 1)}
+    used_edges = set()
+    next_handle = [0]
+
+    def fresh(man):
+        if len(used_levels[man]) >= caps[man]:
+            return None
+        next_handle[0] += 1
+        used_levels[man].append(next_handle[0])
+        return next_handle[0]
+
+    def candidates(t):
+        row = rows[t]
+        neighbors = [s for s in placed if row[s] != 0]
+        if not neighbors:
+            return [(p, None, None)
+                    for p in range((n + 1) // 2 if not placed else n)]
+        p0, u0, v0 = placed[neighbors[0]]
+        if row[neighbors[0]] == 1:
+            cands = [c for c in ((p0 + 1, v0, None), (p0 - 1, None, u0))
+                     if 0 <= c[0] < n]
+        else:
+            cands = [(p0, u0, None), (p0, None, v0)]
+        for s in neighbors[1:]:
+            ps, us, vs = placed[s]
+            refined = []
+            for (p, u, v) in cands:
+                if row[s] == 1:
+                    if p == ps + 1 and (u is None or u == vs):
+                        refined.append((p, vs, v))
+                    if p == ps - 1 and (v is None or v == us):
+                        refined.append((p, u, us))
+                elif p == ps:
+                    if u is None or u == us:
+                        refined.append((p, us, v))
+                    if v is None or v == vs:
+                        refined.append((p, u, vs))
+            cands = list(dict.fromkeys(refined))
+        return list(dict.fromkeys(cands))
+
+    def search(pos):
+        if pos == t_count:
+            sig, _ = asg._canonical_signature(n, [placed[i] for i in range(t_count)])
+            if sig not in seen:
+                seen.add(sig)
+                if len(solutions) >= max_solutions:
+                    truncated[0] = True
+                    return
+                solutions.append(list(sig))
+            return
+        t = order[pos]
+        for p, u, v in candidates(t):
+            created = []
+            for man, h in ((p, u), (p + 1, v)):
+                if h is None:
+                    created.append((man, fresh(man)))
+            if any(h is None for _, h in created):
+                for man, h in created:
+                    if h is not None:
+                        used_levels[man].remove(h)
+                continue
+            u = u if u is not None else created[0][1]
+            v = v if v is not None else created[-1][1]
+            edge = (p, u, v)
+            if (u, v) not in used_edges and all(
+                    edge_relation(edge, e) == rows[t][s] for s, e in placed.items()):
+                placed[t] = edge
+                used_edges.add((u, v))
+                search(pos + 1)
+                del placed[t]
+                used_edges.discard((u, v))
+            for man, h in created:
+                used_levels[man].remove(h)
+            if truncated[0]:
+                return
+
+    search(0)
+    if not solutions:
+        conflict = None
+        if analyze_conflict:
+            for tri in itertools.combinations(range(t_count), 3):
+                sub = asg.ConnectivityMatrix(m=cm.m[np.ix_(tri, tri)])
+                if not full_scan_reconstruct(sub, n, 1, False).diagrams:
+                    conflict = tuple(cm.ids[k] for k in tri)
+                    break
+        return asg.AssignmentResult(diagrams=[], conflict=conflict)
+    solutions.sort()
+    return asg.AssignmentResult(
+        diagrams=[asg._diagram_from_signature(n, cm.ids, sig, ambiguous)
+                  for sig in solutions],
+        truncated=truncated[0])
+
+
+@st.composite
+def thresholded_matrices(draw):
+    """The Z-COSY connectivity of the lines above a threshold in a random
+    3- or 4-spin system, at most 14 of them, with up to two entries
+    negated or zeroed (which can make it unsatisfiable)."""
+    n = draw(st.sampled_from([3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    es = core.eigensystem(random_system(rng, n))
+    cat = core.transition_catalog(es, draw(st.sampled_from([0.05, 0.2, 0.5])))
+    cm = acq.zcosy_connectivity(es, catalog=cat)
+    keep = sorted(draw(st.lists(st.integers(0, cm.size - 1), min_size=1,
+                                max_size=14, unique=True)))
+    m = cm.m[np.ix_(keep, keep)].copy()
+    for _ in range(draw(st.integers(0, 2))):
+        if len(keep) > 1:
+            i, j = draw(st.lists(st.integers(0, len(keep) - 1), min_size=2,
+                                 max_size=2, unique=True))
+            m[i, j] = m[j, i] = draw(st.sampled_from([-1, 0, 1]))
+    ids = tuple(cm.ids[k] for k in keep)
+    return n, asg.ConnectivityMatrix(m=m, ids=ids), draw(st.sampled_from([1, 3, 64]))
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=60, deadline=None)
+@given(thresholded_matrices())
+def test_reconstruct_matches_full_scan_reference(case):
+    n, cm, cap = case
+    got = asg.reconstruct_levels(cm, n, max_solutions=cap)
+    ref = full_scan_reconstruct(cm, n, max_solutions=cap)
+    assert [ld.edges for ld in got.diagrams] == [ld.edges for ld in ref.diagrams]
+    assert [ld.ambiguous for ld in got.diagrams] == [
+        ld.ambiguous for ld in ref.diagrams]
+    assert (got.truncated, got.conflict) == (ref.truncated, ref.conflict)

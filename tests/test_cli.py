@@ -72,7 +72,7 @@ def test_run_pps_spectrum_two_lines_equal_differences(tmp_path, capsys):
     cat = core.transition_catalog(es)
     diffs = []
     for f, a in live.items():
-        t = next(t for t in cat.entries if abs(t.freq_hz - f) < 1e-6)
+        t = cat.by_id(1 + int(np.flatnonzero(abs(cat.freq_hz - f) < 1e-6)[0]))
         assert "00" in (es.labels[t.lower], es.labels[t.upper])
         diffs.append(a / t.intensity)
     assert diffs[0] == pytest.approx(diffs[1], rel=1e-9)
@@ -84,7 +84,14 @@ def test_run_unknown_transition(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "citrate.spin", str(prog),
                            "--out", str(tmp_path))
     assert code == 2
-    assert "unknown transition" in err
+    assert err == f"{prog}:1:1: unknown transition t9\n"
+
+
+def test_run_unbound_t1_names_the_delay_line(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "citrate.spin", "tomo_mq.pp",
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert err == "tomo_mq.pp:3:1: unresolved symbolic delay t1\n"
 
 
 def test_run_outputs_deterministic(tmp_path, capsys):

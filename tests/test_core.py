@@ -152,27 +152,25 @@ def test_catalog_size_matches_formula(n):
     cat = core.transition_catalog(es)
     brute = sum(1 for a in range(es.dim) for b in range(es.dim)
                 if es.mz[a] - es.mz[b] == 1)
-    assert len(cat.entries) == core.sq_transition_count(n) == brute
+    assert len(cat) == core.sq_transition_count(n) == brute
 
 
 def test_catalog_citrate(citrate_es, citrate_cat):
     cat = citrate_cat
-    assert len(cat.entries) == 4
+    assert len(cat) == 4
     # descending intensity, ties by ascending frequency
-    intens = [t.intensity for t in cat.entries]
+    intens = cat.intensity.tolist()
     assert intens == sorted(intens, reverse=True)
-    assert cat.entries[0].freq_hz < cat.entries[1].freq_hz
+    assert cat.freq_hz[0] < cat.freq_hz[1]
     # inner lines are the strong pair for an AB system
-    assert cat.entries[0].intensity == pytest.approx(
-        cat.entries[1].intensity, abs=1e-12)
+    assert cat.intensity[0] == pytest.approx(cat.intensity[1], abs=1e-12)
 
 
 def test_weakly_coupled_equal_intensities():
     sys_ = core.SpinSystem.create("w", [500.0, -500.0], [[0, 2], [2, 0]])
     es = core.eigensystem(sys_, weak=True)
     cat = core.transition_catalog(es)
-    intens = [t.intensity for t in cat.entries]
-    assert max(intens) - min(intens) <= 1e-10
+    assert np.ptp(cat.intensity) <= 1e-10
 
 
 def test_intensity_equalization_rate():
@@ -183,8 +181,7 @@ def test_intensity_equalization_rate():
         sys_ = core.SpinSystem.create("ab", [dv / 2, -dv / 2],
                                       [[0, 15.0], [15.0, 0]])
         cat = core.transition_catalog(core.eigensystem(sys_))
-        intens = [t.intensity for t in cat.entries]
-        spread = (max(intens) - min(intens)) / np.mean(intens)
+        spread = np.ptp(cat.intensity) / np.mean(cat.intensity)
         assert spread <= 2.5 / ratio
         spreads.append(spread)
     assert spreads[1] <= spreads[0] / 5
@@ -197,19 +194,67 @@ def test_offset_shift_moves_frequencies(citrate, citrate_es, citrate_cat):
     cat2 = core.transition_catalog(core.eigensystem(moved))
     es = citrate_es
     es2 = core.eigensystem(moved)
-    for t in citrate_cat.entries:
-        pair = (es.labels[t.lower], es.labels[t.upper])
-        match = [u for u in cat2.entries
-                 if (es2.labels[u.lower], es2.labels[u.upper]) == pair]
-        assert len(match) == 1
-        assert match[0].freq_hz == pytest.approx(t.freq_hz + shift, abs=1e-9)
+    for lo, up, freq in zip(citrate_cat.lower, citrate_cat.upper,
+                            citrate_cat.freq_hz):
+        moved_line = cat2.by_labels(es2, es.labels[lo], es.labels[up])
+        assert moved_line.freq_hz == pytest.approx(freq + shift, abs=1e-9)
 
 
 def test_threshold_flags(demo3_es):
     cat = core.transition_catalog(demo3_es, threshold=0.05)
-    assert sum(t.observable for t in cat.entries) == 9
+    assert np.count_nonzero(cat.observable) == 9
     cat_all = core.transition_catalog(demo3_es, threshold=0.0)
-    assert all(t.observable for t in cat_all.entries)
+    assert cat_all.observable.all()
+
+
+def assert_catalog_lookups(es, cat):
+    """Brute force over every ordered pair of eigenstates: each Delta M = -1
+    pair is one line, found in both orders; every other pair is none."""
+    sq = [(a, b) for a in range(es.dim) for b in range(es.dim)
+          if es.mz[a] - es.mz[b] == 1]
+    assert len(cat) == len(sq)
+    tids = []
+    for a in range(es.dim):
+        for b in range(es.dim):
+            if (a, b) in sq:
+                t = cat.by_pair(a, b)
+                assert (t.lower, t.upper) == (a, b)
+                assert cat.by_pair(b, a) == t == cat.by_id(t.tid)
+                assert cat.by_labels(es, es.labels[b], es.labels[a]) == t
+                tids.append(t.tid)
+            elif (b, a) not in sq:
+                with pytest.raises(KeyError):
+                    cat.by_pair(a, b)
+    assert sorted(tids) == list(range(1, len(cat) + 1))
+    for bad in ((-1, 0), (0, es.dim)):
+        with pytest.raises(KeyError):
+            cat.by_pair(*bad)
+    for bad in (0, len(cat) + 1):
+        with pytest.raises(KeyError):
+            cat.by_id(bad)
+    keys = [(-t.intensity, t.freq_hz, t.lower, t.upper)
+            for t in map(cat.by_id, range(1, len(cat) + 1))]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=30, deadline=None)
+@given(random_system_strategy(nmax=5), st.sampled_from([0.0, 0.05, 0.5]))
+def test_catalog_lookups_random(sys_, threshold):
+    es = core.eigensystem(sys_)
+    assert_catalog_lookups(es, core.transition_catalog(es, threshold))
+
+
+@pytest.mark.parametrize("name", ["citrate", "compound1", "demo3", "demo4"])
+def test_catalog_lookups_shipped(name, request):
+    es = request.getfixturevalue(f"{name}_es")
+    assert_catalog_lookups(es, core.transition_catalog(es))
+
+
+def test_catalog_columns_read_only(citrate_cat):
+    for col in (citrate_cat.lower, citrate_cat.freq_hz, citrate_cat.pair_tid):
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 1
 
 
 def test_spin_file_roundtrip(demo3):
@@ -327,8 +372,9 @@ def loop_catalog(es, threshold=0.05):
 
 
 def catalog_rows(cat):
+    """Every line as the fields of its ``by_id`` record."""
     return [(t.lower, t.upper, t.freq_hz, t.intensity, t.observable)
-            for t in cat.entries]
+            for t in map(cat.by_id, range(1, len(cat) + 1))]
 
 
 def assert_same_bits(a, b):
@@ -343,10 +389,36 @@ def assert_lowering_matches_reference(es):
                      v.conj().T @ total_operator(es.n, "-") @ v)
 
 
+def greedy_labels(es):
+    """Reference: the greedy max-overlap labelling, visiting every
+    (product state, eigenstate) pair of each manifold."""
+    pmz = core.product_mz(es.n)
+    labels = [""] * es.dim
+    conflicts = 0
+    for m in sorted(set(pmz.tolist()), reverse=True):
+        idx = np.flatnonzero(pmz == m)
+        cols = np.flatnonzero(es.mz == m)
+        overlaps = np.abs(es.vectors[np.ix_(idx, cols)]) ** 2
+        order = np.dstack(np.unravel_index(
+            np.argsort(-overlaps, axis=None, kind="stable"), overlaps.shape))[0]
+        first_choice = {int(np.argmax(overlaps[:, e])): e for e in range(idx.size)}
+        used_p, used_e = set(), set()
+        for p_loc, e_loc in order:
+            if p_loc in used_p or e_loc in used_e:
+                continue
+            used_p.add(int(p_loc))
+            used_e.add(int(e_loc))
+            labels[cols[e_loc]] = core.label_of_index(int(idx[p_loc]), es.n)
+            if first_choice.get(int(p_loc)) not in (None, int(e_loc)):
+                conflicts += 1
+    return tuple(labels), conflicts
+
+
 def assert_matches_references(sys_, weak):
     h = core.build_hamiltonian(sys_, weak=weak)
     assert_same_bits(h, dense_hamiltonian(sys_, weak=weak))
     es = core.diagonalize(h, sys_)
+    assert (es.labels, es.label_conflicts) == greedy_labels(es)
     assert_lowering_matches_reference(es)
     for threshold in (0.0, 0.05):
         assert (catalog_rows(core.transition_catalog(es, threshold))

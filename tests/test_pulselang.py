@@ -46,12 +46,14 @@ def test_parse_errors_carry_location():
     assert str(err.value).startswith("prog.pp:1:13:")
     with pytest.raises(pl.PulseProgramError, match="unknown instruction"):
         pl.parse_program("pulseify 90 x\n")
-    with pytest.raises(pl.PulseProgramError, match="not defined in cycle"):
-        pl.parse_program("selpulse t1 90 $P9\n")
+    with pytest.raises(pl.PulseProgramError, match="not defined in cycle") as err:
+        pl.parse_program("grad\n selpulse t1 90 $P9\n", source="prog.pp")
+    assert str(err.value).startswith("prog.pp:2:2:")
     with pytest.raises(pl.PulseProgramError, match="row before cycle"):
         pl.parse_program("row x y\n")
-    with pytest.raises(pl.PulseProgramError, match="acquire must be"):
-        pl.parse_program("acquire 64 0.001\ngrad\n")
+    with pytest.raises(pl.PulseProgramError, match="acquire must be") as err:
+        pl.parse_program("acquire 64 0.001\ngrad\n", source="prog.pp")
+    assert str(err.value).startswith("prog.pp:1:1:")
     for dwell in ("0", "-0.001"):
         with pytest.raises(pl.PulseProgramError, match="dwell must be positive") as err:
             pl.parse_program(f"grad\nacquire 16 {dwell}\n", source="prog.pp")
@@ -87,6 +89,24 @@ def test_unknown_transition_rejected(citrate_es, citrate_cat):
     prog = pl.parse_program("selpulse (000,001) 90 x\n")
     with pytest.raises(pl.PulseProgramError, match="unknown transition"):
         pl.execute(prog, citrate_es, rho, citrate_cat)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("selpulse t9 90 x\n", "prog.pp:1:1: unknown transition t9"),
+    ("# comment\n\n  selpulse (000,001) 90 x\n",
+     "prog.pp:3:3: unknown transition (000,001): labels 000,001 do not "
+     "match a 2-spin system"),
+    ("pulse 90 x\ndelay t1\n", "prog.pp:2:1: unresolved symbolic delay t1"),
+    ("cycle P\nrow x\nrow y -\ngrad\n    delay t2\n",
+     "prog.pp:5:5: unresolved symbolic delay t2"),
+])
+def test_runtime_errors_carry_location(citrate_es, citrate_cat, text, message):
+    prog = pl.parse_program(text, source="prog.pp")
+    rho = dyn.equilibrium_deviation(citrate_es)
+    for run in (pl.execute, pl.execute_cycled):
+        with pytest.raises(pl.PulseProgramError) as err:
+            run(prog, citrate_es, rho, citrate_cat)
+        assert str(err.value) == message
 
 
 def test_empty_program_is_identity(citrate_es, citrate_cat):
