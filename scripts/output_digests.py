@@ -10,7 +10,8 @@ source location), so two checkouts that behave the same print the same
 lines.  Inputs that are not shipped with the package (6- and 8-spin
 systems, a 90-degree-pulse FID program, a phase-cycled program, a full
 5-spin and a thresholded 4-spin connectivity matrix, a program naming a
-missing transition and a file that is not UTF-8) are written from
+missing transition, a file that is not UTF-8, and a 1-spin system with a
+program of selective pulses) are written from
 the literals below into an ``inputs`` directory of the temporary directory
 first; ``{in}`` in an argv names it.  A case may read what an earlier case
 wrote, through ``{out}/../<earlier case>``.  BLAS runs on one thread, so
@@ -161,6 +162,21 @@ UNKNOWN_T9 = """\
 selpulse t9 90 x
 """
 
+# one spin: the selective pulses act on the whole 2 x 2 state
+SPIN1 = """\
+name spin1
+nspins 1
+offset_hz 137.25
+"""
+
+SELPULSE1 = """\
+selpulse t1 90 x
+delay 0.0013
+selpulse t1 45 deg:33.25
+delay 0.0007
+selpulse t1 -90 y
+"""
+
 
 INPUTS = {
     "spin6.spin": SPIN6,
@@ -169,6 +185,8 @@ INPUTS = {
     "cycled8.pp": CYCLED8,
     "thresholded4.cm": THRESHOLDED4,
     "unknown_t9.pp": UNKNOWN_T9,
+    "spin1.spin": SPIN1,
+    "selpulse1.pp": SELPULSE1,
     # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
     "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
     # a UTF-16 byte-order mark: the CLI must reject it with one error line
@@ -228,6 +246,9 @@ CASES = [
                                 "--out", "{out}"]),
     ("run_unknown_t9", ["run", "citrate.spin", "{in}/unknown_t9.pp",
                         "--out", "{out}"]),
+    # selective pulses on a single spin
+    ("run_spin1_selpulse", ["run", "{in}/spin1.spin", "{in}/selpulse1.pp",
+                            "--out", "{out}"]),
 ]
 
 

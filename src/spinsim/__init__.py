@@ -8,6 +8,7 @@ from .core import (SpinSystem, EigenSystem, Transition, TransitionCatalog,
                    format_spin_system)
 from .dynamics import (DeviationDensityMatrix, DynamicsError,
                        equilibrium_deviation, selective_pulse_unitary,
+                       apply_selective_pulse,
                        hard_pulse_unitary, crush_gradient, free_evolution,
                        selective_population_update, apply_unitary, pure_part,
                        partial_trace_labels, format_state, parse_state)

@@ -57,21 +57,34 @@ class ConnectivityMatrix:
         return self.m.shape[0]
 
 
+# the usual spellings of the three entries, read without int()
+_ENTRIES = {"-1": -1, "0": 0, "1": 1}
+
+
+def _row_values(line: str, source: str, ln: int) -> list[int]:
+    toks = line.split()
+    try:
+        return [_ENTRIES[x] for x in toks]
+    except KeyError:
+        pass
+    # any other token as int() reads it: +1 and 01 are entries, 2 is not
+    try:
+        row = [int(x) for x in toks]
+    except ValueError:
+        raise AssignmentError(f"{source}:{ln}: malformed row {line!r}") from None
+    bad = [v for v in row if v not in (-1, 0, 1)]
+    if bad:
+        raise AssignmentError(
+            f"{source}:{ln}: entries must be -1, 0 or +1, got {bad[0]}")
+    return row
+
+
 def parse_connectivity(text: str, source: str = "<string>") -> ConnectivityMatrix:
     rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            row = [int(x) for x in line.split()]
-        except ValueError:
-            raise AssignmentError(f"{source}:{ln}: malformed row {line!r}") from None
-        bad = [v for v in row if v not in (-1, 0, 1)]
-        if bad:
-            raise AssignmentError(
-                f"{source}:{ln}: entries must be -1, 0 or +1, got {bad[0]}")
-        rows.append(row)
+        if line:
+            rows.append(_row_values(line, source, ln))
     if not rows:
         raise AssignmentError(f"{source}: empty connectivity matrix")
     if any(len(r) != len(rows) for r in rows):

@@ -83,6 +83,21 @@ def _canonical_pair(es: EigenSystem, r: int, s: int) -> tuple[int, int]:
         "a transition-selective pulse cannot drive them")
 
 
+def _selective_rows(es: EigenSystem, r: int, s: int, theta_deg: float,
+                    phase_deg: float) -> tuple[int, int, np.ndarray]:
+    """(lower, upper) and rows (lower, upper) of the selective pulse's
+    unitary, a 2 x d array; every other row is that of the identity."""
+    lo, up = _canonical_pair(es, r, s)
+    th = math.radians(theta_deg)
+    ph = math.radians(phase_deg)
+    c, sn = math.cos(th / 2), math.sin(th / 2)
+    rows = np.zeros((2, es.dim), dtype=complex)
+    rows[0, lo] = rows[1, up] = c
+    rows[0, up] = -1j * np.exp(-1j * ph) * sn
+    rows[1, lo] = -1j * np.exp(+1j * ph) * sn
+    return lo, up, rows
+
+
 def selective_pulse_unitary(es: EigenSystem, r: int, s: int,
                             theta_deg: float, phase_deg: float) -> np.ndarray:
     """Rotation confined to the 2-level subspace of one allowed transition.
@@ -90,16 +105,39 @@ def selective_pulse_unitary(es: EigenSystem, r: int, s: int,
     (r, s) must differ by one quantum of M_z; the block orientation is
     canonicalized to (lower, upper) regardless of argument order.
     """
-    lo, up = _canonical_pair(es, r, s)
-    th = math.radians(theta_deg)
-    ph = math.radians(phase_deg)
-    c, sn = math.cos(th / 2), math.sin(th / 2)
+    lo, up, rows = _selective_rows(es, r, s, theta_deg, phase_deg)
     u = np.eye(es.dim, dtype=complex)
-    u[lo, lo] = c
-    u[up, up] = c
-    u[lo, up] = -1j * np.exp(-1j * ph) * sn
-    u[up, lo] = -1j * np.exp(+1j * ph) * sn
+    u[[lo, up]] = rows
     return u
+
+
+def apply_selective_pulse(rho: DeviationDensityMatrix, r: int, s: int,
+                          theta_deg: float,
+                          phase_deg: float) -> DeviationDensityMatrix:
+    """``apply_unitary(rho, selective_pulse_unitary(rho.es, r, s, ...))``,
+    bit for bit, with work on the two rows and two columns the pulse mixes.
+
+    With R the unitary's rows (lower, upper), U rho differs from rho only
+    in those rows, R @ rho, and (U rho) U^H from U rho only in those
+    columns, the transpose of conj(R) @ (U rho)^T.  Both products go
+    through the same BLAS kernel as the dense ones and round as they do;
+    the columns as (U rho) @ conj(R)^T would not.  At d = 2 the transposed
+    form rounds differently from the dense product, which is itself two
+    columns wide, so the columns are that product there.  (For a state
+    with inf or nan entries the dense product spreads nan, and this does
+    not.)
+    """
+    lo, up, rows = _selective_rows(rho.es, r, s, theta_deg, phase_deg)
+    # the other elements as the dense product leaves them: -0.0 becomes +0.0
+    x = rho.mat + 0j
+    y = rows @ rho.mat
+    x[..., lo, :], x[..., up, :] = y[..., 0, :], y[..., 1, :]
+    if x.shape[-1] == 2:
+        u = rows[[lo, up]]          # (lo, up) permutes (0, 1), its own inverse
+        return DeviationDensityMatrix(x @ u.conj().T, rho.es)
+    y = rows.conj() @ x.swapaxes(-1, -2)
+    x[..., :, lo], x[..., :, up] = y[..., 0, :], y[..., 1, :]
+    return DeviationDensityMatrix(x, rho.es)
 
 
 def hard_pulse_unitary(es: EigenSystem, theta_deg: float,

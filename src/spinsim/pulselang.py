@@ -383,8 +383,8 @@ class _Executor:
                 lo, up = resolve_transition(ins.ref, es, self.catalog)
             except PulseProgramError as exc:
                 raise self.error(ins, exc.reason) from None
-            return dyn.apply_unitary(rho, dyn.selective_pulse_unitary(
-                es, lo, up, ins.angle_deg, self.phase(k, row)))
+            return dyn.apply_selective_pulse(rho, lo, up, ins.angle_deg,
+                                             self.phase(k, row))
         if isinstance(ins, HardPulse):
             u = self.hard.get(k)
             if u is None:

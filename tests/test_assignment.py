@@ -36,6 +36,83 @@ def test_parse_connectivity_validates():
         asg.parse_connectivity("0 2\n2 0\n")
 
 
+def int_loop_parse_connectivity(text, source="<string>"):
+    """Reference: every entry read by int(), then checked."""
+    rows = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            row = [int(x) for x in line.split()]
+        except ValueError:
+            raise asg.AssignmentError(f"{source}:{ln}: malformed row {line!r}") from None
+        bad = [v for v in row if v not in (-1, 0, 1)]
+        if bad:
+            raise asg.AssignmentError(
+                f"{source}:{ln}: entries must be -1, 0 or +1, got {bad[0]}")
+        rows.append(row)
+    if not rows:
+        raise asg.AssignmentError(f"{source}: empty connectivity matrix")
+    if any(len(r) != len(rows) for r in rows):
+        raise asg.AssignmentError(f"{source}: matrix is not square")
+    return asg.ConnectivityMatrix(m=np.array(rows, dtype=int))
+
+
+def parse_outcome(parse, text):
+    """("ok", matrix, ids) or ("error", message) of one parse."""
+    try:
+        cm = parse(text, "m.cm")
+    except asg.AssignmentError as exc:
+        return ("error", str(exc))
+    return ("ok", cm.m.tolist(), cm.m.dtype, cm.ids)
+
+
+# canonical entries, the other spellings int() reads, and tokens it rejects
+_CM_TOKENS = ("-1", "0", "1", "+1", "-0", "+0", "01", "00", "-01", "1_0", "2",
+              "-2", "12345678901234567890", "x", "1.0", "--1", "١")
+
+
+@st.composite
+def connectivity_texts(draw):
+    """Square symmetric matrices in canonical spelling, some entries
+    respelled, some rows cut or comments and blank lines added."""
+    t = draw(st.integers(1, 5))
+    m = np.zeros((t, t), dtype=int)
+    for i, j in zip(*np.triu_indices(t, 1)):
+        m[i, j] = m[j, i] = draw(st.sampled_from((-1, 0, 1)))
+    rows = [[str(v) for v in row] for row in m]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))
+        rows[i][j] = draw(st.sampled_from(_CM_TOKENS))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, t - 1))
+        rows[i] = rows[i][:draw(st.integers(0, t))]
+    lines = [" ".join(r) for r in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "   ")
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", " # end\n")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connectivity_texts())
+def test_parse_connectivity_matches_int_loop(text):
+    assert (parse_outcome(asg.parse_connectivity, text)
+            == parse_outcome(int_loop_parse_connectivity, text))
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n# only a comment\n", "0 +1\n+1 0\n", "00 1\n1 -0\n", "0 2\n2 0\n",
+    "0 1_0\n1 0\n", "0 12345678901234567890\n1 0\n", "0 x\n1 0\n",
+    "0 1\n1\n", "0 1 0\n1 0\n", "0 1\n1 0 # c\n", "0 " + "1" * 5000 + "\n1 0\n",
+])
+def test_parse_connectivity_edge_texts_match_int_loop(text):
+    assert (parse_outcome(asg.parse_connectivity, text)
+            == parse_outcome(int_loop_parse_connectivity, text))
+
+
 def test_eq13_reconstruction(eq13):
     res = asg.reconstruct_levels(eq13, 3)
     assert len(res.diagrams) >= 1

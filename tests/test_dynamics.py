@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +170,75 @@ def test_selective_pulse_conserves_pair_sum(citrate_es):
     for k in range(4):
         if k not in (lo, up):
             assert pops1[k] == pytest.approx(pops0[k], abs=1e-12)
+
+
+@functools.cache
+def coupled_system(n):
+    """Eigensystem and catalog of a fixed strongly coupled n-spin system."""
+    rng = np.random.default_rng(300 + n)
+    j = np.triu(rng.uniform(-40, 40, (n, n)), 1)
+    d = np.triu(rng.uniform(-150, 150, (n, n)), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # degenerate-label conflicts
+        es = core.eigensystem(core.SpinSystem.create(
+            f"c{n}", rng.uniform(-200, 200, n), j + j.T, d + d.T))
+        return es, core.transition_catalog(es)
+
+
+def random_states(es, seed, stack, zeros, real):
+    """A (d, d) matrix, or a (stack, d, d) one, of random entries; a share
+    ``zeros`` of them exact zeros of either sign, all imaginary parts
+    exact zeros if ``real``."""
+    rng = np.random.default_rng(seed)
+    shape = (es.dim, es.dim) if stack is None else (stack, es.dim, es.dim)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if real:
+        a = a.real
+    return a * (rng.random(shape) >= zeros)     # x * False is -0.0 for x < 0
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+def assert_pulse_matches_dense(es, r, s, mat, theta, phase):
+    rho = dyn.DeviationDensityMatrix(mat, es)
+    want = dyn.apply_unitary(
+        rho, dyn.selective_pulse_unitary(es, r, s, theta, phase)).mat
+    assert_same_bits(dyn.apply_selective_pulse(rho, r, s, theta, phase).mat, want)
+
+
+_ANGLES = st.sampled_from((0.0, 90.0, 180.0, 360.0, -90.0)) | st.floats(-720, 720)
+# x, y, -x, -y and the deg: phases of the pulse language
+_PULSE_PHASES = st.sampled_from((0.0, 90.0, 180.0, 270.0)) | st.floats(-360, 360)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), line=st.integers(0, 10 ** 6), swap=st.booleans(),
+       theta=_ANGLES, phase=_PULSE_PHASES,
+       stack=st.sampled_from((None, 1, 3)), zeros=st.sampled_from((0.0, 0.6, 0.95)),
+       real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_selective_pulse_matches_dense_bits(n, line, swap, theta, phase, stack,
+                                            zeros, real, seed):
+    es, cat = coupled_system(n)
+    lo, up = cat.lower[line % len(cat)], cat.upper[line % len(cat)]
+    r, s = (up, lo) if swap else (lo, up)
+    assert_pulse_matches_dense(es, int(r), int(s),
+                               random_states(es, seed, stack, zeros, real),
+                               theta, phase)
+
+
+def test_selective_pulse_matches_dense_bits_8_spins():
+    es, cat = coupled_system(8)
+    for k, (stack, zeros, theta, phase) in enumerate(
+            [(None, 0.0, 90.0, 0.0), (None, 0.9, 180.0, 33.25),
+             (2, 0.0, -90.0, 270.0), (None, 0.0, 360.0, 90.0)]):
+        line = (k * 2857) % len(cat)
+        assert_pulse_matches_dense(es, int(cat.upper[line]), int(cat.lower[line]),
+                                   random_states(es, k, stack, zeros, False),
+                                   theta, phase)
 
 
 def test_pure_part_extraction(citrate_es):
