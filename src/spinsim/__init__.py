@@ -11,7 +11,7 @@ from .dynamics import (DeviationDensityMatrix, DynamicsError,
                        apply_selective_pulse,
                        hard_pulse_unitary, crush_gradient, free_evolution,
                        selective_population_update, apply_unitary, pure_part,
-                       partial_trace_labels, format_state, parse_state)
+                       format_state, parse_state)
 from .pulselang import (PulseProgram, PulseProgramError, parse_program,
                         format_program, execute, execute_cycled)
 from .assignment import (ConnectivityMatrix, LevelDiagram, AssignmentError,

@@ -272,24 +272,13 @@ def oracle_reconstruct(cm: asg.ConnectivityMatrix, n: int) -> set:
             if not ok:
                 break
         if ok:
-            sig, _ = asg._canonical_signature(n, list(combo))
-            sigs.add(sig)
+            sigs.add(asg._canonical_signature(n, list(combo)))
     return sigs
 
 
 def _solver_signatures(cm: asg.ConnectivityMatrix, n: int) -> set:
     res = asg.reconstruct_levels(cm, n, max_solutions=100000)
-    sigs = set()
-    for ld in res.diagrams:
-        bases = ld.manifold_bases()
-        seq = []
-        for tid in cm.ids:
-            lo, up = ld.edges[tid]
-            p = ld.manifold_of(lo)
-            seq.append((p, lo - bases[p], up - bases[p + 1]))
-        sig, _ = asg._canonical_signature(n, seq)
-        sigs.add(sig)
-    return sigs
+    return {ld.signature(cm.ids) for ld in res.diagrams}
 
 
 def criterion_9_assignment() -> CriterionResult:
@@ -299,7 +288,7 @@ def criterion_9_assignment() -> CriterionResult:
     ninth_ok = False
     if eq13_ok:
         ld = res.diagrams[0]
-        bases = ld.manifold_bases()
+        bases = asg.manifold_bases(ld.n)
         touched = set()
         for lo, up in ld.edges.values():
             touched |= {lo, up}

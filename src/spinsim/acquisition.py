@@ -23,7 +23,7 @@ import numpy as np
 from .core import EigenSystem, TransitionCatalog, transition_catalog
 from . import dynamics as dyn
 from . import pulselang as pl
-from .assignment import ConnectivityMatrix
+from .assignment import ConnectivityMatrix, connectivity
 
 
 class AcquisitionError(ValueError):
@@ -38,7 +38,7 @@ class AcquisitionError(ValueError):
 # margin above it keeps every call on 4 or fewer spins (K <= C(2n, n-1)
 # < 4d) on the table, only because bench/reference.json pins the order of
 # `spinsim tomo` coherence rows, which follows rounding at the 1e-16 noise
-# floor; after ROADMAP item 3 step 1 the constant can drop to the crossover.
+# floor; after ROADMAP item 1 step 1 the constant can drop to the crossover.
 _FACTORED_LINES = 4
 
 
@@ -539,11 +539,7 @@ def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
         catalog = transition_catalog(es, threshold)
     obs = np.flatnonzero(catalog.observable)
     tids = (obs + 1).tolist()
-    lo, up = catalog.lower[obs], catalog.upper[obs]
-    progressive = (up[:, None] == lo[None, :]) | (lo[:, None] == up[None, :])
-    regressive = (lo[:, None] == lo[None, :]) | (up[:, None] == up[None, :])
-    m = np.where(progressive, 1, np.where(regressive, -1, 0))
-    np.fill_diagonal(m, 0)
+    m = connectivity(catalog.lower[obs], catalog.upper[obs])
     connected = np.flatnonzero(m.any(axis=1)).tolist()
     dropped = tuple(tids[i] for i in range(len(obs)) if i not in connected)
     if len(obs) == 1:
@@ -576,7 +572,6 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
         catalog = transition_catalog(es)
     if dwell1 is None:
         dwell1 = default_tomo_dwell(es)
-    ntr = len(catalog)
     freqs = catalog.freq_hz.tolist()
     opposite = np.abs(catalog.freq_hz[:, None] + catalog.freq_hz) < 1e-9
     np.fill_diagonal(opposite, False)
@@ -600,33 +595,26 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
     bmat = np.array([np.exp(2j * math.pi * f * t1) for f in basis]).T
     coef, *_ = np.linalg.lstsq(bmat, amps, rcond=None)
 
-    def cosine_coef(i: int, j: int) -> complex:
-        c = 0.0 + 0.0j
-        for s in (freqs[i], -freqs[i]):
-            for kb, fb in enumerate(basis):
-                if abs(fb - s) < 1e-9:
-                    c += coef[kb, j]
-        return c
+    # the cosine coefficient of line j at the frequency of transition i:
+    # the sum of coef[kb, j] over the basis entries matching +f_i or -f_i
+    # (a 0 Hz line matches its entry twice).  Real and imaginary parts are
+    # summed apart, as complex addition does.
+    fb = np.array(basis)
+    f = catalog.freq_hz[:, None]
+    sel = (np.abs(fb - f) < 1e-9).astype(float) + (np.abs(fb + f) < 1e-9)
+    re, im = sel @ coef.real, sel @ coef.imag                # [i, j]
+    mag = np.hypot(re, im)
 
-    diag = [cosine_coef(i, i) for i in range(ntr)]
-    ref = max(diag, key=abs)
-    quad = abs(ref.imag) > abs(ref.real)
-    diag_sign = 1 if (ref.imag if quad else ref.real) > 0 else -1
+    d = int(np.argmax(np.diag(mag)))
+    quad = abs(im[d, d]) > abs(re[d, d])
+    diag_positive = (im[d, d] if quad else re[d, d]) > 0
 
     # normalize cross peaks by the geometric mean of the two diagonal
     # peaks: connected pairs then sit near 1/2 regardless of intensity,
     # unconnected ones at order beta^2
-    signs = np.zeros((ntr, ntr), dtype=int)
-    for i in range(ntr):
-        for j in range(ntr):
-            if i == j:
-                continue
-            c = cosine_coef(i, j)
-            norm = math.sqrt(abs(diag[i]) * abs(diag[j]))
-            if norm == 0.0 or abs(c) <= rel_threshold * norm:
-                continue
-            comp = c.imag if quad else c.real
-            raw = 1 if comp > 0 else -1
-            # regressive cross peaks share the diagonal's sign
-            signs[i, j] = -1 if raw == diag_sign else 1
-    return signs
+    norm = np.sqrt(np.multiply.outer(np.diag(mag), np.diag(mag)))
+    peak = (norm != 0.0) & (mag > rel_threshold * norm)
+    np.fill_diagonal(peak, False)
+    # regressive cross peaks share the diagonal's sign
+    regressive = ((im if quad else re) > 0) == diag_positive
+    return np.where(peak, np.where(regressive, -1, 1), 0)

@@ -18,8 +18,10 @@ Solutions are reported in a canonical (lexicographically smallest) form.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,13 +94,41 @@ def parse_connectivity(text: str, source: str = "<string>") -> ConnectivityMatri
     return ConnectivityMatrix(m=np.array(rows, dtype=int))
 
 
+def connectivity(lower, upper) -> np.ndarray:
+    """Signed connectivity of the transitions lower[i] -> upper[i].
+
+    Entry (a, b) is +1 when the upper level of one is the lower level of
+    the other (progressive), -1 when they share their lower or their upper
+    level (regressive), 0 otherwise and on the diagonal.
+    """
+    lo, up = np.asarray(lower), np.asarray(upper)
+    progressive = (up[:, None] == lo[None, :]) | (lo[:, None] == up[None, :])
+    regressive = (lo[:, None] == lo[None, :]) | (up[:, None] == up[None, :])
+    m = np.where(progressive, 1, np.where(regressive, -1, 0))
+    np.fill_diagonal(m, 0)
+    return m
+
+
+@functools.cache
+def manifold_bases(n: int) -> tuple[int, ...]:
+    """First level index of each M_z manifold of n spins, then 2^n.
+
+    Levels are manifold-major, the order of the eigenstates: manifold k
+    (M_z = n/2 - k) holds levels bases[k] .. bases[k + 1] - 1.
+    """
+    bases = [0]
+    for k in range(n + 1):
+        bases.append(bases[-1] + math.comb(n, k))
+    return tuple(bases)
+
+
 @dataclass
 class LevelDiagram:
     """2^n levels partitioned into M_z manifolds plus transition edges.
 
-    Levels are indexed manifold-major: manifold k (M_z = n/2 - k) occupies
-    indices base(k) .. base(k) + C(n,k) - 1.  ``edges`` maps a transition id
-    to (lower, upper) level indices, lower being in the higher-M_z manifold.
+    Levels are indexed as in ``manifold_bases``.  ``edges`` maps a
+    transition id to (lower, upper) level indices, lower being in the
+    higher-M_z manifold.
     """
 
     n: int
@@ -111,40 +141,36 @@ class LevelDiagram:
                 raise AssignmentError(
                     f"edge {tid} does not cross adjacent manifolds")
 
-    def manifold_bases(self) -> list[int]:
-        bases = [0]
-        for k in range(self.n + 1):
-            bases.append(bases[-1] + math.comb(self.n, k))
-        return bases
-
     def manifold_of(self, level: int) -> int:
-        bases = self.manifold_bases()
-        for k in range(self.n + 1):
-            if bases[k] <= level < bases[k + 1]:
-                return k
-        raise AssignmentError(f"level index {level} out of range")
+        bases = manifold_bases(self.n)
+        if not 0 <= level < bases[-1]:
+            raise AssignmentError(f"level index {level} out of range")
+        return bisect.bisect_right(bases, level) - 1
 
     def mz_of(self, level: int) -> float:
         return self.n / 2 - self.manifold_of(level)
 
     def derived_connectivity(self, ids: tuple[int, ...]) -> np.ndarray:
-        m = np.zeros((len(ids), len(ids)), dtype=int)
-        for i, a in enumerate(ids):
-            for j, b in enumerate(ids):
-                if i == j:
-                    continue
-                (alo, aup), (blo, bup) = self.edges[a], self.edges[b]
-                if aup == blo or bup == alo:
-                    m[i, j] = 1
-                elif alo == blo or aup == bup:
-                    m[i, j] = -1
-        return m
+        lower, upper = np.array([self.edges[tid] for tid in ids],
+                                dtype=int).reshape(-1, 2).T
+        return connectivity(lower, upper)
+
+    def signature(self, ids) -> tuple:
+        """Canonical form of the edges of ``ids``, in that order: two
+        diagrams have equal signatures exactly when they agree up to
+        within-manifold level permutation and global inversion."""
+        bases = manifold_bases(self.n)
+        seq = []
+        for tid in ids:
+            lo, up = self.edges[tid]
+            p = self.manifold_of(lo)
+            seq.append((p, lo - bases[p], up - bases[p + 1]))
+        return _canonical_signature(self.n, seq)
 
 
 def format_diagram(ld: LevelDiagram) -> str:
     out = []
-    bases = ld.manifold_bases()
-    for level in range(bases[-1]):
+    for level in range(2**ld.n):
         out.append(f"level {level + 1} mz {ld.mz_of(level):.12g}")
     for tid in sorted(ld.edges):
         lo, up = ld.edges[tid]
@@ -179,7 +205,7 @@ def _canonical_signature(n: int, edges: list[tuple[int, int, int]]):
 
     direct = rename(edges)
     inverted = rename([(n - 1 - p, v, u) for (p, u, v) in edges])
-    return min(direct, inverted), direct <= inverted
+    return min(direct, inverted)
 
 
 def reconstruct_levels(cm: ConnectivityMatrix, n: int,
@@ -342,7 +368,7 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
             return
         if pos == t_count:
             sol = [placed[i] for i in range(t_count)]
-            sig, _ = _canonical_signature(n, sol)
+            sig = _canonical_signature(n, sol)
             if sig not in seen:
                 seen.add(sig)
                 if len(solutions) >= max_solutions:
@@ -393,12 +419,9 @@ def _search_order(m: np.ndarray) -> list[int]:
 
 
 def _diagram_from_signature(n, ids, sig, ambiguous) -> LevelDiagram:
-    bases = [0]
-    for k in range(n + 1):
-        bases.append(bases[-1] + math.comb(n, k))
-    edges = {}
-    for i, (p, u, v) in enumerate(sig):
-        edges[ids[i]] = (bases[p] + u, bases[p + 1] + v)
+    bases = manifold_bases(n)
+    edges = {ids[i]: (bases[p] + u, bases[p + 1] + v)
+             for i, (p, u, v) in enumerate(sig)}
     return LevelDiagram(n=n, edges=edges, ambiguous=ambiguous)
 
 
@@ -427,51 +450,25 @@ def verify_diagram(ld: LevelDiagram, cm: ConnectivityMatrix
     if missing:
         raise AssignmentError(f"diagram lacks edges for transitions {missing}")
     derived = ld.derived_connectivity(cm.ids)
-    disc = []
-    for i in range(cm.size):
-        for j in range(cm.size):
-            if derived[i, j] != cm.m[i, j]:
-                disc.append((cm.ids[i], cm.ids[j],
-                             int(cm.m[i, j]), int(derived[i, j])))
+    disc = [(cm.ids[i], cm.ids[j], int(cm.m[i, j]), int(derived[i, j]))
+            for i, j in np.argwhere(derived != cm.m).tolist()]
     return not disc, disc
 
 
-def diagram_from_catalog(es, catalog, ids=None) -> LevelDiagram:
-    """Ground-truth diagram of a simulated system for the given transitions."""
-    if ids is None:
-        ids = tuple((np.flatnonzero(catalog.observable) + 1).tolist())
-    n = es.n
-    bases = [0]
-    for k in range(n + 1):
-        bases.append(bases[-1] + math.comb(n, k))
-    # eigenstates are already manifold-major, so index within the manifold
-    offsets = {}
-    local = {}
-    for idx in range(es.dim):
-        man = int(round(n / 2 - es.mz[idx]))
-        local[idx] = offsets.get(man, 0)
-        offsets[man] = offsets.get(man, 0) + 1
-    edges = {}
-    for tid in ids:
-        t = catalog.by_id(tid)
-        man = int(round(n / 2 - es.mz[t.lower]))
-        edges[tid] = (bases[man] + local[t.lower], bases[man + 1] + local[t.upper])
-    return LevelDiagram(n=n, edges=edges)
+def diagram_from_catalog(es, catalog) -> LevelDiagram:
+    """Ground-truth diagram of a simulated system over its observable
+    transitions.  Eigenstates are manifold-major, so an eigenstate index is
+    its level index."""
+    obs = np.flatnonzero(catalog.observable)
+    edges = {tid: (lo, up) for tid, lo, up in zip(
+        (obs + 1).tolist(), catalog.lower[obs].tolist(),
+        catalog.upper[obs].tolist())}
+    return LevelDiagram(n=es.n, edges=edges)
 
 
 def diagrams_isomorphic(a: LevelDiagram, b: LevelDiagram) -> bool:
     """Equality modulo within-manifold level permutation and inversion."""
-    if a.n != b.n or sorted(a.edges) != sorted(b.edges):
+    ids = sorted(a.edges)
+    if a.n != b.n or sorted(b.edges) != ids:
         return False
-
-    def to_sig(ld):
-        seq = []
-        bases = ld.manifold_bases()
-        for tid in sorted(ld.edges):
-            lo, up = ld.edges[tid]
-            p = ld.manifold_of(lo)
-            seq.append((p, lo - bases[p], up - bases[p + 1]))
-        sig, _ = _canonical_signature(ld.n, seq)
-        return sig
-
-    return to_sig(a) == to_sig(b)
+    return a.signature(ids) == b.signature(ids)

@@ -204,14 +204,6 @@ class EigenSystem:
             self._lowering.flags.writeable = False
         return self._lowering
 
-    def with_swapped_labels(self, a: str, b: str) -> "EigenSystem":
-        """Copy of this eigensystem with two state labels interchanged."""
-        ia, ib = self.index_of_label(a), self.index_of_label(b)
-        labels = list(self.labels)
-        labels[ia], labels[ib] = labels[ib], labels[ia]
-        return EigenSystem(self.n, self.energies, self.vectors,
-                           tuple(labels), self.mz, self.label_conflicts)
-
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(vec)))

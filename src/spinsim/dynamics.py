@@ -216,33 +216,6 @@ def pure_part(rho: DeviationDensityMatrix) -> tuple[float, np.ndarray]:
     return coeff, vec
 
 
-def partial_trace_labels(rho: DeviationDensityMatrix, keep: int) -> np.ndarray:
-    """Reduced 2x2 matrix of one label qubit, tracing over the others.
-
-    Treats the eigenstates as computational basis states via their labels
-    (the natural reading for strongly coupled systems, where the labels
-    *are* the qubits).
-    """
-    es = rho.es
-    out = np.zeros((2, 2), dtype=complex)
-    perm = np.empty(es.dim, dtype=int)
-    for k, lab in enumerate(es.labels):
-        perm[int(lab, 2)] = k
-    for a in range(2):
-        for b in range(2):
-            for rest in range(2 ** (es.n - 1)):
-                la = _insert_bit(rest, keep, a, es.n)
-                lb = _insert_bit(rest, keep, b, es.n)
-                out[a, b] += rho.mat[perm[la], perm[lb]]
-    return out
-
-
-def _insert_bit(rest: int, pos: int, bit: int, n: int) -> int:
-    high = rest >> (n - 1 - pos)
-    low = rest & ((1 << (n - 1 - pos)) - 1)
-    return (high << (n - pos)) | (bit << (n - 1 - pos)) | low
-
-
 # ---------------------------------------------------------------------------
 # text serialization: header "dim <2^n>", rows "k l re im" (1-based),
 # entries below 1e-14 in magnitude omitted

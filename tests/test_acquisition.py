@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spinsim import acquisition as acq, core, dynamics as dyn
 from spinsim import protocols as pr
 from spinsim import pulselang as pl
+from spinsim.acceptance import random_system
 
 
 def records(cat):
@@ -55,7 +57,10 @@ def test_stick_total_invariant_under_relabeling(citrate_es, citrate_cat):
     rho = dyn.equilibrium_deviation(citrate_es)
     total = sum(acq.detect_small_angle(
         citrate_es, rho, 10.0, citrate_cat).amplitude)
-    es2 = citrate_es.with_swapped_labels("01", "10")
+    labels = list(citrate_es.labels)
+    ia, ib = labels.index("01"), labels.index("10")
+    labels[ia], labels[ib] = labels[ib], labels[ia]
+    es2 = dataclasses.replace(citrate_es, labels=tuple(labels))
     cat2 = core.transition_catalog(es2)
     total2 = sum(acq.detect_small_angle(
         es2, dyn.equilibrium_deviation(es2), 10.0, cat2).amplitude)
@@ -425,6 +430,78 @@ def test_zcosy_time_domain_shipped(system, request):
     for u in cm.unconnected:
         obs = np.flatnonzero(cat.observable)
         assert not signs[u - 1, obs].any()
+
+
+def per_pair_zcosy_signs(es, beta_deg, t1_points, catalog, rel_threshold=0.15):
+    """Reference: the Z-COSY sign matrix with every cosine coefficient
+    summed by a scalar loop over the basis, one pair at a time."""
+    dwell1 = acq.default_tomo_dwell(es)
+    ntr = len(catalog)
+    freqs = catalog.freq_hz.tolist()
+    beta = pl.HardPulse(beta_deg, pl.PhaseSpec(degrees=0.0))
+    program = pl.PulseProgram((beta, pl.Delay(symbol="t1"), beta, pl.Grad(), beta))
+    t1 = np.arange(t1_points) * dwell1
+    rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
+    amps = acq.line_amplitudes(es, rho, catalog)
+    basis = [0.0]
+    for f in freqs:
+        for s in (f, -f):
+            if not any(abs(s - b) < 1e-9 for b in basis):
+                basis.append(s)
+    bmat = np.array([np.exp(2j * math.pi * f * t1) for f in basis]).T
+    coef, *_ = np.linalg.lstsq(bmat, amps, rcond=None)
+
+    def cosine_coef(i, j):
+        c = 0.0 + 0.0j
+        for s in (freqs[i], -freqs[i]):
+            for kb, fb in enumerate(basis):
+                if abs(fb - s) < 1e-9:
+                    c += coef[kb, j]
+        return c
+
+    diag = [cosine_coef(i, i) for i in range(ntr)]
+    ref = max(diag, key=abs)
+    quad = abs(ref.imag) > abs(ref.real)
+    diag_sign = 1 if (ref.imag if quad else ref.real) > 0 else -1
+    signs = np.zeros((ntr, ntr), dtype=int)
+    for i in range(ntr):
+        for j in range(ntr):
+            if i == j:
+                continue
+            c = cosine_coef(i, j)
+            norm = math.sqrt(abs(diag[i]) * abs(diag[j]))
+            if norm == 0.0 or abs(c) <= rel_threshold * norm:
+                continue
+            raw = 1 if (c.imag if quad else c.real) > 0 else -1
+            signs[i, j] = -1 if raw == diag_sign else 1
+    return signs
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_zcosy_time_domain_matches_per_pair_reference():
+    rng = np.random.default_rng(2024)
+    systems = [core.eigensystem(random_system(rng, int(rng.integers(2, 5))))
+               for _ in range(40)]
+    # weak coupling puts one of spin 2's lines at 0 Hz (its basis entry
+    # matches both +f and -f) and two of spin 1's at 120 Hz (one entry)
+    special = core.eigensystem(core.SpinSystem.create(
+        "zero+double", [120.0, 8.0, -47.0],
+        [[0, 10, 10], [10, 0, 6], [10, 6, 0]]), weak=True)
+    freq = core.transition_catalog(special).freq_hz
+    assert np.count_nonzero(np.abs(freq) < 1e-9) == 1
+    assert np.count_nonzero(np.abs(freq - 120.0) < 1e-9) == 2
+    for es in systems + [special]:
+        cat = core.transition_catalog(es)
+        want = per_pair_zcosy_signs(es, 10.0, 256, cat)
+        assert np.array_equal(acq.zcosy_time_domain(es, 10.0, 256, catalog=cat),
+                              want)
+    # the 0 Hz line's doubled coefficient shows in which peaks pass a cut
+    cat = core.transition_catalog(special)
+    for cut in np.geomspace(1e-3, 3.0, 12):
+        assert np.array_equal(
+            acq.zcosy_time_domain(special, 10.0, 256, catalog=cat,
+                                  rel_threshold=cut),
+            per_pair_zcosy_signs(special, 10.0, 256, cat, rel_threshold=cut))
 
 
 def test_dataset2d_exports(citrate_es, citrate_cat):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsim import acquisition as acq, assignment as asg, core
-from spinsim.acceptance import oracle_reconstruct, random_system
+from spinsim.acceptance import _edge_relation, oracle_reconstruct, random_system
 
 EQ13_TEXT = """\
  0  0 -1  1  0  0  1  0
@@ -123,7 +123,7 @@ def test_eq13_reconstruction(eq13):
     # the eight connected transitions use all edges of a (1,2,2,1)
     # sub-diamond, leaving exactly one free edge between the two untouched
     # middle levels: the slot of the unconnected ninth transition
-    bases = ld.manifold_bases()
+    bases = asg.manifold_bases(3)
     touched = set()
     for lo, up in ld.edges.values():
         touched |= {lo, up}
@@ -155,7 +155,7 @@ def test_verify_detects_corruption(eq13):
     # move transition 1 onto a different legal edge in the same manifolds
     lo, up = broken[1]
     man = ld.manifold_of(up)
-    bases = ld.manifold_bases()
+    bases = asg.manifold_bases(3)
     other_up = next(u for u in range(bases[man], bases[man + 1]) if u != up)
     broken[1] = (lo, other_up)
     bad = asg.LevelDiagram(n=3, edges=broken)
@@ -216,17 +216,72 @@ def test_backtracking_matches_exhaustive_oracle():
             m=cm_full.m[np.ix_(pick, pick)],
             ids=tuple(cm_full.ids[k] for k in pick))
         res = asg.reconstruct_levels(sub, n, max_solutions=100000)
-        got = set()
-        for ld in res.diagrams:
-            bases = ld.manifold_bases()
-            seq = []
-            for tid in sub.ids:
-                lo, up = ld.edges[tid]
-                p = ld.manifold_of(lo)
-                seq.append((p, lo - bases[p], up - bases[p + 1]))
-            sig, _ = asg._canonical_signature(n, seq)
-            got.add(sig)
+        got = {ld.signature(sub.ids) for ld in res.diagrams}
         assert got == oracle_reconstruct(sub, n)
+
+
+
+@st.composite
+def random_diagrams(draw):
+    """Up to 12 edges, (layer, lower, upper) with the levels numbered
+    within their manifolds, repeats allowed."""
+    n = draw(st.integers(1, 5))
+    edge = st.integers(0, n - 1).flatmap(lambda p: st.tuples(
+        st.just(p), st.integers(0, math.comb(n, p) - 1),
+        st.integers(0, math.comb(n, p + 1) - 1)))
+    return n, draw(st.lists(edge, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_diagrams())
+def test_connectivity_matches_edge_relation(diagram):
+    n, edges = diagram
+    bases = asg.manifold_bases(n)
+    lower = [bases[p] + u for p, u, v in edges]
+    upper = [bases[p + 1] + v for p, u, v in edges]
+    want = np.array([[0 if i == j else _edge_relation(a, b)
+                      for j, b in enumerate(edges)]
+                     for i, a in enumerate(edges)], dtype=int)
+    assert np.array_equal(asg.connectivity(np.array(lower), np.array(upper)),
+                          want)
+    ld = asg.LevelDiagram(n=n, edges={k + 1: (lo, up) for k, (lo, up)
+                                      in enumerate(zip(lower, upper))})
+    assert np.array_equal(ld.derived_connectivity(tuple(ld.edges)), want)
+
+
+def offsets_diagram_from_catalog(es, catalog):
+    """Reference: levels numbered by counting the eigenstates of each
+    manifold, placed at the manifold's base."""
+    ids = tuple((np.flatnonzero(catalog.observable) + 1).tolist())
+    n = es.n
+    bases = [0]
+    for k in range(n + 1):
+        bases.append(bases[-1] + math.comb(n, k))
+    offsets, local = {}, {}
+    for idx in range(es.dim):
+        man = int(round(n / 2 - es.mz[idx]))
+        local[idx] = offsets.get(man, 0)
+        offsets[man] = offsets.get(man, 0) + 1
+    edges = {}
+    for tid in ids:
+        t = catalog.by_id(tid)
+        man = int(round(n / 2 - es.mz[t.lower]))
+        edges[tid] = (bases[man] + local[t.lower],
+                      bases[man + 1] + local[t.upper])
+    return asg.LevelDiagram(n=n, edges=edges)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_diagram_from_catalog_matches_offsets(citrate_es, demo3_es, demo4_es):
+    rng = np.random.default_rng(31)
+    systems = [citrate_es, demo3_es, demo4_es] + [
+        core.eigensystem(random_system(rng, n)) for n in (1, 2, 3, 4, 5, 6)]
+    for es in systems:
+        for threshold in (0.0, 0.05, 0.5):
+            cat = core.transition_catalog(es, threshold)
+            got = asg.diagram_from_catalog(es, cat)
+            want = offsets_diagram_from_catalog(es, cat)
+            assert got.n == want.n and got.edges == want.edges
 
 
 def test_transition_count_guard():
@@ -287,15 +342,6 @@ def test_search_order_matches_reference_on_zcosy():
         assert asg._search_order(m) == cubic_search_order(m)
 
 
-def edge_relation(ea, eb):
-    (pa, ua, va), (pb, ub, vb) = ea, eb
-    if (pa == pb + 1 and ua == vb) or (pb == pa + 1 and ub == va):
-        return 1
-    if pa == pb and (ua == ub or va == vb):
-        return -1
-    return 0
-
-
 def full_scan_reconstruct(cm, n, max_solutions=64, analyze_conflict=True):
     """Reference: the backtracking search with each placement checked
     against every placed transition, and the first unsatisfiable triple."""
@@ -349,7 +395,7 @@ def full_scan_reconstruct(cm, n, max_solutions=64, analyze_conflict=True):
 
     def search(pos):
         if pos == t_count:
-            sig, _ = asg._canonical_signature(n, [placed[i] for i in range(t_count)])
+            sig = asg._canonical_signature(n, [placed[i] for i in range(t_count)])
             if sig not in seen:
                 seen.add(sig)
                 if len(solutions) >= max_solutions:
@@ -372,7 +418,7 @@ def full_scan_reconstruct(cm, n, max_solutions=64, analyze_conflict=True):
             v = v if v is not None else created[-1][1]
             edge = (p, u, v)
             if (u, v) not in used_edges and all(
-                    edge_relation(edge, e) == rows[t][s] for s, e in placed.items()):
+                    _edge_relation(edge, e) == rows[t][s] for s, e in placed.items()):
                 placed[t] = edge
                 used_edges.add((u, v))
                 search(pos + 1)

@@ -488,3 +488,22 @@ def test_lowering_operator_built_once_and_read_only(demo3):
     assert es.lowering_operator() is fme
     with pytest.raises(ValueError, match="read-only"):
         fme[0, 0] = 1.0
+
+
+
+@pytest.mark.parametrize("entries, message", [
+    (None, "Hamiltonian dimension does not match system"),
+    ({(3, 3): np.nan}, "Hamiltonian has a non-finite entry"),
+    ({(1, 2): 1.0}, "Hamiltonian is not Hermitian"),
+    # |00> (M_z = 1) coupled to |01> (M_z = 0)
+    ({(0, 1): 1.0, (1, 0): 1.0}, "Hamiltonian mixes M_z manifolds"),
+])
+def test_diagonalize_rejects(entries, message):
+    sys_ = core.SpinSystem.create("ab", [67.75, 12.25], [[0, 15], [15, 0]])
+    h = core.build_hamiltonian(sys_)
+    if entries is None:
+        h = h[:3, :3]
+    for kl, value in (entries or {}).items():
+        h[kl] = value
+    with pytest.raises(core.SpinSystemError, match=message):
+        core.diagonalize(h, sys_)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -119,9 +120,10 @@ def test_epr_cycle_rows_identical(citrate_es, citrate_cat):
 
 def test_epr_reduced_states_maximally_mixed(citrate_es):
     proj = pr.epr_pure_projector(citrate_es)
-    rho = dyn.DeviationDensityMatrix(proj, citrate_es)
-    for q in (0, 1):
-        red = dyn.partial_trace_labels(rho, q)
+    # rows and columns in label order, one axis per label qubit
+    perm = np.argsort([int(lab, 2) for lab in citrate_es.labels])
+    qubits = proj[np.ix_(perm, perm)].reshape(2, 2, 2, 2)
+    for red in (np.einsum("ajbj->ab", qubits), np.einsum("iaib->ab", qubits)):
         assert np.abs(red - np.eye(2) / 2).max() <= 1e-12
 
 
@@ -240,7 +242,10 @@ def test_dj_two_qubit_verdicts(demo3_es, demo3_cat, f):
 def test_dj2_label_remap_option(demo3_es, demo3_cat):
     # swapping two input-manifold labels is exposed as a relabeled system;
     # the algorithm still classifies correctly
-    es2 = demo3_es.with_swapped_labels("011", "101")
+    labels = list(demo3_es.labels)
+    ia, ib = labels.index("011"), labels.index("101")
+    labels[ia], labels[ib] = labels[ib], labels[ia]
+    es2 = dataclasses.replace(demo3_es, labels=tuple(labels))
     cat2 = core.transition_catalog(es2)
     rep, _ = pr.dj_two_qubit_2d(es2, "f1", cat2, t1_points=256,
                                 t2_points=1024)
