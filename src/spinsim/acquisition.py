@@ -274,15 +274,80 @@ def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
 # vectorized complex multiply and absolute value may use fused or SIMD
 # kernels that round differently from the scalar ones, so both are written
 # out in real arithmetic.
+#
+# _design_sums permutes the element axis once into [(k, l) for k < l, then
+# (l, k), then (a, a)], so each sum adds a slice of a line's terms instead
+# of a gather.  The model drops terms below 1e-14.  A line whose smallest
+# nonzero |kd| times smallest nonzero |d2| is at least 2e-14 has no nonzero
+# term below the cut (the factor 2 covers the few ulps of rounding in the
+# products), and its zero terms are +-0, which leave every sum's bits
+# unchanged: each sum starts at +0.0 and can never become -0.0.  Such lines
+# skip the cut.  The inversion reads the spectrum only at the peak bins, so
+# of fft2's two passes (t2, then t1) the t1 pass runs only on the peak
+# columns, which gives fft2's bits.
 
 def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _cmul(xr, xi, yr, yi, out: np.ndarray) -> None:
-    """(xr + i xi)(yr + i yi) into out[0] (real) and out[1] (imaginary)."""
-    np.subtract(xr * yr, xi * yi, out=out[0])
-    np.add(xr * yi, xi * yr, out=out[1])
+def _cmul(xr, xi, yr, yi, out: np.ndarray, tmp: np.ndarray) -> None:
+    """(xr + i xi)(yr + i yi) into out[0] (real) and out[1] (imaginary).
+
+    tmp holds the second product of each part; no buffer may alias an input.
+    """
+    np.multiply(xr, yr, out=out[0])
+    np.multiply(xi, yi, out=tmp)
+    np.subtract(out[0], tmp, out=out[0])
+    np.multiply(xr, yi, out=out[1])
+    np.multiply(xi, yr, out=tmp)
+    np.add(out[1], tmp, out=out[1])
+
+
+def _design_sums(kten: np.ndarray, d1: np.ndarray, d2: np.ndarray, dim: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sums of kten[line, a, c] * d1[ac, j1] * d2[line, j2] per peak bin.
+
+    Lines are added in catalog order and, within a line, element (k, l)
+    before (l, k); terms below 1e-14 are dropped.  Returns s_plus
+    (kl + lk terms), s_minus (kl - lk terms), each [re/im, j2, k<l, j1],
+    and s_diag [re/im, j2, a, j1].
+    """
+    upper_k, upper_l = np.triu_indices(dim, 1)
+    n_up = len(upper_k)
+    order = np.concatenate([upper_k * dim + upper_l, upper_l * dim + upper_k,
+                            np.arange(dim) * (dim + 1)])
+    kten = kten.reshape(len(kten), dim * dim)[:, order]
+    d1 = d1[order]
+    n1, n2 = d1.shape[1], d2.shape[1]
+    d2_abs = _cabs(d2)
+    d2_min = np.min(d2_abs, axis=1, initial=np.inf, where=d2_abs != 0.0)
+    s_plus = np.zeros((2, n2, n_up, n1))        # Re(rho_kl) column
+    s_minus = np.zeros((2, n2, n_up, n1))       # Im(rho_kl) column / 1j
+    s_diag = np.zeros((2, n2, dim, n1))
+    kd = np.empty((2, dim * dim, n1))
+    kd_tmp = np.empty((dim * dim, n1))
+    term = np.empty((2, n2, dim * dim, n1))
+    tmp = np.empty((n2, dim * dim, n1))
+    for t_idx in range(len(kten)):
+        k = kten[t_idx, :, None]
+        _cmul(k.real, k.imag, d1.real, d1.imag, kd, kd_tmp)
+        y = d2[t_idx, :, None, None]
+        _cmul(kd[0], kd[1], y.real, y.imag, term, tmp)
+        kd_abs = np.hypot(kd[0], kd[1])
+        kd_min = np.min(kd_abs, initial=np.inf, where=kd_abs != 0.0)
+        if kd_min * d2_min[t_idx] < 2e-14:      # a term may fall below the cut
+            # |z| >= max(|Re z|, |Im z|): only terms with both parts below
+            # the cut can fall below it
+            small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
+            small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
+            np.copyto(term, 0.0, where=small)
+        kl, lk = term[:, :, :n_up], term[:, :, n_up:2 * n_up]
+        s_plus += kl
+        s_plus += lk
+        s_minus += kl
+        s_minus -= lk
+        s_diag += term[:, :, 2 * n_up:]
+    return s_plus, s_minus, s_diag
 
 
 def default_tomo_dwell(es: EigenSystem) -> float:
@@ -330,7 +395,6 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         f"delay t1\npulse 90 y\ngrad\npulse 45 -y\nacquire {t2_points} {dwell2:.12g}\n")
     dataset = run_2d(program, es, rho0=rho, t1_points=t1_points,
                      dwell1=dwell1, catalog=catalog)
-    spec = np.fft.fft2(dataset.data)
 
     # transfer weights: coherence element (a, c) -> diagonal after (pi/2)_y,
     # then line amplitudes after (pi/4)_-y
@@ -352,40 +416,16 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     d1[_cabs(d1) <= 1e-9] = 0.0
     keep = np.any(d1 != 0.0, axis=0)
     bins1, d1 = bins1[keep], d1[:, keep]
-    d2 = _dirichlet(f2[:, None, None, None], bins2[:, None, None],
-                    t2_points, dwell2)                            # [line, j2, 1, 1]
+    d2 = _dirichlet(f2[:, None], bins2, t2_points, dwell2)       # [line, j2]
     d2[_cabs(d2) <= 1e-9] = 0.0
 
-    # unknowns: Re/Im of upper-triangle elements plus real diagonal nuisances.
-    # Observation (j1, j2) sums kten[line, a, c] * d1 * d2 over lines in
-    # catalog order and, within a line, element (k, l) before (l, k), each
-    # term dropped below 1e-14; the sums below keep that order.  Arrays are
-    # [re/im, j2, element, j1].
+    # unknowns: Re/Im of upper-triangle elements plus real diagonal nuisances;
+    # observation (j1, j2) sums kten[line, a, c] * d1 * d2
+    s_plus, s_minus, s_diag = _design_sums(kten, d1, d2, dim)
     upper_k, upper_l = np.triu_indices(dim, 1)
     kl = upper_k * dim + upper_l
-    lk = upper_l * dim + upper_k
-    aa = np.arange(dim) * (dim + 1)
     n_up = len(kl)
     n1, n2 = len(bins1), len(bins2)
-    s_plus = np.zeros((2, n2, n_up, n1))        # Re(rho_kl) column
-    s_minus = np.zeros((2, n2, n_up, n1))       # Im(rho_kl) column / 1j
-    s_diag = np.zeros((2, n2, dim, n1))
-    kd = np.empty((2, dim * dim, n1))
-    term = np.empty((2, n2, dim * dim, n1))
-    for t_idx in range(len(catalog)):
-        k = kten[t_idx].reshape(-1, 1)
-        _cmul(k.real, k.imag, d1.real, d1.imag, out=kd)
-        _cmul(kd[0], kd[1], d2[t_idx].real, d2[t_idx].imag, out=term)
-        # |z| >= max(|Re z|, |Im z|): only terms with both parts below the
-        # cut can fall below it
-        small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
-        small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
-        np.copyto(term, 0.0, where=small)
-        s_plus += term[:, :, kl]
-        s_plus += term[:, :, lk]
-        s_minus += term[:, :, kl]
-        s_minus -= term[:, :, lk]
-        s_diag += term[:, :, aa]
 
     # rows (j1, j2) with j2 fastest; columns Re/Im of each element, then the
     # diagonal.  The Im column is 1j * s_minus = -Im(s_minus) + 1j Re(s_minus),
@@ -396,7 +436,9 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     a_real[1, ..., 1:2 * n_up:2] = s_minus[0].transpose(2, 0, 1)
     a_real[..., 2 * n_up:] = s_diag.transpose(0, 3, 1, 2)
     a_real = a_real.reshape(2 * n1 * n2, -1)
-    b_vec = spec[np.ix_(bins1, bins2)].ravel()
+    # the fft2 spectrum at the peak bins (see the note above _cabs)
+    spec = np.fft.fft(np.fft.fft(dataset.data, axis=1)[:, bins2], axis=0)
+    b_vec = spec[bins1].ravel()
     b_real = np.concatenate([b_vec.real, b_vec.imag])
     sol, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
 
@@ -572,7 +614,6 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
         catalog = transition_catalog(es)
     if dwell1 is None:
         dwell1 = default_tomo_dwell(es)
-    freqs = catalog.freq_hz.tolist()
     opposite = np.abs(catalog.freq_hz[:, None] + catalog.freq_hz) < 1e-9
     np.fill_diagonal(opposite, False)
     if opposite.any():
@@ -586,12 +627,17 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
     rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
     amps = line_amplitudes(es, rho, catalog)                   # [t1, line]
 
-    # project each line's t1 trace onto the +/- transition frequencies
-    basis: list[float] = [0.0]
-    for f in freqs:
-        for s in (f, -f):
-            if not any(abs(s - b) < 1e-9 for b in basis):
-                basis.append(s)
+    # project each line's t1 trace onto the +/- transition frequencies: the
+    # candidates 0, f1, -f1, f2, ... in turn, each kept unless within 1e-9
+    # of an entry kept before it.  One with no such earlier candidate at all
+    # is kept outright; the others are decided in order.
+    cand = np.concatenate([[0.0], np.column_stack([catalog.freq_hz,
+                                                   -catalog.freq_hz]).ravel()])
+    earlier = np.tril(np.abs(cand[:, None] - cand) < 1e-9, -1)
+    kept = ~earlier.any(axis=1)
+    for i in np.flatnonzero(~kept).tolist():
+        kept[i] = not earlier[i, kept].any()
+    basis = cand[kept].tolist()
     bmat = np.array([np.exp(2j * math.pi * f * t1) for f in basis]).T
     coef, *_ = np.linalg.lstsq(bmat, amps, rcond=None)
 

@@ -285,8 +285,17 @@ def _reference_design(es, cat, t1_points, t2_points, dwell1, dwell2):
     return np.vstack([a_mat.real, a_mat.imag]), tuple(zip(*obs_bins))
 
 
+def bits(x):
+    """The IEEE bit patterns of a float64 or complex128 array, signed zeros
+    told apart."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+# 256 x 1024 are the CLI defaults; t1 counts of 48 and 1 check the peak-bin
+# spectrum against fft2 off powers of two and on a single row
 @pytest.mark.parametrize("system, t1_points, t2_points", [
-    ("citrate", 64, 32), ("demo3", 32, 16), ("demo4", 16, 8)])
+    ("citrate", 64, 32), ("demo3", 32, 16), ("demo4", 16, 8),
+    ("citrate", 256, 1024), ("demo3", 48, 16), ("citrate", 1, 32)])
 def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
                                                 request, monkeypatch):
     es = request.getfixturevalue(f"{system}_es")
@@ -313,8 +322,78 @@ def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
         b_ref = np.fft.fft2(dataset.data)[bins]
         assert len(captured) == 1
         a_new, b_new = captured[0]
-        assert np.array_equal(a_new, a_ref)
-        assert np.array_equal(b_new, np.concatenate([b_ref.real, b_ref.imag]))
+        assert np.array_equal(bits(a_new), bits(a_ref))
+        assert np.array_equal(bits(b_new),
+                              bits(np.concatenate([b_ref.real, b_ref.imag])))
+
+
+def per_line_design_sums(kten, d1, d2, dim):
+    """Reference for acq._design_sums: the per-line loop it replaced, which
+    gathers each element class from every line's terms and runs the 1e-14
+    cut on every line."""
+    upper_k, upper_l = np.triu_indices(dim, 1)
+    kl = upper_k * dim + upper_l
+    lk = upper_l * dim + upper_k
+    aa = np.arange(dim) * (dim + 1)
+    n_up, n1, n2 = len(kl), d1.shape[1], d2.shape[1]
+    s_plus = np.zeros((2, n2, n_up, n1))
+    s_minus = np.zeros((2, n2, n_up, n1))
+    s_diag = np.zeros((2, n2, dim, n1))
+
+    def cmul(xr, xi, yr, yi):
+        return np.array([xr * yr - xi * yi, xr * yi + xi * yr])
+
+    for t_idx in range(len(kten)):
+        k = kten[t_idx].reshape(-1, 1)
+        kd = cmul(k.real, k.imag, d1.real, d1.imag)
+        y = d2[t_idx][:, None, None]
+        term = cmul(kd[0], kd[1], y.real, y.imag)
+        small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
+        small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
+        np.copyto(term, 0.0, where=small)
+        s_plus += term[:, :, kl]
+        s_plus += term[:, :, lk]
+        s_minus += term[:, :, kl]
+        s_minus -= term[:, :, lk]
+        s_diag += term[:, :, aa]
+    return s_plus, s_minus, s_diag
+
+
+def test_design_sums_match_per_line_loop_at_the_cut():
+    rng = np.random.default_rng(12)
+    dim, n1, n2 = 3, 5, 4
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    d1 = cnormal(dim * dim, n1)
+    d1[[1, 4], [0, 3]] = 0.0
+    d1[2, 1] = complex(-0.0, 0.0)
+    d1[:, 4] = 1.0                      # exact: term = kten * d2 in bin 4
+    # lines 0 and 4 are O(1), far above the cut, with zero factors; lines
+    # 1-3 are spread log-uniformly around it; line 5 puts exact values just
+    # below it, on it and just above it through d1 = d2 = 1
+    kten = cnormal(6, dim, dim)
+    kten[1:4] = (np.exp(1j * rng.uniform(0, 2 * np.pi, (3, dim, dim)))
+                 * 10.0 ** rng.uniform(-8.2, -5.8, (3, dim, dim)))
+    kten[0, 1, 2] = kten[4, 0, 0] = 0.0
+    kten[4, 2, 1] = complex(0.0, -0.0)
+    below = np.nextafter(1e-14, 0.0)
+    kten[5] = [[below, 1e-14, 6e-15 + 8e-15j],
+               [np.nextafter(1e-14, 1.0), -below, 0.0],
+               [8e-15 - 6e-15j, 1j * below, -1e-14]]
+    d2 = cnormal(6, n2) * 1e-7
+    d2[[0, 4, 5]] /= 1e-7
+    d2[5, 0] = 1.0
+    d2[[0, 2, 4], [1, 3, 2]] = 0.0
+    # the data must put nonzero terms below the cut, or the cut is untested
+    terms = np.abs(kten.reshape(6, -1, 1, 1) * d1[:, None, :] * d2[:, None, :, None])
+    assert np.any((terms > 0) & (terms < 1e-14))
+    assert np.any((terms >= 1e-14) & (terms < 2e-14))
+    got = acq._design_sums(kten, d1, d2, dim)
+    want = per_line_design_sums(kten, d1, d2, dim)
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
 
 
 @pytest.mark.parametrize("build", [pr.c2swap_4spin, pr.c3not_4spin])
@@ -432,6 +511,17 @@ def test_zcosy_time_domain_shipped(system, request):
         assert not signs[u - 1, obs].any()
 
 
+def scalar_zcosy_basis(freqs):
+    """Reference: 0 Hz, then +f and -f of each line in turn, each kept
+    unless within 1e-9 of an entry kept before it."""
+    basis = [0.0]
+    for f in freqs:
+        for s in (f, -f):
+            if not any(abs(s - b) < 1e-9 for b in basis):
+                basis.append(s)
+    return basis
+
+
 def per_pair_zcosy_signs(es, beta_deg, t1_points, catalog, rel_threshold=0.15):
     """Reference: the Z-COSY sign matrix with every cosine coefficient
     summed by a scalar loop over the basis, one pair at a time."""
@@ -443,11 +533,7 @@ def per_pair_zcosy_signs(es, beta_deg, t1_points, catalog, rel_threshold=0.15):
     t1 = np.arange(t1_points) * dwell1
     rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
     amps = acq.line_amplitudes(es, rho, catalog)
-    basis = [0.0]
-    for f in freqs:
-        for s in (f, -f):
-            if not any(abs(s - b) < 1e-9 for b in basis):
-                basis.append(s)
+    basis = scalar_zcosy_basis(freqs)
     bmat = np.array([np.exp(2j * math.pi * f * t1) for f in basis]).T
     coef, *_ = np.linalg.lstsq(bmat, amps, rcond=None)
 
@@ -502,6 +588,35 @@ def test_zcosy_time_domain_matches_per_pair_reference():
             acq.zcosy_time_domain(special, 10.0, 256, catalog=cat,
                                   rel_threshold=cut),
             per_pair_zcosy_signs(special, 10.0, 256, cat, rel_threshold=cut))
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_zcosy_basis_matches_scalar_dedupe(monkeypatch):
+    captured = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        captured.append(a)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    rng = np.random.default_rng(7)
+    systems = [core.eigensystem(random_system(rng, n)) for n in (2, 3, 4)]
+    # a 0 Hz line (+f and -f share one entry) and two lines at 120 Hz
+    systems.append(core.eigensystem(core.SpinSystem.create(
+        "zero+double", [120.0, 8.0, -47.0],
+        [[0, 10, 10], [10, 0, 6], [10, 6, 0]]), weak=True))
+    t1_points = 64
+    for es in systems:
+        cat = core.transition_catalog(es)
+        captured.clear()
+        acq.zcosy_time_domain(es, 10.0, t1_points, catalog=cat)
+        t1 = np.arange(t1_points) * acq.default_tomo_dwell(es)
+        basis = scalar_zcosy_basis(cat.freq_hz.tolist())
+        want = np.array([np.exp(2j * math.pi * f * t1) for f in basis]).T
+        assert len(captured) == 1
+        assert np.array_equal(bits(captured[0]), bits(want))
+    assert len(basis) < 2 * len(cat) + 1       # the last system dropped some
 
 
 def test_dataset2d_exports(citrate_es, citrate_cat):
