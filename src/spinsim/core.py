@@ -19,6 +19,7 @@ energy inside each manifold.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -205,10 +206,56 @@ class EigenSystem:
         return self._lowering
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    ph = vec[k] / abs(vec[k])
-    return vec * np.conj(ph)
+@functools.cache
+def _manifold_layout(n: int):
+    """The M_z manifolds of n spins, descending M_z, as (m, product-state
+    indices, their block index, their eigenstate columns, their labels)."""
+    pmz = product_mz(n)
+    manifolds = []
+    pos = 0
+    for m in sorted(set(pmz.tolist()), reverse=True):
+        idx = np.flatnonzero(pmz == m)
+        idx.flags.writeable = False
+        manifolds.append((m, idx, np.ix_(idx, idx), slice(pos, pos + idx.size),
+                          tuple(label_of_index(int(k), n) for k in idx)))
+        pos += idx.size
+    return tuple(manifolds)
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude component is real
+    positive (the first one on a tie)."""
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot is the scalar abs(z), which complex np.abs need not match
+    return v * np.conj(top / np.hypot(top.real, top.imag))
+
+
+def _greedy_match(overlaps: np.ndarray) -> tuple[np.ndarray, int]:
+    """Greedy descending-overlap matching of products (rows) to eigenstates
+    (columns); returns the row of each column and the conflict count.
+
+    The greedy walk over the stable descending order of all pairs takes,
+    in every round, exactly the pairs that are each other's best among the
+    free rows and columns, so the rounds below give its matching.  A
+    conflict is a column matched to a row whose first choice, the last
+    column with that row as its argmax, is another column.
+    """
+    s = overlaps.shape[0]
+    cols = np.arange(s)
+    rank = np.empty(s * s, dtype=np.intp)
+    rank[np.argsort(-overlaps, axis=None, kind="stable")] = np.arange(s * s)
+    rank = rank.reshape(s, s)
+    row_of = np.full(s, -1)
+    while (free := row_of < 0).any():
+        best_r = rank.argmin(axis=0)
+        mutual = np.flatnonzero(free & (rank.argmin(axis=1)[best_r] == cols))
+        row_of[mutual] = best_r[mutual]
+        rank[best_r[mutual], :] = s * s       # taken rows and columns rank last
+        rank[:, mutual] = s * s
+    first_choice = np.full(s, -1)
+    np.maximum.at(first_choice, overlaps.argmax(axis=0), cols)
+    chosen = first_choice[row_of]
+    return row_of, int(np.count_nonzero((chosen >= 0) & (chosen != cols)))
 
 
 def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
@@ -230,49 +277,26 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
     if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
         raise SpinSystemError("Hamiltonian is not Hermitian")
 
-    pmz = product_mz(n)
     energies = np.zeros(dim)
     vectors = np.zeros((dim, dim), dtype=complex)
     mz_out = np.zeros(dim)
-    labels: list[str] = [""] * dim
+    labels: list[str] = []
     conflicts = 0
-
-    pos = 0
-    for m in sorted(set(pmz.tolist()), reverse=True):
-        idx = np.flatnonzero(pmz == m)
-        block = h[np.ix_(idx, idx)]
+    for m, idx, block, cols, names in _manifold_layout(n):
         # off-manifold leakage would mean [H, F_z] != 0
-        mask = np.zeros((dim, dim), dtype=bool)
-        mask[np.ix_(idx, idx)] = True
-        leak = np.linalg.norm(np.where(mask, 0.0, h)[idx, :])
+        off = h[idx, :]
+        off[:, idx] = 0.0
+        leak = np.linalg.norm(off)
         if hnorm > 0 and leak > 1e-10 * hnorm:
             raise SpinSystemError("Hamiltonian mixes M_z manifolds")
-        w, v = np.linalg.eigh(block)
-        for col in range(idx.size):
-            vec = _fix_phase(v[:, col])
-            k = pos + col
-            energies[k] = w[col]
-            vectors[idx, k] = vec
-            mz_out[k] = m
-
+        w, v = np.linalg.eigh(h[block])
+        energies[cols] = w
+        vectors[idx, cols] = _fix_phase(v)
+        mz_out[cols] = m
         # greedy max-overlap labeling within the manifold
-        overlaps = np.abs(vectors[np.ix_(idx, range(pos, pos + idx.size))]) ** 2
-        order = np.dstack(np.unravel_index(
-            np.argsort(-overlaps, axis=None, kind="stable"), overlaps.shape))[0]
-        used_p: set[int] = set()
-        used_e: set[int] = set()
-        first_choice = {int(np.argmax(overlaps[:, e])): e for e in range(idx.size)}
-        for p_loc, e_loc in order.tolist():
-            if p_loc in used_p or e_loc in used_e:
-                continue
-            used_p.add(p_loc)
-            used_e.add(e_loc)
-            labels[pos + e_loc] = label_of_index(int(idx[p_loc]), n)
-            if first_choice.get(p_loc) not in (None, e_loc):
-                conflicts += 1
-            if len(used_e) == idx.size:     # every later pair is skipped
-                break
-        pos += idx.size
+        row_of, clashes = _greedy_match(np.abs(vectors[idx, cols]) ** 2)
+        labels.extend(names[r] for r in row_of.tolist())
+        conflicts += clashes
 
     if conflicts:
         warnings.warn(f"{conflicts} eigenstate(s) resolved by best-overlap "

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinsim import core, dynamics as dyn
 from spinsim.cli import main
@@ -311,3 +314,89 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.count("\n") == 1 and "unresolved symbolic delay t1" in err
+
+
+
+def _shipped_text(*parts):
+    from importlib import resources
+    return resources.files("spinsim").joinpath("data", *parts).read_text(
+        encoding="utf-8")
+
+
+# the command that reads each fuzzed file kind
+_FUZZ_COMMANDS = {
+    "spin": lambda path, out: ("eigen", path),
+    "pp": lambda path, out: ("run", "citrate.spin", path, "--t1", "0.001",
+                             "--out", out),
+    "cm": lambda path, out: ("assign", path, "3", "--max-solutions", "4"),
+    "state": lambda path, out: ("tomo", "citrate.spin", "--state", path,
+                                "--t1-points", "8", "--t2-points", "8",
+                                "--out", out),
+}
+
+_FUZZ_SNIPPETS = st.sampled_from([
+    " ", "\n", "#", "-", ".", "0", "1", "7", "e", "e400", "nan", "inf", "-0",
+    "1e-300", "99999999999999999999", "x", "y", "(", ")", ",", "t1", "t9",
+    "nspins", "offset_hz", "j_hz", "d_hz", "dim", "pulse", "selpulse",
+    "delay", "acquire", "cycle", "grad", "\t", "\u00e9", "\x00"])
+
+_FUZZ_EDITS = st.lists(st.tuples(
+    st.sampled_from(["insert", "delete", "replace", "dup_line", "truncate"]),
+    st.integers(0, 10_000), st.integers(1, 12), _FUZZ_SNIPPETS),
+    min_size=1, max_size=4)
+
+
+def _mutate(text, edits):
+    for op, pos, size, snippet in edits:
+        pos %= len(text) + 1
+        if op == "insert":
+            text = text[:pos] + snippet + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + size:]
+        elif op == "replace":
+            text = text[:pos] + snippet + text[pos + size:]
+        elif op == "dup_line":
+            lines = text.splitlines(keepends=True) or [""]
+            k = pos % len(lines)
+            text = "".join(lines[:k + 1] + lines[k:])
+        else:
+            text = text[:pos]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(citrate_es):
+    from spinsim import protocols as pr
+    return {
+        "spin": _shipped_text("systems", "demo3.spin"),
+        "pp": _shipped_text("programs", "epr.pp") + "acquire 16 0.002\n",
+        "cm": _shipped_text("eq13.cm"),
+        "state": dyn.format_state(pr.epr_create(citrate_es).final_state),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(_FUZZ_COMMANDS)), edits=_FUZZ_EDITS,
+       where=st.sampled_from(["file", "file", "file", "missing", "directory",
+                              "under_file", "not_utf8"]))
+def test_cli_fuzz_exits_0_or_2_with_one_line(fuzz_seeds, tmp_path_factory,
+                                             kind, edits, where):
+    base = tmp_path_factory.mktemp("fuzz")
+    path = base / f"input.{kind}"
+    text = _mutate(fuzz_seeds[kind], edits)
+    if where == "not_utf8":
+        path.write_bytes(b"\xff\xfe" + text.encode("utf-8"))
+    else:
+        path.write_text(text, encoding="utf-8")
+    target = {"missing": base / f"missing.{kind}", "directory": base,
+              "under_file": path / f"x.{kind}"}.get(where, path)
+    argv = _FUZZ_COMMANDS[kind](str(target), str(base / "out"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2), (argv, text, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, (argv, text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert_one_line_error(code, err.getvalue())

@@ -426,10 +426,10 @@ def assert_matches_references(sys_, weak):
 
 
 @st.composite
-def reference_systems(draw):
-    """Systems of 1..7 spins; a few shared offset values make degenerate
+def reference_systems(draw, nmax=7):
+    """Systems of 1..nmax spins; a few shared offset values make degenerate
     levels, and couplings are zero, negative or positive."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, nmax))
     hz = st.floats(-300, 300)
     offs = [draw(st.one_of(st.sampled_from([0.0, 40.0, -40.0]), hz))
             for _ in range(n)]
@@ -447,6 +447,46 @@ def reference_systems(draw):
 @given(reference_systems(), st.booleans())
 def test_builders_match_dense_references(sys_, weak):
     assert_matches_references(sys_, weak)
+
+
+def loop_diagonalize(h, sys_):
+    """Reference: diagonalize with a phase fix per column and the
+    per-pair greedy labelling of ``greedy_labels``."""
+    n = sys_.n
+    pmz = core.product_mz(n)
+    energies = np.zeros(2**n)
+    vectors = np.zeros((2**n, 2**n), dtype=complex)
+    mz = np.zeros(2**n)
+    pos = 0
+    for m in sorted(set(pmz.tolist()), reverse=True):
+        idx = np.flatnonzero(pmz == m)
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        for col in range(idx.size):
+            vec = v[:, col]
+            k = int(np.argmax(np.abs(vec)))
+            vectors[idx, pos + col] = vec * np.conj(vec[k] / abs(vec[k]))
+            energies[pos + col] = w[col]
+            mz[pos + col] = m
+        pos += idx.size
+    es = core.EigenSystem(n, energies, vectors, ("",) * 2**n, mz)
+    return es, greedy_labels(es)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=60, deadline=None)
+@given(reference_systems(nmax=8), st.booleans(), st.booleans())
+def test_diagonalize_matches_loop_reference(sys_, weak, phased):
+    h = core.build_hamiltonian(sys_, weak=weak)
+    if phased:      # D H D^H, D diagonal: complex, with the same M_z blocks
+        ph = np.exp(1j * np.arange(h.shape[0]))
+        h = ph[:, None] * h * ph.conj()[None, :]
+    es = core.diagonalize(h, sys_)
+    ref, labelling = loop_diagonalize(h, sys_)
+    for got, want in ((es.energies, ref.energies), (es.vectors, ref.vectors),
+                      (es.mz, ref.mz)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (es.labels, es.label_conflicts) == labelling
 
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")

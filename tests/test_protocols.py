@@ -239,14 +239,18 @@ def test_dj_two_qubit_verdicts(demo3_es, demo3_cat, f):
     assert dataset.data.shape == (256, 1024)
 
 
-def test_dj2_label_remap_option(demo3_es, demo3_cat):
-    # swapping two input-manifold labels is exposed as a relabeled system;
-    # the algorithm still classifies correctly
+def _remapped_demo3(demo3_es):
     labels = list(demo3_es.labels)
     ia, ib = labels.index("011"), labels.index("101")
     labels[ia], labels[ib] = labels[ib], labels[ia]
     es2 = dataclasses.replace(demo3_es, labels=tuple(labels))
-    cat2 = core.transition_catalog(es2)
+    return es2, core.transition_catalog(es2)
+
+
+def test_dj2_label_remap_option(demo3_es, demo3_cat):
+    # swapping two input-manifold labels is exposed as a relabeled system;
+    # the algorithm still classifies correctly
+    es2, cat2 = _remapped_demo3(demo3_es)
     rep, _ = pr.dj_two_qubit_2d(es2, "f1", cat2, t1_points=256,
                                 t2_points=1024)
     assert rep.info["verdict"] == "constant"
@@ -280,3 +284,124 @@ def test_shipped_programs_match_emitters(citrate_es, citrate_cat,
         assert _shipped_program(name) == rep.program_text, name
     ghz = pr.ghz_create(demo3_es, demo3_cat).program_text
     assert _shipped_program("ghz.pp").endswith(ghz)
+
+
+def _fft2_dj2(es, f, catalog, t1_points, t2_points):
+    """Reference: the DJ2 classifier on full Hann-windowed fft2 spectra.
+
+    Returns (info, metrics, program_text), or the ProtocolError message."""
+    from spinsim import acquisition as acq
+    try:
+        dwell1 = dwell2 = acq.default_tomo_dwell(es)
+        work = pr._work_transitions(es, catalog)
+        for t in work:
+            if abs(es.mz[t.lower] - es.mz[t.upper]) != 1:
+                raise pr.ProtocolError("work transitions must be single quantum")
+        pattern = pr.DJ2_PATTERNS[f]
+        text = "pulse 90 y\ndelay t1\n"
+        for bit, t in zip(pattern, work):
+            if bit:
+                text += (f"selpulse ({es.labels[t.lower]},{es.labels[t.upper]})"
+                         " 180 x\n")
+        text += f"acquire {t2_points} {dwell2:.12g}\n"
+        program = pl.parse_program(text, source=f"dj2_{f}")
+        rho0 = dyn.equilibrium_deviation(es)
+        dataset = acq.run_2d(program, es, rho0, t1_points, dwell1, catalog)
+        win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
+        spec = np.abs(np.fft.fft2(dataset.data * win))
+        ref_text = f"pulse 90 y\ndelay t1\nacquire {t2_points} {dwell2:.12g}\n"
+        ref = acq.run_2d(pl.parse_program(ref_text, source="dj2_ref"),
+                         es, rho0, t1_points, dwell1, catalog)
+        ref_spec = np.abs(np.fft.fft2(ref.data * win))
+
+        def bin1(freq):
+            return int(round(freq * t1_points * dwell1)) % t1_points
+
+        def bin2(freq):
+            return int(round(freq * t2_points * dwell2)) % t2_points
+
+        outcomes = {}
+        ref_max = 0.0
+        lines = pr._input_lines(es, catalog)
+        refs = {}
+        for line, partner, _ in lines:
+            r = float(ref_spec[bin1(line.freq_hz), bin2(line.freq_hz)])
+            refs[line.tid] = r
+            ref_max = max(ref_max, r)
+        for line, partner, _ in lines:
+            r = refs[line.tid]
+            if r < 0.01 * ref_max or partner.intensity < 1e-9:
+                continue
+            d = float(spec[bin1(line.freq_hz), bin2(line.freq_hz)])
+            x = float(spec[bin1(line.freq_hz), bin2(partner.freq_hz)])
+            if d >= 0.5 * r and x < 0.5 * r:
+                outcomes[line.tid] = "diag"
+            elif x >= 0.5 * r and d < 0.5 * r:
+                outcomes[line.tid] = "cross"
+            else:
+                outcomes[line.tid] = "lost"
+        if not outcomes:
+            raise pr.ProtocolError("no usable input-qubit lines for classification")
+    except pr.ProtocolError as exc:
+        return str(exc)
+    kinds = set(outcomes.values())
+    verdict = "constant" if kinds in ({"diag"}, {"cross"}) else "balanced"
+    info = {"verdict": verdict, "function": f,
+            "pattern": "".join(str(b) for b in pattern),
+            "outcomes": ",".join(f"t{tid}:{kind}"
+                                 for tid, kind in sorted(outcomes.items()))}
+    metrics = {"verdict_balanced": 0.0 if verdict == "constant" else 1.0,
+               "n_lines_used": float(len(outcomes))}
+    return info, metrics, text
+
+
+def _bin_dj2(es, f, catalog, t1_points, t2_points):
+    try:
+        rep, _ = pr.dj_two_qubit_2d(es, f, catalog, t1_points, t2_points)
+    except pr.ProtocolError as exc:
+        return str(exc)
+    return rep.info, rep.metrics, rep.program_text
+
+
+@pytest.mark.parametrize("remap", [False, True])
+def test_dj2_bin_magnitudes_match_fft2(demo3_es, demo3_cat, remap):
+    from spinsim import acquisition as acq
+    es, cat = _remapped_demo3(demo3_es) if remap else (demo3_es, demo3_cat)
+    t1_points, t2_points = 256, 1024
+    dwell = acq.default_tomo_dwell(es)
+    lines = pr._input_lines(es, cat)
+    rows = sorted({int(round(line.freq_hz * t1_points * dwell)) % t1_points
+                   for line, _, _ in lines})
+    cols = sorted({int(round(t.freq_hz * t2_points * dwell)) % t2_points
+                   for line, partner, _ in lines for t in (line, partner)})
+    win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
+    for f in sorted(pr.DJ2_PATTERNS):
+        _, dataset = pr.dj_two_qubit_2d(es, f, cat, t1_points, t2_points)
+        full = np.abs(np.fft.fft2(dataset.data * win))
+        mags = pr._hann_magnitudes(dataset.data, rows, cols)
+        assert mags.shape == (len(rows), len(cols))
+        err = np.abs(mags - full[np.ix_(rows, cols)]).max()
+        assert err <= 1e-12 * full.max(), (f, err / full.max())
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (1, 2), (3, 16), (32, 16),
+                                  (64, 256), (256, 1024)])
+def test_dj2_reports_match_fft2_classifier(demo3_es, demo3_cat, grid):
+    for f in sorted(pr.DJ2_PATTERNS):
+        assert (_bin_dj2(demo3_es, f, demo3_cat, *grid)
+                == _fft2_dj2(demo3_es, f, demo3_cat, *grid)), f
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("seed", range(12))
+def test_dj2_reports_match_fft2_classifier_random(seed):
+    rng = np.random.default_rng(1300 + seed)
+    offs = rng.uniform(-250, 250, 3)
+    j = np.triu(rng.uniform(-10, 10, (3, 3)), 1)
+    d = np.triu(rng.uniform(-250, 250, (3, 3)), 1)
+    es = core.eigensystem(core.SpinSystem.create("r3", offs, j + j.T, d + d.T))
+    cat = core.transition_catalog(es)
+    for grid in ((256, 1024), (32, 64)):
+        for f in sorted(pr.DJ2_PATTERNS):
+            assert (_bin_dj2(es, f, cat, *grid)
+                    == _fft2_dj2(es, f, cat, *grid)), (f, grid)
