@@ -249,6 +249,13 @@ CASES = [
     # selective pulses on a single spin
     ("run_spin1_selpulse", ["run", "{in}/spin1.spin", "{in}/selpulse1.pp",
                             "--out", "{out}"]),
+    # the other protocols of "Protocol names"
+    ("protocol_pps11", ["protocol", "pps11", "citrate.spin", "--out", "{out}"]),
+    ("protocol_pops1", ["protocol", "pops:1", "citrate.spin", "--out", "{out}"]),
+    ("protocol_dj1_f3", ["protocol", "dj1:f3", "citrate.spin", "--out", "{out}"]),
+    ("protocol_epr", ["protocol", "epr", "citrate.spin", "--out", "{out}"]),
+    ("protocol_c3not", ["protocol", "c3not", "demo4.spin", "--out", "{out}"]),
+    ("protocol_c2swap", ["protocol", "c2swap", "demo4.spin", "--out", "{out}"]),
 ]
 
 

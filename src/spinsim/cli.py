@@ -40,34 +40,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _data_text(kind: str, name: str) -> str | None:
-    base = resources.files("spinsim").joinpath("data")
-    candidates = [base.joinpath(kind, name)]
-    if kind == "":
-        candidates = [base.joinpath(name)]
-    for c in candidates:
-        try:
-            return c.read_text(encoding="utf-8")
-        except (FileNotFoundError, NotADirectoryError):
-            continue
-    return None
-
-
-def _read_resource(path: str, kind: str) -> tuple[str, str]:
-    """Return (text, display_name); filesystem first, shipped data second."""
-    p = Path(path)
-    if p.exists():
-        try:
-            return p.read_text(encoding="utf-8"), str(path)
-        except OSError as exc:          # a directory, no permission
-            raise CliError(f"cannot read {path!r}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise CliError(f"cannot read {path!r}: not UTF-8 text "
-                           f"(byte {exc.start})") from exc
-    text = _data_text(kind, Path(path).name)
-    if text is not None:
-        return text, Path(path).name
-    raise CliError(f"cannot find {path!r} (not a file or shipped {kind} entry)")
+def _read_resource(path: str, kind: str = "") -> tuple[str, str]:
+    """Return (text, display_name): the file at ``path`` if it exists, else
+    the shipped file of the same name in ``data/<kind>`` (``data`` when
+    ``kind`` is empty)."""
+    source, name = Path(path), path
+    if not source.exists():
+        folder = [kind] if kind else []
+        source = resources.files("spinsim").joinpath("data", *folder, source.name)
+        name = source.name
+        if not source.is_file():
+            entry = " ".join(["shipped", *folder, "entry"])
+            raise CliError(f"cannot find {path!r} (not a file or {entry})")
+    try:
+        return source.read_text(encoding="utf-8"), name
+    except OSError as exc:              # a directory, no permission
+        raise CliError(f"cannot read {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path!r}: not UTF-8 text "
+                       f"(byte {exc.start})") from exc
 
 
 def _load_system(path: str) -> SpinSystem:
@@ -185,14 +176,7 @@ def _protocol_report(es, cat, name: str, args):
     if name.startswith("pps"):
         return pr.pseudopure_2spin(es, name[3:], cat), None
     if name.startswith("pops:"):
-        res = pr.pops_pair(es, _index_argument(name), cat)
-        rep = pr.ProtocolReport(
-            name=f"pops{res.transition.tid}", program_text=res.program_text,
-            final_state=res.difference,
-            metrics={"scale": res.scale},
-            info={"pair": f"{es.labels[res.transition.lower]},"
-                          f"{es.labels[res.transition.upper]}"})
-        return rep, None
+        return pr.pops_pair(es, _index_argument(name), cat), None
     if name.startswith("dj1:"):
         return pr.dj_one_qubit(es, name.split(":", 1)[1], cat), None
     if name.startswith("dj2:"):
@@ -230,7 +214,7 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    text, name = _read_resource(args.connectivity, "")
+    text, name = _read_resource(args.connectivity)
     cm = asg.parse_connectivity(text, source=name)
     result = asg.reconstruct_levels(cm, args.nspins,
                                     max_solutions=args.max_solutions)
@@ -258,16 +242,14 @@ def cmd_tomo(args) -> int:
     sys_ = _load_system(args.system)
     es = eigensystem(sys_)
     cat = transition_catalog(es, args.threshold)
-    if args.protocol:
+    if args.protocol is not None:
         rep, _ = _protocol_report(es, cat, args.protocol, args)
         rho = rep.final_state
         label = rep.name
-    elif args.state:
+    else:
         text, name = _read_resource(args.state, "states")
         rho = dyn.parse_state(text, es, source=name)
         label = Path(args.state).stem
-    else:
-        raise CliError("tomo needs --protocol NAME or --state FILE")
     diag, under = acq.tomo_diagonal(es, rho, args.beta, cat)
     dataset, table = acq.tomo_offdiagonal_2d(
         es, rho, t1_points=args.t1_points, t2_points=args.t2_points,
@@ -296,8 +278,16 @@ def cmd_accept(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``spinsim: error:`` line and exits 2;
+    the subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"spinsim: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="spinsim",
         description="workbench for QIP on strongly coupled spin systems")
     sub = p.add_subparsers(dest="command", required=True)
@@ -349,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tomo", help="tomograph a state or protocol output")
     sp.add_argument("system")
-    sp.add_argument("--protocol", default=None)
-    sp.add_argument("--state", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--protocol")
+    source.add_argument("--state")
     common(sp, points=True)
     sp.set_defaults(func=cmd_tomo)
 

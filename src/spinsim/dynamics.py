@@ -46,13 +46,10 @@ class DeviationDensityMatrix:
     def copy(self) -> "DeviationDensityMatrix":
         return DeviationDensityMatrix(self.mat.copy(), self.es)
 
-    def validate(self, require_traceless: bool = True) -> None:
+    def validate(self) -> None:
         if np.linalg.norm(self.mat - self.mat.conj().T) > HERMITICITY_TOL * max(
                 1.0, np.linalg.norm(self.mat)):
             raise DynamicsError("density matrix is not Hermitian")
-        if require_traceless and abs(np.trace(self.mat)) > 1e-12 * max(
-                1.0, np.linalg.norm(self.mat)):
-            raise DynamicsError("deviation density matrix must be traceless")
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.mat)).copy()
@@ -290,7 +287,7 @@ def parse_state(text: str, es: EigenSystem,
     if not lines or lines[0][1][0] != "dim":
         raise DynamicsError(f"{source}: state text must start with a 'dim' header")
     ln, head = lines[0]
-    if len(head) != 2 or not head[1].isdigit():
+    if len(head) != 2 or not head[1].isdecimal():
         raise DynamicsError(f"{source}:{ln}: malformed header; expected 'dim <d>'")
     dim = int(head[1])
     if dim != es.dim:
@@ -311,7 +308,7 @@ def parse_state(text: str, es: EigenSystem,
         mat[k - 1, l - 1] = z
     rho = DeviationDensityMatrix(mat, es)
     try:
-        rho.validate(require_traceless=False)
+        rho.validate()
     except DynamicsError as exc:
         raise DynamicsError(f"{source}: {exc}") from None
     return rho

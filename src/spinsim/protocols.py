@@ -56,6 +56,27 @@ def _run(name: str, text: str, es: EigenSystem,
     return ProtocolReport(name=name, program_text=text, final_state=final)
 
 
+_SPIN_COUNTS = {2: "two", 3: "three", 4: "four"}
+
+
+def _checked(es: EigenSystem, n: int, what: str,
+             catalog: TransitionCatalog | None) -> TransitionCatalog:
+    """Raise unless ``es`` has ``n`` spins; return the catalog, built from
+    ``es`` when the caller passed none."""
+    if es.n != n:
+        raise ProtocolError(f"{what} needs a {_SPIN_COUNTS[n]}-spin system")
+    return transition_catalog(es) if catalog is None else catalog
+
+
+def _order_maxima(es: EigenSystem, mat: np.ndarray, orders) -> list[float]:
+    """The largest off-diagonal |mat[k, l]| of each coherence order
+    |m_z(k) - m_z(l)| in ``orders``, 0 where the order has no element."""
+    mag = np.hypot(mat.real, mat.imag)     # elementwise, the scalar abs(z)
+    dm = np.abs(es.mz[:, None] - es.mz)
+    np.fill_diagonal(dm, -1)
+    return [float(mag[dm == q].max(initial=0.0)) for q in orders]
+
+
 # ---------------------------------------------------------------------------
 # pseudopure states (two spins)
 
@@ -83,10 +104,7 @@ def pseudopure_2spin(es: EigenSystem, target: str,
     mirrored sequence (its deviation carries the pure part with a negative
     coefficient, which the fidelity metric folds out).
     """
-    if es.n != 2:
-        raise ProtocolError("pseudopure_2spin needs a two-spin system")
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = _checked(es, 2, "pseudopure_2spin", catalog)
     rho0 = dyn.equilibrium_deviation(es)
     rep = _run(f"pps{target}", _pps_program(target), es, rho0, catalog)
     pops = rep.final_state.populations()
@@ -103,38 +121,31 @@ def pseudopure_2spin(es: EigenSystem, target: str,
 # ---------------------------------------------------------------------------
 # POPS: pair of pseudopure states
 
-@dataclass
-class PopsResult:
-    equilibrium: dyn.DeviationDensityMatrix
-    inverted: dyn.DeviationDensityMatrix
-    difference: dyn.DeviationDensityMatrix
-    transition: Transition
-    scale: float            # equilibrium population difference of the pair
-    program_text: str
-
-
 def pops_pair(es: EigenSystem, tid: int,
-              catalog: TransitionCatalog | None = None) -> PopsResult:
+              catalog: TransitionCatalog | None = None) -> ProtocolReport:
     """Equilibrium minus pi-inverted populations for one transition.
 
-    The difference equals (p_lower - p_upper) * (|lower><lower| -
-    |upper><upper|) with equilibrium populations, i.e. a pair of
-    pseudopure states.
+    The final state, (p_lower - p_upper) * (|lower><lower| -
+    |upper><upper|) with equilibrium populations, is a pair of pseudopure
+    states; ``metrics["scale"]`` is p_lower - p_upper and ``info["pair"]``
+    the two labels.
     """
     if catalog is None:
         catalog = transition_catalog(es)
     t = catalog.by_id(tid)
     if not t.observable:
         raise ProtocolError(f"transition t{tid} is not observable")
-    text = f"selpulse ({es.labels[t.lower]},{es.labels[t.upper]}) 180 x\ngrad\n"
+    pair = f"{es.labels[t.lower]},{es.labels[t.upper]}"
+    text = f"selpulse ({pair}) 180 x\ngrad\n"
     rho_eq = dyn.equilibrium_deviation(es)
     program = pl.parse_program(text, source=f"pops{tid}")
     rho_inv = pl.execute(program, es, rho_eq, catalog)
-    diff = dyn.DeviationDensityMatrix(rho_eq.mat - rho_inv.mat, es)
     pops = rho_eq.populations()
-    return PopsResult(equilibrium=rho_eq, inverted=rho_inv, difference=diff,
-                      transition=t, scale=float(pops[t.lower] - pops[t.upper]),
-                      program_text=text)
+    return ProtocolReport(
+        name=f"pops{tid}", program_text=text,
+        final_state=dyn.DeviationDensityMatrix(rho_eq.mat - rho_inv.mat, es),
+        metrics={"scale": float(pops[t.lower] - pops[t.upper])},
+        info={"pair": pair})
 
 
 def find_transition_by_labels(es: EigenSystem, catalog: TransitionCatalog,
@@ -167,12 +178,9 @@ def dj_one_qubit(es: EigenSystem, f: str,
     two input-qubit lines are read out: equal phases mean constant,
     opposite phases balanced.
     """
-    if es.n != 2:
-        raise ProtocolError("dj_one_qubit needs a two-spin system")
+    catalog = _checked(es, 2, "dj_one_qubit", catalog)
     if f not in _DJ1_PULSES:
         raise ProtocolError(f"unknown one-qubit DJ function {f!r}")
-    if catalog is None:
-        catalog = transition_catalog(es)
     # y-phase pi pulses make the coherence-transfer factors real (+1 into
     # the upper element, -1 into the lower), which is what turns a balanced
     # function into opposite line signs
@@ -211,18 +219,14 @@ def epr_create(es: EigenSystem,
     (10,11), repeated under the eight-row phase cycle; each row yields the
     same state for ideal pulses, so the cycle is an identity safeguard.
     """
-    if es.n != 2:
-        raise ProtocolError("epr_create needs a two-spin system")
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = _checked(es, 2, "epr_create", catalog)
     text = _EPR_CYCLE + _pps_program("00") + _EPR_PULSES
     rep = _run("epr", text, es, dyn.equilibrium_deviation(es), catalog)
 
     i00, i01 = es.index_of_label("00"), es.index_of_label("01")
     i10, i11 = es.index_of_label("10"), es.index_of_label("11")
     rho = rep.final_state.mat
-    sq = max(abs(rho[k, l]) for k in range(4) for l in range(4)
-             if abs(es.mz[k] - es.mz[l]) == 1)
+    sq, = _order_maxima(es, rho, (1,))
     target = np.zeros(4, dtype=complex)
     target[i00] = target[i11] = 1 / math.sqrt(2)
     coeff, vec = dyn.pure_part(rep.final_state)
@@ -257,40 +261,26 @@ _GHZ_ROWS = [
 ]
 
 
-def find_ghz_ladder(es: EigenSystem, catalog: TransitionCatalog,
-                    avoid: str = "001") -> tuple[Transition, Transition, Transition]:
-    """Pick a transition ladder |000> -> X -> Y -> |111> avoiding one label.
+def find_ghz_ladder(es: EigenSystem, catalog: TransitionCatalog
+                    ) -> tuple[Transition, Transition, Transition]:
+    """Pick a transition ladder |000> -> X -> Y -> |111> clear of |001>.
 
     Chooses the ladder with the largest intensity product; deterministic
-    tie-break on state indices.
+    tie-break on the indices of X and Y.  Every pair one M_z quantum
+    apart is a catalog line, so every such X and Y form a ladder.
     """
-    i000, i111 = es.index_of_label("000"), es.index_of_label("111")
-    iavoid = es.index_of_label(avoid)
-    best = None
-    for x in range(es.dim):
-        if es.mz[x] != 0.5 or x == iavoid:
-            continue
-        for y in range(es.dim):
-            if es.mz[y] != -0.5:
-                continue
-            try:
-                ta = catalog.by_pair(i000, x)
-                tb = catalog.by_pair(x, y)
-                tc = catalog.by_pair(y, i111)
-            except KeyError:
-                continue
-            score = ta.intensity * tb.intensity * tc.intensity
-            key = (-score, x, y)
-            if best is None or key < best[0]:
-                best = (key, (ta, tb, tc))
-    if best is None:
-        raise ProtocolError("no transition ladder from |000> to |111| found")
-    return best[1]
+    i000, i001, i111 = (es.index_of_label(lab) for lab in ("000", "001", "111"))
+    return min(((catalog.by_pair(i000, x), catalog.by_pair(x, y),
+                 catalog.by_pair(y, i111))
+                for x in np.flatnonzero(es.mz == 0.5).tolist() if x != i001
+                for y in np.flatnonzero(es.mz == -0.5).tolist()),
+               key=lambda abc: (-(abc[0].intensity * abc[1].intensity
+                                  * abc[2].intensity),
+                                abc[0].upper, abc[1].upper))
 
 
 def ghz_create(es: EigenSystem, catalog: TransitionCatalog | None = None,
-               ladder: tuple[int, int, int] | None = None,
-               pops_tid: int | None = None) -> ProtocolReport:
+               ladder: tuple[int, int, int] | None = None) -> ProtocolReport:
     """Create |GHZ><GHZ| - |001><001| from the POPS pair on (000,001).
 
     A (pi/2) pulse on the first ladder transition followed by two pi pulses
@@ -299,17 +289,10 @@ def ghz_create(es: EigenSystem, catalog: TransitionCatalog | None = None,
     connect |000> to |111> without touching |001>; by default the
     highest-intensity such ladder of the catalog is used.
     """
-    if es.n != 3:
-        raise ProtocolError("ghz_create needs a three-spin system")
-    if catalog is None:
-        catalog = transition_catalog(es)
-    if pops_tid is None:
-        pops_tid = find_transition_by_labels(es, catalog, "000", "001").tid
+    catalog = _checked(es, 3, "ghz_create", catalog)
+    pops_tid = find_transition_by_labels(es, catalog, "000", "001").tid
     pops = pops_pair(es, pops_tid, catalog)
-    lower_lab = es.labels[pops.transition.lower]
-    upper_lab = es.labels[pops.transition.upper]
-    if {lower_lab, upper_lab} != {"000", "001"}:
-        raise ProtocolError("GHZ preparation expects the POPS pair on (000,001)")
+    scale = pops.metrics["scale"]
 
     if ladder is None:
         ta, tb, tc = find_ghz_ladder(es, catalog)
@@ -330,30 +313,22 @@ def ghz_create(es: EigenSystem, catalog: TransitionCatalog | None = None,
     text += (f"selpulse ({labels[0]},{labels[1]}) 90 $P1\n"
              f"selpulse ({labels[1]},{labels[2]}) 180 $P2\n"
              f"selpulse ({labels[2]},{labels[3]}) 180 $P3\n")
-    rep = _run("ghz", text, es, pops.difference, catalog)
+    rep = _run("ghz", text, es, pops.final_state, catalog)
 
     rho = rep.final_state.mat
     i000, i111 = es.index_of_label("000"), es.index_of_label("111")
-    by_order: dict[int, float] = {}
-    for k in range(es.dim):
-        for l in range(es.dim):
-            if k == l:
-                continue
-            q = abs(int(round(es.mz[k] - es.mz[l])))
-            by_order[q] = max(by_order.get(q, 0.0), abs(rho[k, l]))
-    rep.metrics["tq_amplitude"] = float(abs(rho[i000, i111]) / pops.scale)
-    rep.metrics["zq_offdiag_amplitude"] = float(by_order.get(0, 0.0))
-    rep.metrics["sq_amplitude"] = float(by_order.get(1, 0.0))
-    rep.metrics["dq_amplitude"] = float(by_order.get(2, 0.0))
+    rep.metrics["tq_amplitude"] = float(abs(rho[i000, i111]) / scale)
+    (rep.metrics["zq_offdiag_amplitude"], rep.metrics["sq_amplitude"],
+     rep.metrics["dq_amplitude"]) = _order_maxima(es, rho, (0, 1, 2))
     expected = np.zeros_like(rho)
     ghz = np.zeros(es.dim, dtype=complex)
     ghz[i000] = ghz[i111] = 1 / math.sqrt(2)
-    expected += pops.scale * np.outer(ghz, ghz.conj())
+    expected += scale * np.outer(ghz, ghz.conj())
     i001 = es.index_of_label("001")
-    expected[i001, i001] -= pops.scale
+    expected[i001, i001] -= scale
     rep.metrics["state_error"] = float(np.abs(rho - expected).max())
     rep.info["ladder"] = f"t{ta.tid},t{tb.tid},t{tc.tid}"
-    rep.info["pops_transition"] = f"t{pops.transition.tid}"
+    rep.info["pops_transition"] = f"t{pops_tid}"
     return rep
 
 
@@ -374,14 +349,8 @@ def _gate_words() -> dict[tuple[int, ...], tuple[int, ...]]:
         nxt = []
         for perm in frontier:
             for gi, (a, b) in enumerate(_GATE_GENERATORS):
-                lst = list(perm)
                 # apply transposition (a b) after the current permutation
-                for k in range(4):
-                    if lst[k] == a:
-                        lst[k] = b
-                    elif lst[k] == b:
-                        lst[k] = a
-                cand = tuple(lst)
+                cand = tuple(b if p == a else a if p == b else p for p in perm)
                 if cand not in words:
                     words[cand] = words[perm] + (gi,)
                     nxt.append(cand)
@@ -402,12 +371,9 @@ def gate_library_2spin(es: EigenSystem, gate: int,
     product of transpositions along allowed transitions.  The truth table
     is verified by running the program on every basis projector.
     """
-    if es.n != 2:
-        raise ProtocolError("gate_library_2spin needs a two-spin system")
+    catalog = _checked(es, 2, "gate_library_2spin", catalog)
     if not 1 <= gate <= 24:
         raise ProtocolError("gate index must be 1..24")
-    if catalog is None:
-        catalog = transition_catalog(es)
     perm = GATE_PERMUTATIONS[gate - 1]
     word = _GATE_WORDS[perm]
     text = ""
@@ -441,10 +407,7 @@ def gate_library_2spin(es: EigenSystem, gate: int,
 def c3not_4spin(es: EigenSystem,
                 catalog: TransitionCatalog | None = None) -> ProtocolReport:
     """C3-NOT: a single pi pulse on the (1110, 1111) transition."""
-    if es.n != 4:
-        raise ProtocolError("c3not_4spin needs a four-spin system")
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = _checked(es, 4, "c3not_4spin", catalog)
     t = find_transition_by_labels(es, catalog, "1110", "1111")
     if not t.observable:
         raise ProtocolError("the (1110,1111) transition is not observable")
@@ -468,10 +431,7 @@ def c2swap_4spin(es: EigenSystem, catalog: TransitionCatalog | None = None,
     between 1010 and 1110), whose image must equal the POPS state of the
     (1010, 1101) transition.
     """
-    if es.n != 4:
-        raise ProtocolError("c2swap_4spin needs a four-spin system")
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = _checked(es, 4, "c2swap_4spin", catalog)
     t_a = find_transition_by_labels(es, catalog, "1110", "1111")
     t_b = find_transition_by_labels(es, catalog, "1101", "1111")
     t_in = find_transition_by_labels(es, catalog, "1010", "1110")
@@ -481,12 +441,12 @@ def c2swap_4spin(es: EigenSystem, catalog: TransitionCatalog | None = None,
         if not t.observable:
             raise ProtocolError(f"the {what} transition is not observable")
     if rho0 is None:
-        rho0 = pops_pair(es, t_in.tid, catalog).difference
+        rho0 = pops_pair(es, t_in.tid, catalog).final_state
     text = ("selpulse (1110,1111) 180 x\ngrad\n"
             "selpulse (1101,1111) 180 x\ngrad\n"
             "selpulse (1110,1111) 180 x\ngrad\n")
     rep = _run("c2swap", text, es, rho0, catalog)
-    pops_out = pops_pair(es, t_out.tid, catalog).difference
+    pops_out = pops_pair(es, t_out.tid, catalog).final_state
     rep.metrics["pops_output_error"] = float(
         np.abs(rep.final_state.mat - pops_out.mat).max())
     pin = rho0.populations()
@@ -514,38 +474,24 @@ DJ2_TRUTH = {f: ("constant" if f in ("f1", "f2") else "balanced")
 
 def _work_transitions(es: EigenSystem, catalog: TransitionCatalog):
     """The four work-qubit transitions |rs0> <-> |rs1>, input order rs."""
-    out = []
-    for rs in ("00", "01", "10", "11"):
-        out.append(find_transition_by_labels(es, catalog, rs + "0", rs + "1"))
-    return out
+    return [find_transition_by_labels(es, catalog, rs + "0", rs + "1")
+            for rs in ("00", "01", "10", "11")]
 
 
 def _input_lines(es: EigenSystem, catalog: TransitionCatalog):
     """Input-qubit transitions paired with their work-bit-flipped partners.
 
-    Returns (line, partner, qubit) triples for work bit 0 lines; the
-    partner is the same input flip with work bit 1.
+    Returns (line, partner, qubit) triples for the work bit 0 lines, in
+    order of qubit and then of the other input bit; the partner is the
+    same input flip with work bit 1.
     """
     triples = []
-    for qubit in (0, 1):
-        for other in "01":
-            for t_bit in "01":
-                if qubit == 0:
-                    a0, b0 = "0" + other + t_bit, "1" + other + t_bit
-                    a1, b1 = "0" + other + _flip(t_bit), "1" + other + _flip(t_bit)
-                else:
-                    a0, b0 = other + "0" + t_bit, other + "1" + t_bit
-                    a1, b1 = other + "0" + _flip(t_bit), other + "1" + _flip(t_bit)
-                if t_bit == "1":
-                    continue      # partner pairs enumerated once, from t=0
-                line = find_transition_by_labels(es, catalog, a0, b0)
-                partner = find_transition_by_labels(es, catalog, a1, b1)
-                triples.append((line, partner, qubit))
+    for qubit, other in itertools.product((0, 1), "01"):
+        a, b = ("0" + other, "1" + other) if qubit == 0 else (other + "0", other + "1")
+        triples.append((find_transition_by_labels(es, catalog, a + "0", b + "0"),
+                        find_transition_by_labels(es, catalog, a + "1", b + "1"),
+                        qubit))
     return triples
-
-
-def _flip(bit: str) -> str:
-    return "1" if bit == "0" else "0"
 
 
 def _hann_magnitudes(data: np.ndarray, rows, cols) -> np.ndarray:
@@ -584,12 +530,9 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     report holds verdicts, counts and outcome labels, and the returned
     dataset is the raw time-domain data.
     """
-    if es.n != 3:
-        raise ProtocolError("dj_two_qubit_2d needs a three-spin system")
+    catalog = _checked(es, 3, "dj_two_qubit_2d", catalog)
     if f not in DJ2_PATTERNS:
         raise ProtocolError(f"unknown two-qubit DJ function {f!r}")
-    if catalog is None:
-        catalog = transition_catalog(es)
     from . import acquisition as acq
     if dwell1 is None:
         dwell1 = acq.default_tomo_dwell(es)

@@ -194,7 +194,7 @@ def _parse_float(tok: str, what: str, source, line, col) -> float:
 
 
 def _parse_transition(tok: str, source, line, col) -> TransitionRef:
-    if tok.startswith("t") and tok[1:].isdigit():
+    if tok.startswith("t") and tok[1:].isdecimal():
         return TransitionRef(tid=int(tok[1:]))
     if tok.startswith("(") and tok.endswith(")") and "," in tok:
         a, b = tok[1:-1].split(",", 1)
@@ -254,7 +254,7 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
         elif kw == "acquire":
             ntok, ncol = need(1, "point count")
             dtok, dcol = need(2, "dwell")
-            if not ntok.isdigit():
+            if not ntok.isdecimal():
                 raise PulseProgramError(f"malformed point count {ntok!r}",
                                         source, ln, ncol)
             dwell = _parse_float(dtok, "dwell", source, ln, dcol)

@@ -299,6 +299,99 @@ def test_eigen_non_utf8_file(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("name, body, message", [
+    ("a.pp", "acquire \u00b2 0.001\n", "a.pp:1:9: malformed point count '\u00b2'"),
+    ("b.pp", "selpulse t\u00b2 90 x\n",
+     "b.pp:1:10: malformed transition reference 't\u00b2'"),
+    ("c.state", "dim \u00b2\n",
+     "spinsim: error: c.state:1: malformed header; expected 'dim <d>'"),
+])
+def test_unicode_digits_are_not_numbers(tmp_path, capsys, monkeypatch,
+                                        name, body, message):
+    # str.isdigit accepts the superscript 2, which int() rejects
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(body, encoding="utf-8")
+    if name.endswith(".pp"):
+        argv = ("run", "citrate.spin", name, "--out", "out")
+    else:
+        argv = ("tomo", "citrate.spin", "--state", name, "--out", "out")
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    assert err == message + "\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (("eigen", "nonexist/.."), "shipped systems entry"),
+    (("run", "citrate.spin", "nonexist/.."), "shipped programs entry"),
+    (("assign", "missing.cm", "3"), "shipped entry"),
+    (("assign", "systems", "3"), "shipped entry"),
+])
+def test_shipped_lookup_misses(tmp_path, capsys, monkeypatch, argv, entry):
+    # a name that is no file here nor a shipped file (a shipped directory,
+    # the parent of a missing directory) cannot be found
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_line_error(code, err)
+    path = argv[2] if argv[0] == "run" else argv[1]
+    assert err == f"spinsim: error: cannot find {path!r} (not a file or {entry})\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("frobnicate",),
+    ("eigen",),
+    ("eigen", "citrate.spin", "--threshold", "abc"),
+    ("run", "citrate.spin", "pps00.pp", "--bogus"),
+    ("assign", "eq13.cm", "three"),
+    ("protocol", "ghz"),
+    ("tomo", "citrate.spin"),
+    ("tomo", "citrate.spin", "--protocol", "epr", "--state", "epr.state"),
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert_one_line_error(exc.value.code, err)
+    assert err.startswith("spinsim: error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("tomo", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: spinsim")
+    assert err == ""
+
+
+def test_protocol_pops_files(tmp_path, capsys, citrate_es):
+    # the files of a pops run: the pi pulse of the pair, equilibrium minus
+    # the inverted state, and the population difference of the pair
+    from spinsim import pulselang as pl
+    es = citrate_es
+    cat = core.transition_catalog(es)
+    for tid in range(1, len(cat) + 1):
+        t = cat.by_id(tid)
+        pair = f"{es.labels[t.lower]},{es.labels[t.upper]}"
+        text = f"selpulse ({pair}) 180 x\ngrad\n"
+        eq = dyn.equilibrium_deviation(es)
+        inv = pl.execute(pl.parse_program(text), es, eq, cat)
+        pops = eq.populations()
+        report = (f"name=pops{tid}\nscale={pops[t.lower] - pops[t.upper]:.12g}\n"
+                  f"pair={pair}\n")
+        code, out, err = run_cli(capsys, "protocol", f"pops:{tid}",
+                                 "citrate.spin", "--out", str(tmp_path))
+        assert (code, out, err) == (0, report, "")
+        assert (tmp_path / f"pops{tid}.pp").read_text(encoding="utf-8") == text
+        assert (tmp_path / f"pops{tid}.report").read_text(encoding="utf-8") == report
+        state = dyn.format_state(dyn.DeviationDensityMatrix(eq.mat - inv.mat, es))
+        assert (tmp_path / f"pops{tid}.state").read_text(encoding="utf-8") == state
+
+
 def test_consecutive_calls_share_no_state(tmp_path, capsys):
     from spinsim import cli
     cli.cmd_eigen(cli.build_parser().parse_args(["eigen", "demo3.spin"]))
@@ -338,7 +431,7 @@ _FUZZ_SNIPPETS = st.sampled_from([
     " ", "\n", "#", "-", ".", "0", "1", "7", "e", "e400", "nan", "inf", "-0",
     "1e-300", "99999999999999999999", "x", "y", "(", ")", ",", "t1", "t9",
     "nspins", "offset_hz", "j_hz", "d_hz", "dim", "pulse", "selpulse",
-    "delay", "acquire", "cycle", "grad", "\t", "\u00e9", "\x00"])
+    "delay", "acquire", "cycle", "grad", "\t", "\u00e9", "\x00", "\u00b2"])
 
 _FUZZ_EDITS = st.lists(st.tuples(
     st.sampled_from(["insert", "delete", "replace", "dup_line", "truncate"]),

@@ -46,13 +46,17 @@ def test_pseudopure_needs_two_spins(demo3_es):
 def test_pops_pair(demo3_es, demo3_cat):
     es, cat = demo3_es, demo3_cat
     t = cat.by_labels(es, "000", "001")
-    res = pr.pops_pair(es, t.tid, cat)
+    rep = pr.pops_pair(es, t.tid, cat)
+    assert rep.name == f"pops{t.tid}"
+    assert rep.program_text == "selpulse (000,001) 180 x\ngrad\n"
+    assert rep.info == {"pair": "000,001"}
+    scale = rep.metrics["scale"]
     i0, i1 = es.index_of_label("000"), es.index_of_label("001")
     expect = np.zeros((8, 8), dtype=complex)
-    expect[i0, i0] = res.scale
-    expect[i1, i1] = -res.scale
-    assert np.abs(res.difference.mat - expect).max() <= 1e-12
-    assert res.scale == pytest.approx(1.0, abs=1e-12)
+    expect[i0, i0] = scale
+    expect[i1, i1] = -scale
+    assert np.abs(rep.final_state.mat - expect).max() <= 1e-12
+    assert scale == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pops_zero_for_equal_populations(demo3_es, demo3_cat):
@@ -140,7 +144,7 @@ def test_ghz_cycle_rows_identical(demo3_es, demo3_cat):
     rep = pr.ghz_create(demo3_es, demo3_cat)
     prog = pl.parse_program(rep.program_text)
     tid = int(rep.info["pops_transition"][1:])
-    rho0 = pr.pops_pair(demo3_es, tid, demo3_cat).difference
+    rho0 = pr.pops_pair(demo3_es, tid, demo3_cat).final_state
     states = [pl.execute(prog, demo3_es, rho0, demo3_cat, row=r)
               for r in range(16)]
     for s in states[1:]:
@@ -405,3 +409,98 @@ def test_dj2_reports_match_fft2_classifier_random(seed):
         for f in sorted(pr.DJ2_PATTERNS):
             assert (_bin_dj2(es, f, cat, *grid)
                     == _fft2_dj2(es, f, cat, *grid)), (f, grid)
+
+
+# ---------------------------------------------------------------------------
+# the GHZ ladder and the coherence-order metrics against per-element loops
+
+def _ladder_loop(es, catalog):
+    """The ladder search as a loop over every candidate pair of states."""
+    i000, i111 = es.index_of_label("000"), es.index_of_label("111")
+    i001 = es.index_of_label("001")
+    best = None
+    for x in range(es.dim):
+        if es.mz[x] != 0.5 or x == i001:
+            continue
+        for y in range(es.dim):
+            if es.mz[y] != -0.5:
+                continue
+            ta = catalog.by_pair(i000, x)
+            tb = catalog.by_pair(x, y)
+            tc = catalog.by_pair(y, i111)
+            key = (-(ta.intensity * tb.intensity * tc.intensity), x, y)
+            if best is None or key < best[0]:
+                best = (key, (ta.tid, tb.tid, tc.tid))
+    return best[1]
+
+
+def _order_maxima_loop(es, rho):
+    """Largest |rho[k, l]|, k != l, of coherence orders 0, 1 and 2, one
+    element at a time."""
+    by_order = {}
+    for k in range(es.dim):
+        for l in range(es.dim):
+            if k == l:
+                continue
+            q = abs(int(round(es.mz[k] - es.mz[l])))
+            by_order[q] = max(by_order.get(q, 0.0), abs(rho[k, l]))
+    return [float(by_order.get(q, 0.0)) for q in (0, 1, 2)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _random_system(rng, n, weak):
+    """A seeded oriented n-spin system; ``weak`` drops the dipolar couplings
+    and truncates J, which makes every line intensity exactly 1."""
+    offs = rng.uniform(-250, 250, n)
+    j = np.triu(rng.uniform(-10, 10, (n, n)), 1)
+    d = np.triu(rng.uniform(-250, 250, (n, n)), 1) * (not weak)
+    sys_ = core.SpinSystem.create(f"r{n}", offs, j + j.T, d + d.T)
+    es = core.eigensystem(sys_, weak=weak)
+    # threshold 0: every line is observable, so every protocol runs
+    return es, core.transition_catalog(es, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_ghz_ladder_and_metrics_match_loops():
+    rng = np.random.default_rng(1400)
+    for case in range(200):
+        # equal intensities in the weak cases leave the choice to the indices
+        es, cat = _random_system(rng, 3, weak=case % 4 == 3)
+        ladder = tuple(t.tid for t in pr.find_ghz_ladder(es, cat))
+        assert ladder == _ladder_loop(es, cat), case
+        rep = pr.ghz_create(es, cat)
+        assert rep.info["ladder"] == ",".join(f"t{tid}" for tid in ladder)
+        got = [rep.metrics[k] for k in ("zq_offdiag_amplitude",
+                                        "sq_amplitude", "dq_amplitude")]
+        assert _bits(got) == _bits(_order_maxima_loop(es, rep.final_state.mat)), case
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_epr_sq_amplitude_matches_loop():
+    rng = np.random.default_rng(1401)
+    for case in range(200):
+        es, cat = _random_system(rng, 2, weak=case % 4 == 3)
+        rep = pr.epr_create(es, cat)
+        rho = rep.final_state.mat
+        sq = max(abs(rho[k, l]) for k in range(4) for l in range(4)
+                 if abs(es.mz[k] - es.mz[l]) == 1)
+        coeff, _ = dyn.pure_part(rep.final_state)
+        scale = abs(coeff) if coeff != 0 else 1.0
+        assert _bits([rep.metrics["sq_amplitude"]]) == _bits([sq / scale]), case
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_order_maxima_match_loop_on_dense_matrices(n):
+    # magnitudes spread over the whole float range, where hypot matters
+    rng = np.random.default_rng(1402 + n)
+    es = core.eigensystem(core.SpinSystem.create(
+        "r", rng.uniform(-250, 250, n), np.zeros((n, n)), np.zeros((n, n))))
+    for case in range(200):
+        mat = (rng.standard_normal((es.dim, es.dim))
+               + 1j * rng.standard_normal((es.dim, es.dim)))
+        mat *= 10.0 ** rng.uniform(-300, 300, (es.dim, es.dim))
+        assert (_bits(pr._order_maxima(es, mat, (0, 1, 2)))
+                == _bits(_order_maxima_loop(es, mat))), case
