@@ -37,15 +37,15 @@ def main() -> None:
     diag, under = acq.tomo_diagonal(es, rho, catalog=cat)
     print(f"  diagonal estimate (gauge-fixed): {np.round(diag, 6).tolist()}"
           f"{' [underdetermined]' if under else ''}")
-    dataset, table = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
-                                             t2_points=256, catalog=cat)
-    top = max(table.rows, key=lambda r: r.magnitude)
+    dataset, coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
+                                                  t2_points=256, catalog=cat)
+    top = max(coherences, key=lambda r: r.magnitude)
     print(f"  dominant coherence: ({es.labels[top.k]},{es.labels[top.l]}) "
           f"order {top.order} at {top.freq_hz:.2f} Hz, "
           f"magnitude {top.magnitude:.6f}")
-    cal = acq.tomo_scale_calibration(es, rho, cat)
-    print(f"  scale check (iv)/(iii) = {cal.ratio:.3g}")
-    recon, fid = acq.reconstruct_density(es, diag, table, reference=rho)
+    ratio = acq.tomo_scale_calibration(es, rho, cat)
+    print(f"  scale check (iv)/(iii) = {ratio:.3g}")
+    recon, fid = acq.reconstruct_density(es, diag, coherences, reference=rho)
     print(f"  reconstruction fidelity = {fid:.9f}")
 
 

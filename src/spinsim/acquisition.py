@@ -68,8 +68,12 @@ def detect_small_angle(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     Line (r, s) has amplitude sin(beta) * (p_lower - p_upper) * intensity,
     so intensities are proportional to the population difference of the two
     involved levels only.  Warns when rho carries coherences (they are
-    ignored by this readout).
+    ignored by this readout).  A beta that is not finite or is a multiple
+    of 180 degrees reads no signal and raises.
     """
+    if not math.isfinite(beta_deg) or beta_deg % 180 == 0:
+        raise AcquisitionError("the detection pulse must be finite and not a "
+                               f"multiple of 180 degrees, got {beta_deg:g}")
     if catalog is None:
         catalog = transition_catalog(es)
     off = rho.mat - np.diag(np.diag(rho.mat))
@@ -251,11 +255,6 @@ class CoherenceEstimate:
     magnitude: float
 
 
-@dataclass
-class CoherenceTable:
-    rows: tuple[CoherenceEstimate, ...]
-
-
 def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
     """Exact FFT response at bins to exp(2pi i f t) sampled on the grid.
 
@@ -359,42 +358,29 @@ def default_tomo_dwell(es: EigenSystem) -> float:
 
 def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
                         t1_points: int = 256, t2_points: int = 512,
-                        dwell1: float | None = None,
-                        dwell2: float | None = None,
                         catalog: TransitionCatalog | None = None
-                        ) -> tuple[Dataset2D, CoherenceTable]:
+                        ) -> tuple[Dataset2D, tuple[CoherenceEstimate, ...]]:
     """Two-dimensional multiple-quantum measurement of all off-diagonals.
 
-    Runs [t1 - (pi/2)_y - G_z - (pi/4)_-y - t2], Fourier transforms, and
-    inverts the exact linear model of the sequence at the predicted peak
-    bins, estimating every element's complex value; magnitude and coherence
-    order (from its omega_1 coordinate) are tabulated per element.
+    Runs [t1 - (pi/2)_y - G_z - (pi/4)_-y - t2] on the ``default_tomo_dwell``
+    grid in both dimensions, Fourier transforms, and inverts the exact
+    linear model of the sequence at the predicted peak bins, estimating
+    every element's complex value.  Returns the dataset and one row per
+    upper-triangle element (k < l) with its magnitude and coherence order
+    (from its omega_1 coordinate).
     """
     if catalog is None:
         catalog = transition_catalog(es)
-    if dwell1 is None:
-        dwell1 = default_tomo_dwell(es)
-    if dwell2 is None:
-        dwell2 = default_tomo_dwell(es)
+    dwell = default_tomo_dwell(es)
     dim = es.dim
     energies = es.energies
     f1 = ((energies[None, :] - energies[:, None]) / (2 * math.pi)).ravel()
-    fmax1 = float(np.abs(f1).max())
-    if fmax1 > 0.5 / dwell1 + 1e-12:
-        raise AcquisitionError(
-            "spectral folding in omega_1: dwell1 must be at most "
-            f"{0.5 / fmax1:.6g} s for this system")
     f2 = catalog.freq_hz
-    fmax2 = float(np.abs(f2).max())
-    if fmax2 > 0.5 / dwell2 + 1e-12:
-        raise AcquisitionError(
-            "spectral folding in omega_2: dwell2 must be at most "
-            f"{0.5 / fmax2:.6g} s for this system")
 
     program = pl.parse_program(
-        f"delay t1\npulse 90 y\ngrad\npulse 45 -y\nacquire {t2_points} {dwell2:.12g}\n")
+        f"delay t1\npulse 90 y\ngrad\npulse 45 -y\nacquire {t2_points} {dwell:.12g}\n")
     dataset = run_2d(program, es, rho0=rho, t1_points=t1_points,
-                     dwell1=dwell1, catalog=catalog)
+                     dwell1=dwell, catalog=catalog)
 
     # transfer weights: coherence element (a, c) -> diagonal after (pi/2)_y,
     # then line amplitudes after (pi/4)_-y
@@ -410,13 +396,13 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     kten = np.einsum("bm,mac->bac", hmat, gten)         # [b, a, c]
 
     # element (a, c) sits at f1[a * dim + c] = (E_c - E_a)/2pi in omega_1
-    bins1 = np.unique(np.round(f1 * t1_points * dwell1).astype(int) % t1_points)
-    bins2 = np.unique(np.round(f2 * t2_points * dwell2).astype(int) % t2_points)
-    d1 = _dirichlet(f1[:, None], bins1, t1_points, dwell1)       # [ac, j1]
+    bins1 = np.unique(np.round(f1 * t1_points * dwell).astype(int) % t1_points)
+    bins2 = np.unique(np.round(f2 * t2_points * dwell).astype(int) % t2_points)
+    d1 = _dirichlet(f1[:, None], bins1, t1_points, dwell)       # [ac, j1]
     d1[_cabs(d1) <= 1e-9] = 0.0
     keep = np.any(d1 != 0.0, axis=0)
     bins1, d1 = bins1[keep], d1[:, keep]
-    d2 = _dirichlet(f2[:, None], bins2, t2_points, dwell2)       # [line, j2]
+    d2 = _dirichlet(f2[:, None], bins2, t2_points, dwell)       # [line, j2]
     d2[_cabs(d2) <= 1e-9] = 0.0
 
     # unknowns: Re/Im of upper-triangle elements plus real diagonal nuisances;
@@ -448,17 +434,18 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         rows.append(CoherenceEstimate(
             k=k, l=l, order=int(round(es.mz[k] - es.mz[l])),
             freq_hz=float(f1[kl[e]]), value=val, magnitude=abs(val)))
-    return dataset, CoherenceTable(rows=tuple(rows))
+    return dataset, tuple(rows)
 
 
-def peak_pick_2d(dataset: Dataset2D, rel_threshold: float = 0.05
-                 ) -> list[tuple[float, float, float]]:
-    """Local maxima of the magnitude spectrum above rel_threshold * max.
+def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
+    """Local maxima of the magnitude spectrum at or above 5 % of its maximum.
 
     The data is Hann-apodized along both dimensions first, which pushes
-    rectangular-window sidelobes of strong ridges below the threshold.
-    Positions are refined by a 3-bin centroid along each axis; returns
-    (f1, f2, magnitude) tuples sorted by descending magnitude.
+    rectangular-window sidelobes of strong ridges below the threshold.  A
+    maximum is at least its lower-index neighbours and above its
+    higher-index ones along each axis, with wraparound.  Positions are refined by a 3-bin
+    centroid along each axis; returns (f1, f2, magnitude) tuples sorted by
+    descending magnitude, ties in row-major order.
     """
     n1, n2 = dataset.data.shape
     win = np.outer(np.hanning(n1) if n1 > 1 else np.ones(1),
@@ -470,47 +457,31 @@ def peak_pick_2d(dataset: Dataset2D, rel_threshold: float = 0.05
     mmax = mag.max()
     if mmax == 0.0:
         return []
-    peaks = []
-    n1, n2 = mag.shape
     df1 = f1ax[1] - f1ax[0] if n1 > 1 else 0.0
     df2 = f2ax[1] - f2ax[0] if n2 > 1 else 0.0
-    for i in range(n1):
-        for j in range(n2):
-            v = mag[i, j]
-            if v < rel_threshold * mmax:
-                continue
-            im, ip = (i - 1) % n1, (i + 1) % n1
-            jm, jp = (j - 1) % n2, (j + 1) % n2
-            if (v >= mag[im, j] and v > mag[ip, j]
-                    and v >= mag[i, jm] and v > mag[i, jp]):
-                w = mag[im, j] + v + mag[ip, j]
-                c1 = f1ax[i] + df1 * (mag[ip, j] - mag[im, j]) / w
-                w = mag[i, jm] + v + mag[i, jp]
-                c2 = f2ax[j] + df2 * (mag[i, jp] - mag[i, jm]) / w
-                peaks.append((float(c1), float(c2), float(v)))
-    peaks.sort(key=lambda p: -p[2])
-    return peaks
-
-
-@dataclass
-class ScaleCalibration:
-    """Diagonal/off-diagonal scale check from [(pi/4)_y - t] and [(pi/4)_x - t].
-
-    The (pi/4)_y line amplitudes respond to sums of diagonal and
-    double-quantum terms, the (pi/4)_x ones to their differences, so for an
-    ideal EPR state the (iv)/(iii) amplitude ratio vanishes and is reported
-    as an error metric.  In this workbench both tomography routes are
-    calibrated absolutely, so no relative scale is applied.
-    """
-
-    ratio: float
-    amp_iii: np.ndarray     # line amplitudes in transition-id order
-    amp_iv: np.ndarray
+    # the four neighbours of every cell, with wraparound
+    up, down = np.roll(mag, 1, axis=0), np.roll(mag, -1, axis=0)
+    left, right = np.roll(mag, 1, axis=1), np.roll(mag, -1, axis=1)
+    i, j = np.nonzero((mag >= 0.05 * mmax) & (mag >= up) & (mag > down)
+                      & (mag >= left) & (mag > right))
+    v, a1, b1, a2, b2 = (m[i, j] for m in (mag, up, down, left, right))
+    c1 = f1ax[i] + df1 * (b1 - a1) / (a1 + v + b1)
+    c2 = f2ax[j] + df2 * (b2 - a2) / (a2 + v + b2)
+    order = np.argsort(-v, kind="stable")
+    return list(zip(c1[order].tolist(), c2[order].tolist(), v[order].tolist()))
 
 
 def tomo_scale_calibration(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
-                           catalog: TransitionCatalog | None = None
-                           ) -> ScaleCalibration:
+                           catalog: TransitionCatalog | None = None) -> float:
+    """Diagonal/off-diagonal scale check from [(pi/4)_y - t] and [(pi/4)_x - t].
+
+    The (pi/4)_y line amplitudes (iii) respond to sums of diagonal and
+    double-quantum terms, the (pi/4)_x ones (iv) to their differences, so
+    for an ideal EPR state the ratio of the norms of (iv) and (iii)
+    vanishes; it is returned as an error metric (inf when (iii) is zero).
+    In this workbench both tomography routes are calibrated absolutely, so
+    no relative scale is applied.
+    """
     # under this package's rotation convention the summing quadrature is
     # phase 0 and the differencing one phase 90
     if catalog is None:
@@ -521,8 +492,7 @@ def tomo_scale_calibration(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
         es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 90.0)), catalog)
     n3 = math.sqrt(sum(abs(v) ** 2 for v in a3))
     n4 = math.sqrt(sum(abs(v) ** 2 for v in a4))
-    ratio = n4 / n3 if n3 > 0 else math.inf
-    return ScaleCalibration(ratio=ratio, amp_iii=a3, amp_iv=a4)
+    return n4 / n3 if n3 > 0 else math.inf
 
 
 def traceless_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -537,7 +507,7 @@ def traceless_overlap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reconstruct_density(es: EigenSystem, diag: np.ndarray,
-                        coherences: CoherenceTable,
+                        coherences: tuple[CoherenceEstimate, ...],
                         reference: dyn.DeviationDensityMatrix | None = None
                         ) -> tuple[dyn.DeviationDensityMatrix, float | None]:
     """Assemble a Hermitian matrix from tomography outputs.
@@ -548,7 +518,7 @@ def reconstruct_density(es: EigenSystem, diag: np.ndarray,
     unobservable uniform background.
     """
     mat = np.diag(np.asarray(diag, dtype=complex))
-    for r in coherences.rows:
+    for r in coherences:
         mat[r.k, r.l] += r.value
         mat[r.l, r.k] += np.conj(r.value)
     herm_defect = np.linalg.norm(mat - mat.conj().T)
@@ -593,12 +563,13 @@ def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
 
 
 def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
-                      t1_points: int = 512, dwell1: float | None = None,
+                      t1_points: int = 512,
                       catalog: TransitionCatalog | None = None,
                       rel_threshold: float = 0.15) -> np.ndarray:
     """Cross-peak sign matrix from a small-flip-angle three-pulse Z-COSY.
 
-    Simulates [beta_x - t1 - beta_x - G_z - beta_x - t2] from equilibrium.
+    Simulates [beta_x - t1 - beta_x - G_z - beta_x - t2] from equilibrium,
+    with t1 on the ``default_tomo_dwell`` grid.
     The z-filter keeps only populations between the second and third pulse,
     so every line is amplitude (cosine) modulated in t1; the modulation
     coefficient of line b at the frequency of transition a is recovered by
@@ -612,8 +583,6 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
     """
     if catalog is None:
         catalog = transition_catalog(es)
-    if dwell1 is None:
-        dwell1 = default_tomo_dwell(es)
     opposite = np.abs(catalog.freq_hz[:, None] + catalog.freq_hz) < 1e-9
     np.fill_diagonal(opposite, False)
     if opposite.any():
@@ -623,7 +592,7 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
             "carrier off the spectral center")
     beta = pl.HardPulse(beta_deg, pl.PhaseSpec(degrees=0.0))
     program = pl.PulseProgram((beta, pl.Delay(symbol="t1"), beta, pl.Grad(), beta))
-    t1 = np.arange(t1_points) * dwell1
+    t1 = np.arange(t1_points) * default_tomo_dwell(es)
     rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
     amps = line_amplitudes(es, rho, catalog)                   # [t1, line]
 

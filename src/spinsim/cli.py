@@ -133,8 +133,8 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     stem = Path(name).stem
-    _write(out_dir / f"{stem}.state", dyn.format_state(final))
     spec = acq.detect_small_angle(es, dyn.crush_gradient(final), args.beta, cat)
+    _write(out_dir / f"{stem}.state", dyn.format_state(final))
     _write(out_dir / f"{stem}.spectrum", spec.to_csv())
     if acquire is not None:
         fid = acq.acquire_fid(es, final, acquire.points, acquire.dwell_s)
@@ -251,21 +251,22 @@ def cmd_tomo(args) -> int:
         rho = dyn.parse_state(text, es, source=name)
         label = Path(args.state).stem
     diag, under = acq.tomo_diagonal(es, rho, args.beta, cat)
-    dataset, table = acq.tomo_offdiagonal_2d(
+    _, coherences = acq.tomo_offdiagonal_2d(
         es, rho, t1_points=args.t1_points, t2_points=args.t2_points,
         catalog=cat)
-    scale = acq.tomo_scale_calibration(es, rho, cat)
-    recon, fidelity = acq.reconstruct_density(es, diag, table, reference=rho)
+    ratio = acq.tomo_scale_calibration(es, rho, cat)
+    recon, fidelity = acq.reconstruct_density(es, diag, coherences,
+                                              reference=rho)
     out_dir = Path(args.out)
     _write(out_dir / f"{label}_tomo.state", dyn.format_state(recon))
     rows = ["k,l,order,freq_hz,re,im,magnitude"]
-    for r in sorted(table.rows, key=lambda r: (-r.magnitude, r.k, r.l)):
+    for r in sorted(coherences, key=lambda r: (-r.magnitude, r.k, r.l)):
         rows.append(f"{r.k + 1},{r.l + 1},{r.order},{r.freq_hz:.12g},"
                     f"{r.value.real:.12g},{r.value.imag:.12g},{r.magnitude:.12g}")
     _write(out_dir / f"{label}_tomo.coherences", "\n".join(rows) + "\n")
     report = [f"name={label}_tomo",
               f"fidelity={fidelity:.12g}",
-              f"scale_ratio={scale.ratio:.12g}",
+              f"scale_ratio={ratio:.12g}",
               f"underdetermined={1 if under else 0}"]
     _write(out_dir / f"{label}_tomo.report", "\n".join(report) + "\n")
     print("\n".join(report))
@@ -276,6 +277,18 @@ def cmd_accept(args) -> int:
     from . import acceptance
     results = acceptance.run_all(verbose=True)
     return 0 if all(r.passed for r in results) else 1
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -292,12 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for QIP on strongly coupled spin systems")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, points=False):
+    def common(sp, beta=False, points=False):
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--threshold", type=float, default=0.05,
                         help="relative intensity threshold for observability")
-        sp.add_argument("--beta", type=float, default=10.0,
-                        help="small-angle detection pulse, degrees")
+        if beta:
+            sp.add_argument("--beta", type=_finite_float, default=10.0,
+                            help="small-angle detection pulse, degrees")
         if points:
             sp.add_argument("--t1-points", type=int, default=256)
             sp.add_argument("--t2-points", type=int, default=1024)
@@ -314,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("program")
     sp.add_argument("--init", default="eq",
                     help="initial state: eq, pps:<bits> or pure:<bits>")
-    sp.add_argument("--t1", type=float, default=None,
+    sp.add_argument("--t1", type=_finite_float, default=None,
                     help="value for the symbolic t1 delay, seconds")
-    sp.add_argument("--t2", type=float, default=None)
-    common(sp)
+    sp.add_argument("--t2", type=_finite_float, default=None)
+    common(sp, beta=True)
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("protocol", help="run a named experiment")
@@ -342,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--protocol")
     source.add_argument("--state")
-    common(sp, points=True)
+    common(sp, beta=True, points=True)
     sp.set_defaults(func=cmd_tomo)
 
     sp = sub.add_parser("accept", help="run the acceptance suite")

@@ -336,7 +336,6 @@ class TransitionCatalog:
     intensity: np.ndarray
     observable: np.ndarray   # bool
     pair_tid: np.ndarray     # (dim, dim) ids, 0 for no line
-    threshold: float
 
     def __post_init__(self):
         for col in (self.lower, self.upper, self.freq_hz, self.intensity,
@@ -399,8 +398,7 @@ def transition_catalog(es: EigenSystem, threshold: float = 0.05) -> TransitionCa
     pair_tid = np.zeros((es.dim, es.dim), dtype=np.int32)
     pair_tid[lo, up] = np.arange(1, lo.size + 1)
     return TransitionCatalog(lower=lo, upper=up, freq_hz=freq, intensity=inten,
-                             observable=observable, pair_tid=pair_tid,
-                             threshold=threshold)
+                             observable=observable, pair_tid=pair_tid)
 
 
 # ---------------------------------------------------------------------------

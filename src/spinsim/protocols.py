@@ -6,8 +6,8 @@ Each protocol emits its pulse program as DSL text, executes it through the
 pulse-language layer (so re-running the emitted program reproduces the
 final state bit-exactly), and reports named metrics.  Transitions are
 referenced by eigenstate label pairs, which keeps the programs valid for
-any system with the right spin count; catalog-id defaults depend on the
-actual couplings and can be overridden by the caller.
+any system with the right spin count; the catalog ids they resolve to
+depend on the actual couplings.
 """
 
 from __future__ import annotations
@@ -279,33 +279,23 @@ def find_ghz_ladder(es: EigenSystem, catalog: TransitionCatalog
                                 abc[0].upper, abc[1].upper))
 
 
-def ghz_create(es: EigenSystem, catalog: TransitionCatalog | None = None,
-               ladder: tuple[int, int, int] | None = None) -> ProtocolReport:
+def ghz_create(es: EigenSystem,
+               catalog: TransitionCatalog | None = None) -> ProtocolReport:
     """Create |GHZ><GHZ| - |001><001| from the POPS pair on (000,001).
 
     A (pi/2) pulse on the first ladder transition followed by two pi pulses
     walks |000> into (|000> + |111>)/sqrt(2) under the 16-row phase cycle
-    (every row accumulates the same 270-degree phase sum).  The ladder must
-    connect |000> to |111> without touching |001>; by default the
-    highest-intensity such ladder of the catalog is used.
+    (every row accumulates the same 270-degree phase sum).  The ladder is
+    the highest-intensity one of the catalog that connects |000> to |111>
+    without touching |001> (``find_ghz_ladder``).
     """
     catalog = _checked(es, 3, "ghz_create", catalog)
     pops_tid = find_transition_by_labels(es, catalog, "000", "001").tid
     pops = pops_pair(es, pops_tid, catalog)
     scale = pops.metrics["scale"]
 
-    if ladder is None:
-        ta, tb, tc = find_ghz_ladder(es, catalog)
-    else:
-        ta, tb, tc = (catalog.by_id(t) for t in ladder)
-    chain = [ta.lower, ta.upper, tb.upper, tc.upper]
-    labels = [es.labels[k] for k in chain]
-    if (labels[0] != "000" or labels[3] != "111"
-            or tb.lower != ta.upper or tc.lower != tb.upper
-            or "001" in labels[1:3]):
-        raise ProtocolError(
-            f"transitions {ta.tid}, {tb.tid}, {tc.tid} do not form a ladder "
-            "from |000> to |111> clear of |001>")
+    ta, tb, tc = find_ghz_ladder(es, catalog)
+    labels = [es.labels[k] for k in (ta.lower, ta.upper, tb.upper, tc.upper)]
 
     text = "cycle P1 P2 P3\n"
     for row in _GHZ_ROWS:
@@ -511,11 +501,11 @@ def _hann_magnitudes(data: np.ndarray, rows, cols) -> np.ndarray:
 
 def dj_two_qubit_2d(es: EigenSystem, f: str,
                     catalog: TransitionCatalog | None = None,
-                    t1_points: int = 256, t2_points: int = 1024,
-                    dwell1: float | None = None, dwell2: float | None = None):
+                    t1_points: int = 256, t2_points: int = 1024):
     """Two-qubit Deutsch-Jozsa with 2D readout; returns (report, dataset).
 
-    Sequence: (pi/2) on all spins - t1 - U_f - detect(t2).  U_f applies pi
+    Sequence: (pi/2) on all spins - t1 - U_f - detect(t2), both times on
+    the ``default_tomo_dwell`` grid.  U_f applies pi
     pulses to the work-qubit transitions selected by the function's
     pattern.  Input-qubit lines whose coherence frequency is unchanged give
     diagonal peaks, lines moved to their work-flipped partner give cross
@@ -534,35 +524,29 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     if f not in DJ2_PATTERNS:
         raise ProtocolError(f"unknown two-qubit DJ function {f!r}")
     from . import acquisition as acq
-    if dwell1 is None:
-        dwell1 = acq.default_tomo_dwell(es)
-    if dwell2 is None:
-        dwell2 = acq.default_tomo_dwell(es)
+    dwell = acq.default_tomo_dwell(es)
 
     work = _work_transitions(es, catalog)
-    for t in work:
-        if abs(es.mz[t.lower] - es.mz[t.upper]) != 1:
-            raise ProtocolError("work transitions must be single quantum")
     pattern = DJ2_PATTERNS[f]
     text = "pulse 90 y\ndelay t1\n"
     for bit, t in zip(pattern, work):
         if bit:
             text += (f"selpulse ({es.labels[t.lower]},{es.labels[t.upper]})"
                      " 180 x\n")
-    text += f"acquire {t2_points} {dwell2:.12g}\n"
+    text += f"acquire {t2_points} {dwell:.12g}\n"
     program = pl.parse_program(text, source=f"dj2_{f}")
     rho0 = dyn.equilibrium_deviation(es)
-    dataset = acq.run_2d(program, es, rho0, t1_points, dwell1, catalog)
+    dataset = acq.run_2d(program, es, rho0, t1_points, dwell, catalog)
     # reference diagonal magnitudes come from the f1 (identity) pattern
-    ref_text = f"pulse 90 y\ndelay t1\nacquire {t2_points} {dwell2:.12g}\n"
+    ref_text = f"pulse 90 y\ndelay t1\nacquire {t2_points} {dwell:.12g}\n"
     ref_prog = pl.parse_program(ref_text, source="dj2_ref")
-    ref = acq.run_2d(ref_prog, es, rho0, t1_points, dwell1, catalog)
+    ref = acq.run_2d(ref_prog, es, rho0, t1_points, dwell, catalog)
 
     def bin1(freq):
-        return int(round(freq * t1_points * dwell1)) % t1_points
+        return int(round(freq * t1_points * dwell)) % t1_points
 
     def bin2(freq):
-        return int(round(freq * t2_points * dwell2)) % t2_points
+        return int(round(freq * t2_points * dwell)) % t2_points
 
     lines = _input_lines(es, catalog)
     rows = sorted({bin1(line.freq_hz) for line, _, _ in lines})

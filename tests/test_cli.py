@@ -348,12 +348,22 @@ def test_shipped_lookup_misses(tmp_path, capsys, monkeypatch, argv, entry):
     ("protocol", "ghz"),
     ("tomo", "citrate.spin"),
     ("tomo", "citrate.spin", "--protocol", "epr", "--state", "epr.state"),
+    ("run", "citrate.spin", "pps00.pp", "--beta", "inf"),
+    ("run", "citrate.spin", "pps00.pp", "--beta", "nan"),
+    ("run", "citrate.spin", "tomo_mq.pp", "--t1", "nan"),
+    ("tomo", "citrate.spin", "--protocol", "epr", "--beta", "0"),
+    ("protocol", "ghz", "demo3.spin", "--beta", "5"),
 ])
-def test_usage_errors_are_one_line(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv):
+    # argparse rejects misuse through SystemExit; a value that parses but
+    # cannot be measured (a 0-degree detection pulse) returns the code
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
-    assert_one_line_error(exc.value.code, err)
+    assert_one_line_error(code, err)
     assert err.startswith("spinsim: error: ")
     assert out == ""
 

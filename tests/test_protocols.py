@@ -151,16 +151,6 @@ def test_ghz_cycle_rows_identical(demo3_es, demo3_cat):
         assert np.abs(s.mat - states[0].mat).max() <= 1e-12
 
 
-def test_ghz_rejects_broken_ladder(demo3_es, demo3_cat):
-    es, cat = demo3_es, demo3_cat
-    # three transitions that do not chain from |000> to |111>
-    t1 = cat.by_labels(es, "000", "001")
-    t2 = cat.by_labels(es, "000", "010")
-    t3 = cat.by_labels(es, "000", "100")
-    with pytest.raises(pr.ProtocolError, match="ladder"):
-        pr.ghz_create(es, cat, ladder=(t1.tid, t2.tid, t3.tid))
-
-
 def test_gate_identity_is_empty(compound1_es):
     rep = pr.gate_library_2spin(compound1_es, 1)
     assert rep.metrics["n_pulses"] == 0
