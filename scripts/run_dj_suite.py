@@ -27,8 +27,8 @@ def main() -> None:
     cat3 = core.transition_catalog(es3)
     print("two-qubit DJ on demo3 (2D readout):")
     for f, truth in pr.DJ2_TRUTH.items():
-        rep, _ = pr.dj_two_qubit_2d(es3, f, cat3, t1_points=256,
-                                    t2_points=1024)
+        rep = pr.dj_two_qubit_2d(es3, f, cat3, t1_points=256,
+                                 t2_points=1024)
         mark = "ok" if rep.info["verdict"] == truth else "WRONG"
         print(f"  {f} {rep.info['pattern']}: {rep.info['verdict']:9s} "
               f"(truth {truth:9s}) {mark}  [{rep.info['outcomes']}]")

@@ -58,7 +58,7 @@ def demo3_ok(sys3: core.SpinSystem, check_protocols: bool = False) -> bool:
         if not cat.by_labels(es, "000", "001").observable:
             return False
         for f in pr.DJ2_PATTERNS:
-            rep, _ = pr.dj_two_qubit_2d(es, f, cat, 256, 1024)
+            rep = pr.dj_two_qubit_2d(es, f, cat, 256, 1024)
             if rep.info["verdict"] != pr.DJ2_TRUTH[f]:
                 return False
     except Exception:

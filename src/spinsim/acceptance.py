@@ -194,8 +194,8 @@ def criterion_7_deutsch_jozsa() -> CriterionResult:
     es3 = eigensystem(_shipped_system("demo3.spin"))
     cat3 = transition_catalog(es3)
     for f, truth in pr.DJ2_TRUTH.items():
-        rep, _ = pr.dj_two_qubit_2d(es3, f, cat3, t1_points=256,
-                                    t2_points=1024)
+        rep = pr.dj_two_qubit_2d(es3, f, cat3, t1_points=256,
+                                 t2_points=1024)
         if rep.info["verdict"] != truth:
             ok = False
             bad.append(f"2q:{f}")

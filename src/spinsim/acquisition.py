@@ -100,6 +100,11 @@ def line_amplitudes(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
             * fplus[catalog.lower, catalog.upper])
 
 
+def _check_points(points: int) -> None:
+    if points < 1 or (points & (points - 1)) != 0:
+        raise AcquisitionError(f"points must be a power of two, got {points}")
+
+
 def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
                 points: int, dwell: float) -> np.ndarray:
     """Time series s(m) = Tr(rho(m*dwell) F+) under free evolution.
@@ -109,8 +114,7 @@ def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     over a table of one exponential per line and point; above, a sum over
     per-level phases.
     """
-    if points < 1 or (points & (points - 1)) != 0:
-        raise AcquisitionError(f"points must be a power of two, got {points}")
+    _check_points(points)
     fplus = es.lowering_operator().conj().T
     w = rho.mat * fplus.T                       # w_kl = rho_kl * F+_lk
     # the lines: the union of the elements over the stack
@@ -135,8 +139,7 @@ def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
 def fft_spectrum(fid: np.ndarray, dwell: float) -> tuple[np.ndarray, np.ndarray]:
     """Complex spectrum of an FID with the frequency axis centered at zero."""
     n = fid.size
-    if n < 1 or (n & (n - 1)) != 0:
-        raise AcquisitionError(f"points must be a power of two, got {n}")
+    _check_points(n)
     spec = np.fft.fftshift(np.fft.fft(fid))
     freqs = np.fft.fftshift(np.fft.fftfreq(n, dwell))
     return freqs, spec
@@ -186,29 +189,74 @@ class Dataset2D:
         return "\n\n".join(blocks) + "\n"
 
 
-def run_2d(program: pl.PulseProgram, es: EigenSystem,
-           rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
-           catalog: TransitionCatalog | None = None) -> Dataset2D:
-    """Execute a program with one symbolic t1 delay and a final acquire.
-
-    The (possibly phase-cycled) prefix runs once with t1 bound to the
-    whole t1 grid, giving one state per row, and the FIDs of the trailing
-    acquire instruction are synthesized for all rows together.
-    """
-    if catalog is None:
-        catalog = transition_catalog(es)
+def _t1_stack(program: pl.PulseProgram, es: EigenSystem,
+              rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
+              catalog: TransitionCatalog
+              ) -> tuple[pl.Acquire, dyn.DeviationDensityMatrix]:
+    """Check a 2D program and its grid, and run the (possibly phase-cycled)
+    prefix once with t1 bound to the whole t1 grid, giving one state per
+    row.  Returns the trailing acquire instruction and the states."""
     if not program.instructions or not isinstance(program.instructions[-1], pl.Acquire):
         raise AcquisitionError("2D program must end with an acquire instruction")
     if t1_points < 1:
         raise AcquisitionError(f"t1 points must be at least 1, got {t1_points}")
     acq = program.instructions[-1]
+    _check_points(acq.points)
     prefix = replace(program, instructions=program.instructions[:-1])
-    rho = pl.execute_cycled(prefix, es, rho0, catalog,
-                            t1=np.arange(t1_points) * dwell1)
+    return acq, pl.execute_cycled(prefix, es, rho0, catalog,
+                                  t1=np.arange(t1_points) * dwell1)
+
+
+def run_2d(program: pl.PulseProgram, es: EigenSystem,
+           rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
+           catalog: TransitionCatalog | None = None) -> Dataset2D:
+    """Execute a program with one symbolic t1 delay and a final acquire.
+
+    The prefix runs once on the whole t1 grid, and the FIDs of the
+    trailing acquire instruction are synthesized for all rows together.
+    """
+    if catalog is None:
+        catalog = transition_catalog(es)
+    acq, rho = _t1_stack(program, es, rho0, t1_points, dwell1, catalog)
     data = acquire_fid(es, rho, acq.points, acq.dwell_s)
     if data.ndim == 1:                  # no delay t1: every row is the same
         data = np.tile(data, (t1_points, 1))
     return Dataset2D(t1_points, acq.points, dwell1, acq.dwell_s, data)
+
+
+def _hann_dft(n: int, bins) -> np.ndarray:
+    """Rows of the n-point DFT at ``bins`` with the Hann window folded in.
+    The phase index bin * j is reduced mod n before scaling, so every phase
+    is below 2 pi."""
+    k = np.outer(bins, np.arange(n)) % n
+    return np.hanning(n) * np.exp(-2j * np.pi / n * k)
+
+
+def hann_peaks_2d(program: pl.PulseProgram, es: EigenSystem,
+                  rho0: dyn.DeviationDensityMatrix, t1_points: int,
+                  dwell1: float, rows, cols,
+                  catalog: TransitionCatalog | None = None) -> np.ndarray:
+    """|fft2(data * outer(hann, hann))| at the bins rows x cols, where data
+    is what ``run_2d`` returns for the same arguments, without synthesizing
+    the FIDs.  Bins may be any integers: bin b reads as b mod the point
+    count.
+
+    The data is the t1 stack's line amplitudes times one exponential per
+    line and t2 point (sampled at the acquire instruction's dwell), so the
+    windowed DFT regroups as |(h1 E1[rows] @ amps) @ (h2 E2[cols] @
+    exp)^T|: a t1 x lines matmul and a lines x t2 table in place of the
+    t1 x t2 dataset.  The checks and messages are those of ``run_2d``.
+    """
+    if catalog is None:
+        catalog = transition_catalog(es)
+    acq, rho = _t1_stack(program, es, rho0, t1_points, dwell1, catalog)
+    amps = line_amplitudes(es, rho, catalog)
+    if amps.ndim == 1:                  # no delay t1: every row is the same
+        amps = np.broadcast_to(amps, (t1_points, amps.size))
+    t2 = np.arange(acq.points) * acq.dwell_s
+    lines_t2 = np.exp(2j * math.pi * catalog.freq_hz[:, None] * t2)
+    return np.abs((_hann_dft(t1_points, rows) @ amps)
+                  @ (_hann_dft(acq.points, cols) @ lines_t2.T).T)
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +491,10 @@ def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
     The data is Hann-apodized along both dimensions first, which pushes
     rectangular-window sidelobes of strong ridges below the threshold.  A
     maximum is at least its lower-index neighbours and above its
-    higher-index ones along each axis, with wraparound.  Positions are refined by a 3-bin
-    centroid along each axis; returns (f1, f2, magnitude) tuples sorted by
-    descending magnitude, ties in row-major order.
+    higher-index ones along each axis of more than one point, with
+    wraparound.  Positions are refined by a 3-bin centroid along each
+    axis; returns (f1, f2, magnitude) tuples sorted by descending
+    magnitude, ties in row-major order.
     """
     n1, n2 = dataset.data.shape
     win = np.outer(np.hanning(n1) if n1 > 1 else np.ones(1),
@@ -459,11 +508,16 @@ def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
         return []
     df1 = f1ax[1] - f1ax[0] if n1 > 1 else 0.0
     df2 = f2ax[1] - f2ax[0] if n2 > 1 else 0.0
-    # the four neighbours of every cell, with wraparound
+    # the four neighbours of every cell, with wraparound; a cell has none
+    # along a length-1 axis, where it would be its own
     up, down = np.roll(mag, 1, axis=0), np.roll(mag, -1, axis=0)
     left, right = np.roll(mag, 1, axis=1), np.roll(mag, -1, axis=1)
-    i, j = np.nonzero((mag >= 0.05 * mmax) & (mag >= up) & (mag > down)
-                      & (mag >= left) & (mag > right))
+    peak = mag >= 0.05 * mmax
+    if n1 > 1:
+        peak &= (mag >= up) & (mag > down)
+    if n2 > 1:
+        peak &= (mag >= left) & (mag > right)
+    i, j = np.nonzero(peak)
     v, a1, b1, a2, b2 = (m[i, j] for m in (mag, up, down, left, right))
     c1 = f1ax[i] + df1 * (b1 - a1) / (a1 + v + b1)
     c2 = f2ax[j] + df2 * (b2 - a2) / (a2 + v + b2)

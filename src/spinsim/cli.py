@@ -172,28 +172,27 @@ def _index_argument(name: str) -> int:
                        f"got {text!r}") from None
 
 
-def _protocol_report(es, cat, name: str, args):
+def _protocol_report(es, cat, name: str, args) -> pr.ProtocolReport:
     if name.startswith("pps"):
-        return pr.pseudopure_2spin(es, name[3:], cat), None
+        return pr.pseudopure_2spin(es, name[3:], cat)
     if name.startswith("pops:"):
-        return pr.pops_pair(es, _index_argument(name), cat), None
+        return pr.pops_pair(es, _index_argument(name), cat)
     if name.startswith("dj1:"):
-        return pr.dj_one_qubit(es, name.split(":", 1)[1], cat), None
+        return pr.dj_one_qubit(es, name.split(":", 1)[1], cat)
     if name.startswith("dj2:"):
-        rep, dataset = pr.dj_two_qubit_2d(
-            es, name.split(":", 1)[1], cat,
-            t1_points=args.t1_points, t2_points=args.t2_points)
-        return rep, dataset
+        return pr.dj_two_qubit_2d(es, name.split(":", 1)[1], cat,
+                                  t1_points=args.t1_points,
+                                  t2_points=args.t2_points)
     if name == "epr":
-        return pr.epr_create(es, cat), None
+        return pr.epr_create(es, cat)
     if name == "ghz":
-        return pr.ghz_create(es, cat), None
+        return pr.ghz_create(es, cat)
     if name.startswith("gate:"):
-        return pr.gate_library_2spin(es, _index_argument(name), cat), None
+        return pr.gate_library_2spin(es, _index_argument(name), cat)
     if name == "c3not":
-        return pr.c3not_4spin(es, cat), None
+        return pr.c3not_4spin(es, cat)
     if name == "c2swap":
-        return pr.c2swap_4spin(es, cat), None
+        return pr.c2swap_4spin(es, cat)
     raise CliError(f"unknown protocol {name!r}")
 
 
@@ -201,12 +200,16 @@ def cmd_protocol(args) -> int:
     sys_ = _load_system(args.system)
     es = eigensystem(sys_)
     cat = transition_catalog(es, args.threshold)
-    rep, dataset = _protocol_report(es, cat, args.name, args)
+    rep = _protocol_report(es, cat, args.name, args)
+    dataset = None
+    if args.write_2d and args.name.startswith("dj2:"):
+        dataset = pr.dj2_dataset(es, args.name.split(":", 1)[1], cat,
+                                 args.t1_points, args.t2_points)
     out_dir = Path(args.out)
     _write(out_dir / f"{rep.name}.pp", rep.program_text)
     _write(out_dir / f"{rep.name}.state", dyn.format_state(rep.final_state))
     _write(out_dir / f"{rep.name}.report", rep.format_report())
-    if dataset is not None and args.write_2d:
+    if dataset is not None:
         _write(out_dir / f"{rep.name}.2d", dataset.to_text())
         _write(out_dir / f"{rep.name}.grid", dataset.to_gnuplot_grid())
     print(rep.format_report(), end="")
@@ -243,7 +246,7 @@ def cmd_tomo(args) -> int:
     es = eigensystem(sys_)
     cat = transition_catalog(es, args.threshold)
     if args.protocol is not None:
-        rep, _ = _protocol_report(es, cat, args.protocol, args)
+        rep = _protocol_report(es, cat, args.protocol, args)
         rho = rep.final_state
         label = rep.name
     else:

@@ -484,25 +484,38 @@ def _input_lines(es: EigenSystem, catalog: TransitionCatalog):
     return triples
 
 
-def _hann_magnitudes(data: np.ndarray, rows, cols) -> np.ndarray:
-    """|fft2(data * outer(hann, hann))| at the bins rows x cols only.
+def _dj2_program(es: EigenSystem, f: str, catalog: TransitionCatalog,
+                 t2_points: int, dwell: float) -> tuple[str, pl.PulseProgram]:
+    """The text and the parsed DJ2 program of function ``f``:
+    (pi/2)_y - t1 - U_f - acquire."""
+    if f not in DJ2_PATTERNS:
+        raise ProtocolError(f"unknown two-qubit DJ function {f!r}")
+    text = "pulse 90 y\ndelay t1\n"
+    for bit, t in zip(DJ2_PATTERNS[f], _work_transitions(es, catalog)):
+        if bit:
+            text += (f"selpulse ({es.labels[t.lower]},{es.labels[t.upper]})"
+                     " 180 x\n")
+    text += f"acquire {t2_points} {dwell:.12g}\n"
+    return text, pl.parse_program(text, source=f"dj2_{f}")
 
-    The window folds into the DFT vectors, so this is one small matmul
-    pair, |(h1 E1[rows]) @ data @ (h2 E2[:, cols])|.  The phase index
-    bin * j is reduced mod N before scaling, so every phase is below 2 pi.
-    """
-    def dft(n, bins):
-        k = np.outer(bins, np.arange(n)) % n
-        return np.hanning(n) * np.exp(-2j * np.pi / n * k)
 
-    n1, n2 = data.shape
-    return np.abs(dft(n1, rows) @ data @ dft(n2, cols).T)
+def dj2_dataset(es: EigenSystem, f: str,
+                catalog: TransitionCatalog | None = None,
+                t1_points: int = 256, t2_points: int = 1024):
+    """The 2D time-domain dataset of ``dj_two_qubit_2d``'s program, as
+    ``acquisition.run_2d`` synthesizes it from equilibrium."""
+    catalog = _checked(es, 3, "dj2_dataset", catalog)
+    from . import acquisition as acq
+    dwell = acq.default_tomo_dwell(es)
+    _, program = _dj2_program(es, f, catalog, t2_points, dwell)
+    return acq.run_2d(program, es, dyn.equilibrium_deviation(es), t1_points,
+                      dwell, catalog)
 
 
 def dj_two_qubit_2d(es: EigenSystem, f: str,
                     catalog: TransitionCatalog | None = None,
-                    t1_points: int = 256, t2_points: int = 1024):
-    """Two-qubit Deutsch-Jozsa with 2D readout; returns (report, dataset).
+                    t1_points: int = 256, t2_points: int = 1024) -> ProtocolReport:
+    """Two-qubit Deutsch-Jozsa with 2D readout.
 
     Sequence: (pi/2) on all spins - t1 - U_f - detect(t2), both times on
     the ``default_tomo_dwell`` grid.  U_f applies pi
@@ -513,40 +526,29 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     vanish.  A uniform all-diagonal or all-cross pattern means constant;
     anything else means balanced.
 
-    The readout is the Hann-windowed 2D magnitude spectrum of the dataset
+    The readout is the Hann-windowed 2D magnitude spectrum of the program
     and of an identity-pattern reference, evaluated only at the bins the
-    classifier reads (a direct DFT at those rows and columns, not a full
-    fft2).  These values decide the verdict and are never written: the
-    report holds verdicts, counts and outcome labels, and the returned
-    dataset is the raw time-domain data.
+    classifier reads, from the line amplitudes of the t1 stack
+    (``acquisition.hann_peaks_2d``); no FID is synthesized.  These values
+    decide the verdict and are never written: the report holds verdicts,
+    counts and outcome labels.  ``dj2_dataset`` gives the time-domain data.
+    A grid whose reference reads zero at every line (a Hann window of two
+    points is all zeros) or that puts a usable line's diagonal and cross
+    peaks in one column cannot be read and raises.
     """
     catalog = _checked(es, 3, "dj_two_qubit_2d", catalog)
-    if f not in DJ2_PATTERNS:
-        raise ProtocolError(f"unknown two-qubit DJ function {f!r}")
     from . import acquisition as acq
     dwell = acq.default_tomo_dwell(es)
-
-    work = _work_transitions(es, catalog)
-    pattern = DJ2_PATTERNS[f]
-    text = "pulse 90 y\ndelay t1\n"
-    for bit, t in zip(pattern, work):
-        if bit:
-            text += (f"selpulse ({es.labels[t.lower]},{es.labels[t.upper]})"
-                     " 180 x\n")
-    text += f"acquire {t2_points} {dwell:.12g}\n"
-    program = pl.parse_program(text, source=f"dj2_{f}")
+    text, program = _dj2_program(es, f, catalog, t2_points, dwell)
     rho0 = dyn.equilibrium_deviation(es)
-    dataset = acq.run_2d(program, es, rho0, t1_points, dwell, catalog)
-    # reference diagonal magnitudes come from the f1 (identity) pattern
-    ref_text = f"pulse 90 y\ndelay t1\nacquire {t2_points} {dwell:.12g}\n"
-    ref_prog = pl.parse_program(ref_text, source="dj2_ref")
-    ref = acq.run_2d(ref_prog, es, rho0, t1_points, dwell, catalog)
 
+    # the bins of a line; the readout reads bin b as b mod the point count
+    # (after checking the counts, so these stay unreduced)
     def bin1(freq):
-        return int(round(freq * t1_points * dwell)) % t1_points
+        return int(round(freq * t1_points * dwell))
 
     def bin2(freq):
-        return int(round(freq * t2_points * dwell)) % t2_points
+        return int(round(freq * t2_points * dwell))
 
     lines = _input_lines(es, catalog)
     rows = sorted({bin1(line.freq_hz) for line, _, _ in lines})
@@ -554,22 +556,35 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
                    for t in (line, partner)})
     # Hann apodization pushes leakage tails of nearby strong peaks below
     # the decision thresholds
-    spec = _hann_magnitudes(dataset.data, rows, cols)
-    ref_spec = _hann_magnitudes(ref.data, rows, cols)
+    def readout(program):
+        return acq.hann_peaks_2d(program, es, rho0, t1_points, dwell, rows,
+                                 cols, catalog)
+
+    spec = readout(program)
+    # reference diagonal magnitudes come from the f1 (identity) pattern
+    ref_spec = spec if f == "f1" else readout(
+        _dj2_program(es, "f1", catalog, t2_points, dwell)[1])
 
     def peak(mag, line, t):
         return float(mag[rows.index(bin1(line.freq_hz)),
                          cols.index(bin2(t.freq_hz))])
 
+    grid = f"the {t1_points}x{t2_points} grid"
     outcomes: dict[int, str] = {}
     refs = {line.tid: peak(ref_spec, line, line) for line, _, _ in lines}
-    ref_max = max(refs.values(), default=0.0)
+    ref_max = max(refs.values())
+    if ref_max == 0.0:
+        raise ProtocolError(f"{grid} reads no reference signal at the "
+                            "input-qubit lines")
     for line, partner, _ in lines:
         r = refs[line.tid]
         # near-forbidden lines sit below the leakage tails of strong peaks
         # and cannot be judged; the experiment only used observable ones
         if r < 0.01 * ref_max or partner.intensity < 1e-9:
             continue
+        if (bin2(line.freq_hz) - bin2(partner.freq_hz)) % t2_points == 0:
+            raise ProtocolError(f"{grid} puts the diagonal and cross peaks "
+                                f"of t{line.tid} in one column")
         d = peak(spec, line, line)
         x = peak(spec, line, partner)
         if d >= 0.5 * r and x < 0.5 * r:
@@ -589,7 +604,7 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     rep.metrics["n_lines_used"] = float(len(outcomes))
     rep.info["verdict"] = verdict
     rep.info["function"] = f
-    rep.info["pattern"] = "".join(str(b) for b in pattern)
+    rep.info["pattern"] = "".join(str(b) for b in DJ2_PATTERNS[f])
     rep.info["outcomes"] = ",".join(
         f"t{tid}:{kind}" for tid, kind in sorted(outcomes.items()))
-    return rep, dataset
+    return rep

@@ -251,8 +251,9 @@ def loop_peak_pick(dataset, rel_threshold=0.05):
                 continue
             im, ip = (i - 1) % n1, (i + 1) % n1
             jm, jp = (j - 1) % n2, (j + 1) % n2
-            if (v >= mag[im, j] and v > mag[ip, j]
-                    and v >= mag[i, jm] and v > mag[i, jp]):
+            # along a length-1 axis a cell has no neighbours
+            if ((n1 == 1 or (v >= mag[im, j] and v > mag[ip, j]))
+                    and (n2 == 1 or (v >= mag[i, jm] and v > mag[i, jp]))):
                 w = mag[im, j] + v + mag[ip, j]
                 c1 = f1ax[i] + df1 * (mag[ip, j] - mag[im, j]) / w
                 w = mag[i, jm] + v + mag[i, jp]
@@ -273,6 +274,19 @@ def test_peak_pick_matches_loop_on_ghz(demo3_es, demo3_cat):
     want = loop_peak_pick(dataset)
     assert want
     assert hex_peaks(acq.peak_pick_2d(dataset)) == hex_peaks(want)
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (64, 1)])
+def test_peak_pick_one_line_on_a_single_row_or_column(shape):
+    # a 1D grid: one strong line gives exactly one peak, at its frequency
+    dwell = 1e-3
+    t = np.arange(max(shape)) * dwell
+    data = np.exp(2j * math.pi * 125.0 * t).reshape(shape)
+    peaks = acq.peak_pick_2d(acq.Dataset2D(*shape, dwell, dwell, data))
+    assert len(peaks) == 1
+    f1, f2, _ = peaks[0]
+    assert (f1, f2)[shape.index(64)] == pytest.approx(125.0, abs=1.0)
+    assert (f1, f2)[shape.index(1)] == 0.0
 
 
 @pytest.mark.parametrize("shape", [(16, 32), (8, 1), (1, 8), (1, 1),

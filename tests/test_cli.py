@@ -224,6 +224,27 @@ def test_too_few_t1_points(tmp_path, capsys, argv, points):
     assert "t1 points must be at least 1" in err
 
 
+def test_dj2_reports_without_synthesizing_fids(tmp_path, capsys, monkeypatch):
+    # the verdict comes from line amplitudes; the 2D dataset is synthesized
+    # only for --write-2d
+    from spinsim import acquisition as acq
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("synthesized a 2D dataset")
+
+    monkeypatch.setattr(acq, "acquire_fid", refuse)
+    monkeypatch.setattr(acq, "run_2d", refuse)
+    code, out, err = run_cli(capsys, "protocol", "dj2:f5", "demo3.spin",
+                             "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "verdict=balanced\n" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dj2_f5.pp", "dj2_f5.report", "dj2_f5.state"]
+    with pytest.raises(RuntimeError, match="synthesized a 2D dataset"):
+        main(["protocol", "dj2:f5", "demo3.spin", "--write-2d",
+              "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("name, system, text", [
     ("pops:x", "citrate.spin", "'x'"),
     ("pops:", "citrate.spin", "''"),
@@ -353,6 +374,8 @@ def test_shipped_lookup_misses(tmp_path, capsys, monkeypatch, argv, entry):
     ("run", "citrate.spin", "tomo_mq.pp", "--t1", "nan"),
     ("tomo", "citrate.spin", "--protocol", "epr", "--beta", "0"),
     ("protocol", "ghz", "demo3.spin", "--beta", "5"),
+    ("protocol", "dj2:f1", "demo3.spin", "--t2-points", "2"),
+    ("protocol", "dj2:f1", "demo3.spin", "--t1-points", "1", "--t2-points", "1"),
 ])
 def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv):
     # argparse rejects misuse through SystemExit; a value that parses but

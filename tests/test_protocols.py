@@ -227,9 +227,10 @@ def test_c2swap_matches_pops(demo4_es, demo4_cat):
 
 @pytest.mark.parametrize("f", sorted(pr.DJ2_PATTERNS))
 def test_dj_two_qubit_verdicts(demo3_es, demo3_cat, f):
-    rep, dataset = pr.dj_two_qubit_2d(demo3_es, f, demo3_cat,
-                                      t1_points=256, t2_points=1024)
+    rep = pr.dj_two_qubit_2d(demo3_es, f, demo3_cat,
+                             t1_points=256, t2_points=1024)
     assert rep.info["verdict"] == pr.DJ2_TRUTH[f]
+    dataset = pr.dj2_dataset(demo3_es, f, demo3_cat, 256, 1024)
     assert dataset.data.shape == (256, 1024)
 
 
@@ -245,11 +246,11 @@ def test_dj2_label_remap_option(demo3_es, demo3_cat):
     # swapping two input-manifold labels is exposed as a relabeled system;
     # the algorithm still classifies correctly
     es2, cat2 = _remapped_demo3(demo3_es)
-    rep, _ = pr.dj_two_qubit_2d(es2, "f1", cat2, t1_points=256,
-                                t2_points=1024)
+    rep = pr.dj_two_qubit_2d(es2, "f1", cat2, t1_points=256,
+                             t2_points=1024)
     assert rep.info["verdict"] == "constant"
-    rep, _ = pr.dj_two_qubit_2d(es2, "f5", cat2, t1_points=256,
-                                t2_points=1024)
+    rep = pr.dj_two_qubit_2d(es2, "f5", cat2, t1_points=256,
+                             t2_points=1024)
     assert rep.info["verdict"] == "balanced"
 
 
@@ -322,10 +323,17 @@ def _fft2_dj2(es, f, catalog, t1_points, t2_points):
             r = float(ref_spec[bin1(line.freq_hz), bin2(line.freq_hz)])
             refs[line.tid] = r
             ref_max = max(ref_max, r)
+        grid = f"the {t1_points}x{t2_points} grid"
+        if ref_max == 0.0:
+            raise pr.ProtocolError(f"{grid} reads no reference signal at the "
+                                   "input-qubit lines")
         for line, partner, _ in lines:
             r = refs[line.tid]
             if r < 0.01 * ref_max or partner.intensity < 1e-9:
                 continue
+            if bin2(line.freq_hz) == bin2(partner.freq_hz):
+                raise pr.ProtocolError(f"{grid} puts the diagonal and cross "
+                                       f"peaks of t{line.tid} in one column")
             d = float(spec[bin1(line.freq_hz), bin2(line.freq_hz)])
             x = float(spec[bin1(line.freq_hz), bin2(partner.freq_hz)])
             if d >= 0.5 * r and x < 0.5 * r:
@@ -351,31 +359,93 @@ def _fft2_dj2(es, f, catalog, t1_points, t2_points):
 
 def _bin_dj2(es, f, catalog, t1_points, t2_points):
     try:
-        rep, _ = pr.dj_two_qubit_2d(es, f, catalog, t1_points, t2_points)
+        rep = pr.dj_two_qubit_2d(es, f, catalog, t1_points, t2_points)
     except pr.ProtocolError as exc:
         return str(exc)
     return rep.info, rep.metrics, rep.program_text
 
 
+def _data_hann_magnitudes(data, rows, cols):
+    """|fft2(data * outer(hann, hann))| at rows x cols, from the synthesized
+    data: |(h1 E1[rows]) @ data @ (h2 E2[:, cols])|, the readout DJ2 used
+    before it read line amplitudes."""
+    def dft(n, bins):
+        k = np.outer(bins, np.arange(n)) % n
+        return np.hanning(n) * np.exp(-2j * np.pi / n * k)
+
+    n1, n2 = data.shape
+    return np.abs(dft(n1, rows) @ data @ dft(n2, cols).T)
+
+
+def _random_3spin(seed):
+    rng = np.random.default_rng(1300 + seed)
+    offs = rng.uniform(-250, 250, 3)
+    j = np.triu(rng.uniform(-10, 10, (3, 3)), 1)
+    d = np.triu(rng.uniform(-250, 250, (3, 3)), 1)
+    es = core.eigensystem(core.SpinSystem.create("r3", offs, j + j.T, d + d.T))
+    return es, core.transition_catalog(es)
+
+
+def _check_bin_magnitudes(es, cat):
+    """The line-amplitude readout against the windowed DFT of run_2d's data
+    (and that against a full fft2) at the bins DJ2 reads, for every
+    function's program, within 1e-12 of the identity reference's (f1's)
+    largest magnitude there."""
+    from spinsim import acquisition as acq
+    dwell = acq.default_tomo_dwell(es)
+    rho0 = dyn.equilibrium_deviation(es)
+    lines = pr._input_lines(es, cat)
+    for t1_points, t2_points in ((32, 16), (64, 256), (256, 1024)):
+        rows = sorted({int(round(line.freq_hz * t1_points * dwell))
+                       for line, _, _ in lines})
+        cols = sorted({int(round(t.freq_hz * t2_points * dwell))
+                       for line, partner, _ in lines for t in (line, partner)})
+        win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
+        for f in sorted(pr.DJ2_PATTERNS):       # f1 first
+            _, program = pr._dj2_program(es, f, cat, t2_points, dwell)
+            data = acq.run_2d(program, es, rho0, t1_points, dwell, cat).data
+            want = _data_hann_magnitudes(data, rows, cols)
+            full = np.abs(np.fft.fft2(data * win))
+            wrapped = np.ix_(np.mod(rows, t1_points), np.mod(cols, t2_points))
+            assert np.abs(want - full[wrapped]).max() <= 1e-12 * full.max()
+            if f == "f1":
+                ref_max = want.max()
+            got = acq.hann_peaks_2d(program, es, rho0, t1_points, dwell,
+                                    rows, cols, cat)
+            assert got.shape == (len(rows), len(cols))
+            err = np.abs(got - want).max()
+            assert err <= 1e-12 * ref_max, (f, t1_points, t2_points,
+                                            err / ref_max)
+
+
 @pytest.mark.parametrize("remap", [False, True])
 def test_dj2_bin_magnitudes_match_fft2(demo3_es, demo3_cat, remap):
-    from spinsim import acquisition as acq
-    es, cat = _remapped_demo3(demo3_es) if remap else (demo3_es, demo3_cat)
-    t1_points, t2_points = 256, 1024
-    dwell = acq.default_tomo_dwell(es)
-    lines = pr._input_lines(es, cat)
-    rows = sorted({int(round(line.freq_hz * t1_points * dwell)) % t1_points
-                   for line, _, _ in lines})
-    cols = sorted({int(round(t.freq_hz * t2_points * dwell)) % t2_points
-                   for line, partner, _ in lines for t in (line, partner)})
-    win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
+    _check_bin_magnitudes(*(_remapped_demo3(demo3_es) if remap
+                            else (demo3_es, demo3_cat)))
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("seed", range(12))
+def test_dj2_bin_magnitudes_match_fft2_random(seed):
+    _check_bin_magnitudes(*_random_3spin(seed))
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((1, 1), "the 1x1 grid puts the diagonal and cross peaks of t6 in one column"),
+    ((1, 2), "the 1x2 grid reads no reference signal at the input-qubit lines"),
+    ((2, 1024), "the 2x1024 grid reads no reference signal at the "
+                "input-qubit lines"),
+    ((256, 2), "the 256x2 grid reads no reference signal at the "
+               "input-qubit lines"),
+])
+def test_dj2_rejects_unreadable_grids(demo3_es, demo3_cat, grid, message):
+    # a 2-point Hann window is all zeros, and one t2 column cannot hold a
+    # diagonal and a cross peak apart: no verdict, for every function
     for f in sorted(pr.DJ2_PATTERNS):
-        _, dataset = pr.dj_two_qubit_2d(es, f, cat, t1_points, t2_points)
-        full = np.abs(np.fft.fft2(dataset.data * win))
-        mags = pr._hann_magnitudes(dataset.data, rows, cols)
-        assert mags.shape == (len(rows), len(cols))
-        err = np.abs(mags - full[np.ix_(rows, cols)]).max()
-        assert err <= 1e-12 * full.max(), (f, err / full.max())
+        with pytest.raises(pr.ProtocolError) as exc:
+            pr.dj_two_qubit_2d(demo3_es, f, demo3_cat, *grid)
+        assert str(exc.value) == message
+        assert _fft2_dj2(demo3_es, f, demo3_cat, *grid) == message
 
 
 @pytest.mark.parametrize("grid", [(1, 1), (1, 2), (3, 16), (32, 16),
@@ -389,12 +459,7 @@ def test_dj2_reports_match_fft2_classifier(demo3_es, demo3_cat, grid):
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 @pytest.mark.parametrize("seed", range(12))
 def test_dj2_reports_match_fft2_classifier_random(seed):
-    rng = np.random.default_rng(1300 + seed)
-    offs = rng.uniform(-250, 250, 3)
-    j = np.triu(rng.uniform(-10, 10, (3, 3)), 1)
-    d = np.triu(rng.uniform(-250, 250, (3, 3)), 1)
-    es = core.eigensystem(core.SpinSystem.create("r3", offs, j + j.T, d + d.T))
-    cat = core.transition_catalog(es)
+    es, cat = _random_3spin(seed)
     for grid in ((256, 1024), (32, 64)):
         for f in sorted(pr.DJ2_PATTERNS):
             assert (_bin_dj2(es, f, cat, *grid)
