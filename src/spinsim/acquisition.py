@@ -189,10 +189,10 @@ class Dataset2D:
         return "\n\n".join(blocks) + "\n"
 
 
-def _t1_stack(program: pl.PulseProgram, es: EigenSystem,
-              rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
-              catalog: TransitionCatalog
-              ) -> tuple[pl.Acquire, dyn.DeviationDensityMatrix]:
+def t1_stack(program: pl.PulseProgram, es: EigenSystem,
+             rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
+             catalog: TransitionCatalog
+             ) -> tuple[pl.Acquire, dyn.DeviationDensityMatrix]:
     """Check a 2D program and its grid, and run the (possibly phase-cycled)
     prefix once with t1 bound to the whole t1 grid, giving one state per
     row.  Returns the trailing acquire instruction and the states."""
@@ -217,7 +217,7 @@ def run_2d(program: pl.PulseProgram, es: EigenSystem,
     """
     if catalog is None:
         catalog = transition_catalog(es)
-    acq, rho = _t1_stack(program, es, rho0, t1_points, dwell1, catalog)
+    acq, rho = t1_stack(program, es, rho0, t1_points, dwell1, catalog)
     data = acquire_fid(es, rho, acq.points, acq.dwell_s)
     if data.ndim == 1:                  # no delay t1: every row is the same
         data = np.tile(data, (t1_points, 1))
@@ -232,31 +232,27 @@ def _hann_dft(n: int, bins) -> np.ndarray:
     return np.hanning(n) * np.exp(-2j * np.pi / n * k)
 
 
-def hann_peaks_2d(program: pl.PulseProgram, es: EigenSystem,
-                  rho0: dyn.DeviationDensityMatrix, t1_points: int,
-                  dwell1: float, rows, cols,
-                  catalog: TransitionCatalog | None = None) -> np.ndarray:
+def hann_peaks_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+                  acquire: pl.Acquire, rows, cols,
+                  catalog: TransitionCatalog) -> np.ndarray:
     """|fft2(data * outer(hann, hann))| at the bins rows x cols, where data
-    is what ``run_2d`` returns for the same arguments, without synthesizing
-    the FIDs.  Bins may be any integers: bin b reads as b mod the point
-    count.
+    holds the FIDs ``acquire`` records from each state of the t1 stack
+    ``rho`` (shaped (..., t1, d, d), as ``t1_stack`` gives it), without
+    synthesizing them.  Bins may be any integers: bin b reads as b mod the
+    point count.  Leading axes of the stack give leading axes of the
+    result.
 
-    The data is the t1 stack's line amplitudes times one exponential per
-    line and t2 point (sampled at the acquire instruction's dwell), so the
+    The data is the stack's line amplitudes times one exponential per line
+    and t2 point (sampled at the acquire instruction's dwell), so the
     windowed DFT regroups as |(h1 E1[rows] @ amps) @ (h2 E2[cols] @
     exp)^T|: a t1 x lines matmul and a lines x t2 table in place of the
-    t1 x t2 dataset.  The checks and messages are those of ``run_2d``.
+    t1 x t2 dataset.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
-    acq, rho = _t1_stack(program, es, rho0, t1_points, dwell1, catalog)
     amps = line_amplitudes(es, rho, catalog)
-    if amps.ndim == 1:                  # no delay t1: every row is the same
-        amps = np.broadcast_to(amps, (t1_points, amps.size))
-    t2 = np.arange(acq.points) * acq.dwell_s
+    t2 = np.arange(acquire.points) * acquire.dwell_s
     lines_t2 = np.exp(2j * math.pi * catalog.freq_hz[:, None] * t2)
-    return np.abs((_hann_dft(t1_points, rows) @ amps)
-                  @ (_hann_dft(acq.points, cols) @ lines_t2.T).T)
+    return np.abs((_hann_dft(amps.shape[-2], rows) @ amps)
+                  @ (_hann_dft(acquire.points, cols) @ lines_t2.T).T)
 
 
 # ---------------------------------------------------------------------------

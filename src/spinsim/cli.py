@@ -202,9 +202,12 @@ def cmd_protocol(args) -> int:
     cat = transition_catalog(es, args.threshold)
     rep = _protocol_report(es, cat, args.name, args)
     dataset = None
-    if args.write_2d and args.name.startswith("dj2:"):
-        dataset = pr.dj2_dataset(es, args.name.split(":", 1)[1], cat,
-                                 args.t1_points, args.t2_points)
+    if args.write_2d:
+        # the emitted program replayed from equilibrium; run_2d rejects a
+        # program that does not end in acquire
+        dataset = acq.run_2d(pl.parse_program(rep.program_text, source=rep.name),
+                             es, dyn.equilibrium_deviation(es), args.t1_points,
+                             acq.default_tomo_dwell(es), cat)
     out_dir = Path(args.out)
     _write(out_dir / f"{rep.name}.pp", rep.program_text)
     _write(out_dir / f"{rep.name}.state", dyn.format_state(rep.final_state))

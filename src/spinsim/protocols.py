@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -499,19 +499,6 @@ def _dj2_program(es: EigenSystem, f: str, catalog: TransitionCatalog,
     return text, pl.parse_program(text, source=f"dj2_{f}")
 
 
-def dj2_dataset(es: EigenSystem, f: str,
-                catalog: TransitionCatalog | None = None,
-                t1_points: int = 256, t2_points: int = 1024):
-    """The 2D time-domain dataset of ``dj_two_qubit_2d``'s program, as
-    ``acquisition.run_2d`` synthesizes it from equilibrium."""
-    catalog = _checked(es, 3, "dj2_dataset", catalog)
-    from . import acquisition as acq
-    dwell = acq.default_tomo_dwell(es)
-    _, program = _dj2_program(es, f, catalog, t2_points, dwell)
-    return acq.run_2d(program, es, dyn.equilibrium_deviation(es), t1_points,
-                      dwell, catalog)
-
-
 def dj_two_qubit_2d(es: EigenSystem, f: str,
                     catalog: TransitionCatalog | None = None,
                     t1_points: int = 256, t2_points: int = 1024) -> ProtocolReport:
@@ -526,21 +513,28 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     vanish.  A uniform all-diagonal or all-cross pattern means constant;
     anything else means balanced.
 
-    The readout is the Hann-windowed 2D magnitude spectrum of the program
-    and of an identity-pattern reference, evaluated only at the bins the
-    classifier reads, from the line amplitudes of the t1 stack
+    The program runs once: its (pi/2)_y - t1 prefix, on the whole t1 grid,
+    is the identity function's (f1's) t1 stack and the reference, and U_f
+    applied to that stack gives the function's.  The readout is the
+    Hann-windowed 2D magnitude spectrum of both stacks, evaluated only at
+    the bins the classifier reads, from their line amplitudes
     (``acquisition.hann_peaks_2d``); no FID is synthesized.  These values
     decide the verdict and are never written: the report holds verdicts,
-    counts and outcome labels.  ``dj2_dataset`` gives the time-domain data.
-    A grid whose reference reads zero at every line (a Hann window of two
-    points is all zeros) or that puts a usable line's diagonal and cross
-    peaks in one column cannot be read and raises.
+    counts and outcome labels.  ``acquisition.run_2d`` on the emitted
+    program gives the time-domain data.  A grid whose reference reads zero
+    at every line (a Hann window of two points is all zeros) or that puts a
+    usable line's diagonal and cross peaks in one column cannot be read
+    and raises.
     """
     catalog = _checked(es, 3, "dj_two_qubit_2d", catalog)
     from . import acquisition as acq
     dwell = acq.default_tomo_dwell(es)
     text, program = _dj2_program(es, f, catalog, t2_points, dwell)
     rho0 = dyn.equilibrium_deviation(es)
+    ins = program.instructions          # pulse, delay t1, U_f ..., acquire
+    acquire, ref = acq.t1_stack(replace(program, instructions=ins[:2] + ins[-1:]),
+                                es, rho0, t1_points, dwell, catalog)
+    rho = pl.execute(replace(program, instructions=ins[2:-1]), es, ref, catalog)
 
     # the bins of a line; the readout reads bin b as b mod the point count
     # (after checking the counts, so these stay unreduced)
@@ -556,14 +550,9 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
                    for t in (line, partner)})
     # Hann apodization pushes leakage tails of nearby strong peaks below
     # the decision thresholds
-    def readout(program):
-        return acq.hann_peaks_2d(program, es, rho0, t1_points, dwell, rows,
-                                 cols, catalog)
-
-    spec = readout(program)
-    # reference diagonal magnitudes come from the f1 (identity) pattern
-    ref_spec = spec if f == "f1" else readout(
-        _dj2_program(es, "f1", catalog, t2_points, dwell)[1])
+    ref_spec, spec = acq.hann_peaks_2d(
+        es, dyn.DeviationDensityMatrix(np.stack([ref.mat, rho.mat]), es),
+        acquire, rows, cols, catalog)
 
     def peak(mag, line, t):
         return float(mag[rows.index(bin1(line.freq_hz)),

@@ -391,6 +391,24 @@ def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("name, system", [
+    ("pps00", "citrate.spin"), ("pops:1", "citrate.spin"),
+    ("dj1:f3", "citrate.spin"), ("epr", "citrate.spin"),
+    ("ghz", "demo3.spin"), ("gate:5", "compound1.spin"),
+    ("c3not", "demo4.spin"), ("c2swap", "demo4.spin"),
+])
+def test_write_2d_needs_a_2d_program(tmp_path, capsys, name, system):
+    # --write-2d replays the emitted program, which must end in acquire;
+    # every protocol but dj2 emits none, and nothing is written
+    code, out, err = run_cli(capsys, "protocol", name, system, "--write-2d",
+                             "--out", str(tmp_path / "out"))
+    assert_one_line_error(code, err)
+    assert err == ("spinsim: error: 2D program must end with an acquire "
+                   "instruction\n")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [("--help",), ("tomo", "--help")])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

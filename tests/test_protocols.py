@@ -230,8 +230,44 @@ def test_dj_two_qubit_verdicts(demo3_es, demo3_cat, f):
     rep = pr.dj_two_qubit_2d(demo3_es, f, demo3_cat,
                              t1_points=256, t2_points=1024)
     assert rep.info["verdict"] == pr.DJ2_TRUTH[f]
-    dataset = pr.dj2_dataset(demo3_es, f, demo3_cat, 256, 1024)
+    from spinsim import acquisition as acq
+    dataset = acq.run_2d(pl.parse_program(rep.program_text), demo3_es,
+                         dyn.equilibrium_deviation(demo3_es), 256,
+                         acq.default_tomo_dwell(demo3_es), demo3_cat)
     assert dataset.data.shape == (256, 1024)
+
+
+@pytest.mark.parametrize("f", sorted(pr.DJ2_PATTERNS))
+def test_dj2_runs_its_t1_prefix_once(demo3_es, demo3_cat, monkeypatch, f):
+    # one free evolution per call: U_f acts on the identity reference's t1
+    # stack, and what the verdict reads is, bit for bit, the t1 stack of
+    # the emitted program (and of f1's for the reference)
+    from spinsim import acquisition as acq
+    calls, read = [], []
+    evolve, peaks = dyn.free_evolution, acq.hann_peaks_2d
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    def recording(es, rho, *args):
+        read.append(rho.mat)
+        return peaks(es, rho, *args)
+
+    monkeypatch.setattr(dyn, "free_evolution", counting)
+    monkeypatch.setattr(acq, "hann_peaks_2d", recording)
+    rep = pr.dj_two_qubit_2d(demo3_es, f, demo3_cat, 64, 256)
+    assert len(calls) == 1 and len(read) == 1
+    monkeypatch.undo()
+
+    def stack(text):
+        return acq.t1_stack(pl.parse_program(text), demo3_es,
+                            dyn.equilibrium_deviation(demo3_es), 64,
+                            acq.default_tomo_dwell(demo3_es), demo3_cat)[1].mat
+
+    f1 = pr.dj_two_qubit_2d(demo3_es, "f1", demo3_cat, 64, 256)
+    assert np.array_equal(read[0], np.stack([stack(f1.program_text),
+                                             stack(rep.program_text)]))
 
 
 def _remapped_demo3(demo3_es):
@@ -390,7 +426,8 @@ def _check_bin_magnitudes(es, cat):
     """The line-amplitude readout against the windowed DFT of run_2d's data
     (and that against a full fft2) at the bins DJ2 reads, for every
     function's program, within 1e-12 of the identity reference's (f1's)
-    largest magnitude there."""
+    largest magnitude there.  Each call reads the reference's and the
+    function's t1 stacks together."""
     from spinsim import acquisition as acq
     dwell = acq.default_tomo_dwell(es)
     rho0 = dyn.equilibrium_deviation(es)
@@ -401,6 +438,8 @@ def _check_bin_magnitudes(es, cat):
         cols = sorted({int(round(t.freq_hz * t2_points * dwell))
                        for line, partner, _ in lines for t in (line, partner)})
         win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
+        _, reference = pr._dj2_program(es, "f1", cat, t2_points, dwell)
+        _, ref = acq.t1_stack(reference, es, rho0, t1_points, dwell, cat)
         for f in sorted(pr.DJ2_PATTERNS):       # f1 first
             _, program = pr._dj2_program(es, f, cat, t2_points, dwell)
             data = acq.run_2d(program, es, rho0, t1_points, dwell, cat).data
@@ -410,8 +449,11 @@ def _check_bin_magnitudes(es, cat):
             assert np.abs(want - full[wrapped]).max() <= 1e-12 * full.max()
             if f == "f1":
                 ref_max = want.max()
-            got = acq.hann_peaks_2d(program, es, rho0, t1_points, dwell,
-                                    rows, cols, cat)
+            acquire, rho = acq.t1_stack(program, es, rho0, t1_points, dwell,
+                                        cat)
+            _, got = acq.hann_peaks_2d(
+                es, dyn.DeviationDensityMatrix(np.stack([ref.mat, rho.mat]), es),
+                acquire, rows, cols, cat)
             assert got.shape == (len(rows), len(cols))
             err = np.abs(got - want).max()
             assert err <= 1e-12 * ref_max, (f, t1_points, t2_points,
