@@ -45,7 +45,7 @@ def main() -> None:
           f"magnitude {top.magnitude:.6f}")
     ratio = acq.tomo_scale_calibration(es, rho, cat)
     print(f"  scale check (iv)/(iii) = {ratio:.3g}")
-    recon, fid = acq.reconstruct_density(es, diag, coherences, reference=rho)
+    recon, fid = acq.reconstruct_density(diag, coherences, reference=rho)
     print(f"  reconstruction fidelity = {fid:.9f}")
 
 

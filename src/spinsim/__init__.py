@@ -6,9 +6,8 @@ from .core import (SpinSystem, EigenSystem, Transition, TransitionCatalog,
                    eigensystem, mixing_angle_ab, transition_catalog,
                    sq_transition_count, load_spin_system, parse_spin_system,
                    format_spin_system)
-from .dynamics import (DeviationDensityMatrix, DynamicsError,
-                       equilibrium_deviation, selective_pulse_unitary,
-                       apply_selective_pulse,
+from .dynamics import (DynamicsError, equilibrium_deviation,
+                       selective_pulse_unitary, apply_selective_pulse,
                        hard_pulse_unitary, crush_gradient, free_evolution,
                        selective_population_update, apply_unitary, pure_part,
                        format_state, parse_state)

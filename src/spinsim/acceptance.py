@@ -97,10 +97,10 @@ def criterion_4_pseudopure() -> CriterionResult:
     worst = 0.0
     for target in ("00", "01", "10", "11"):
         rep = pr.pseudopure_2spin(es, target, cat)
-        off = rep.final_state.mat - np.diag(np.diag(rep.final_state.mat))
+        off = rep.final_state - np.diag(np.diag(rep.final_state))
         spread = rep.metrics["others_spread"]
         worst = max(worst, spread, float(np.abs(off).max()))
-        pops = rep.final_state.populations()
+        pops = np.real(np.diag(rep.final_state))
         tgt = es.index_of_label(target)
         others = [pops[k] for k in range(4) if k != tgt]
         excess = abs(pops[tgt] - np.mean(others))
@@ -143,8 +143,7 @@ def criterion_5_epr() -> CriterionResult:
     diag, _ = acq.tomo_diagonal(es_s, rho_s, catalog=cat_s)
     _, coherences = acq.tomo_offdiagonal_2d(es_s, rho_s, t1_points=128,
                                             t2_points=256, catalog=cat_s)
-    _, fidelity = acq.reconstruct_density(es_s, diag, coherences,
-                                          reference=rho_s)
+    _, fidelity = acq.reconstruct_density(diag, coherences, reference=rho_s)
     ok = (d_eq11 <= 1e-12 and d_eq12 <= 1e-12
           and rep.metrics["sq_amplitude"] <= 1e-12
           and rep.metrics["zq_amplitude"] <= 1e-12
@@ -219,12 +218,11 @@ def criterion_8_gates() -> CriterionResult:
     rin = np.zeros((16, 16), dtype=complex)
     rin[i1110, i1110] = 1.0
     rin[i1010, i1010] = -1.0
-    rep = pr.c2swap_4spin(es4, cat4,
-                          rho0=dyn.DeviationDensityMatrix(rin, es4))
+    rep = pr.c2swap_4spin(es4, cat4, rho0=rin)
     expect = np.zeros((16, 16), dtype=complex)
     expect[i1101, i1101] = 1.0
     expect[i1010, i1010] = -1.0
-    d_eq20 = float(np.abs(rep.final_state.mat - expect).max())
+    d_eq20 = float(np.abs(rep.final_state - expect).max())
     pops_rep = pr.c2swap_4spin(es4, cat4)
     ok = (gates_ok and c3.metrics["truth_table_ok"] == 1.0
           and d_eq20 <= 1e-12
@@ -356,7 +354,6 @@ def criterion_10_dynamics_properties() -> CriterionResult:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = (a + a.conj().T) / 2
         herm -= np.trace(herm) / dim * np.eye(dim)
-        rho = dyn.DeviationDensityMatrix(herm, es)
         theta = float(rng.uniform(-360, 360))
         phase = float(rng.uniform(0, 360))
         if rng.integers(2):
@@ -373,18 +370,17 @@ def criterion_10_dynamics_properties() -> CriterionResult:
             pops = np.zeros((dim, dim), dtype=complex)
             pops[lo, lo] = p_i
             pops[up, up] = p_j
-            out = dyn.crush_gradient(dyn.apply_unitary(
-                dyn.DeviationDensityMatrix(pops, es), u))
+            out = dyn.crush_gradient(dyn.apply_unitary(pops, u))
             worst_eq8 = max(worst_eq8,
-                            abs(out.mat[lo, lo] - q_i), abs(out.mat[up, up] - q_j))
+                            abs(out[lo, lo] - q_i), abs(out[up, up] - q_j))
         else:
             u = dyn.hard_pulse_unitary(es, theta, phase)
         worst_u = max(worst_u, float(np.abs(u @ u.conj().T - np.eye(dim)).max()))
-        conj = dyn.apply_unitary(rho, u)
-        worst_tr = max(worst_tr, abs(np.trace(conj.mat) - np.trace(rho.mat)))
+        conj = dyn.apply_unitary(herm, u)
+        worst_tr = max(worst_tr, abs(np.trace(conj) - np.trace(herm)))
         if case % 10 == 0:
             pts = 256
-            fid = acq.acquire_fid(es, rho, pts, 1e-3)
+            fid = acq.acquire_fid(es, herm, pts, 1e-3)
             _, spec = acq.fft_spectrum(fid, 1e-3)
             e_t = float(np.sum(np.abs(fid) ** 2))
             e_f = float(np.sum(np.abs(spec) ** 2)) / pts

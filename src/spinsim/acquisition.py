@@ -60,7 +60,7 @@ class StickSpectrum:
         return "\n".join(["%.12g,%.12g"] * order.size) % tuple(args) + "\n"
 
 
-def detect_small_angle(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def detect_small_angle(es: EigenSystem, rho: np.ndarray,
                        beta_deg: float = 10.0,
                        catalog: TransitionCatalog | None = None) -> StickSpectrum:
     """Population readout by a small-angle pulse, linear response.
@@ -76,16 +76,16 @@ def detect_small_angle(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
                                f"multiple of 180 degrees, got {beta_deg:g}")
     if catalog is None:
         catalog = transition_catalog(es)
-    off = rho.mat - np.diag(np.diag(rho.mat))
-    if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(rho.mat)):
+    off = rho - np.diag(np.diag(rho))
+    if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(rho)):
         warnings.warn("small-angle detection ignores off-diagonal elements")
-    pops = np.real(np.diag(rho.mat))
+    pops = np.real(np.diag(rho))
     s = math.sin(math.radians(beta_deg))
     amp = s * (pops[catalog.lower] - pops[catalog.upper]) * catalog.intensity
     return StickSpectrum(freq_hz=catalog.freq_hz, amplitude=amp)
 
 
-def line_amplitudes(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def line_amplitudes(es: EigenSystem, rho: np.ndarray,
                     catalog: TransitionCatalog | None = None) -> np.ndarray:
     """Complex amplitude of each catalog line in the detected signal, in
     transition-id order: shape (lines,), or (..., lines) for a stack.
@@ -96,7 +96,7 @@ def line_amplitudes(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     if catalog is None:
         catalog = transition_catalog(es)
     fplus = es.lowering_operator().conj().T
-    return (rho.mat[..., catalog.upper, catalog.lower]
+    return (rho[..., catalog.upper, catalog.lower]
             * fplus[catalog.lower, catalog.upper])
 
 
@@ -105,7 +105,7 @@ def _check_points(points: int) -> None:
         raise AcquisitionError(f"points must be a power of two, got {points}")
 
 
-def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def acquire_fid(es: EigenSystem, rho: np.ndarray,
                 points: int, dwell: float) -> np.ndarray:
     """Time series s(m) = Tr(rho(m*dwell) F+) under free evolution.
 
@@ -116,7 +116,7 @@ def acquire_fid(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
     """
     _check_points(points)
     fplus = es.lowering_operator().conj().T
-    w = rho.mat * fplus.T                       # w_kl = rho_kl * F+_lk
+    w = rho * fplus.T                           # w_kl = rho_kl * F+_lk
     # the lines: the union of the elements over the stack
     on = (np.abs(w) > 1e-16).reshape(-1, es.dim, es.dim).any(axis=0)
     k, l = np.nonzero(on)
@@ -149,15 +149,17 @@ def fft_spectrum(fid: np.ndarray, dwell: float) -> tuple[np.ndarray, np.ndarray]
 class Dataset2D:
     """Complex 2D time-domain dataset, data[t1_index, t2_index]."""
 
-    t1_points: int
-    t2_points: int
     dwell1: float
     dwell2: float
     data: np.ndarray
 
-    def __post_init__(self):
-        if self.data.shape != (self.t1_points, self.t2_points):
-            raise AcquisitionError("2D data shape does not match point counts")
+    @property
+    def t1_points(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def t2_points(self) -> int:
+        return self.data.shape[1]
 
     def fft2(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         spec = np.fft.fftshift(np.fft.fft2(self.data))
@@ -190,9 +192,9 @@ class Dataset2D:
 
 
 def t1_stack(program: pl.PulseProgram, es: EigenSystem,
-             rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
+             rho0: np.ndarray, t1_points: int, dwell1: float,
              catalog: TransitionCatalog
-             ) -> tuple[pl.Acquire, dyn.DeviationDensityMatrix]:
+             ) -> tuple[pl.Acquire, np.ndarray]:
     """Check a 2D program and its grid, and run the (possibly phase-cycled)
     prefix once with t1 bound to the whole t1 grid, giving one state per
     row.  Returns the trailing acquire instruction and the states."""
@@ -208,7 +210,7 @@ def t1_stack(program: pl.PulseProgram, es: EigenSystem,
 
 
 def run_2d(program: pl.PulseProgram, es: EigenSystem,
-           rho0: dyn.DeviationDensityMatrix, t1_points: int, dwell1: float,
+           rho0: np.ndarray, t1_points: int, dwell1: float,
            catalog: TransitionCatalog | None = None) -> Dataset2D:
     """Execute a program with one symbolic t1 delay and a final acquire.
 
@@ -221,18 +223,18 @@ def run_2d(program: pl.PulseProgram, es: EigenSystem,
     data = acquire_fid(es, rho, acq.points, acq.dwell_s)
     if data.ndim == 1:                  # no delay t1: every row is the same
         data = np.tile(data, (t1_points, 1))
-    return Dataset2D(t1_points, acq.points, dwell1, acq.dwell_s, data)
+    return Dataset2D(dwell1, acq.dwell_s, data)
 
 
 def _hann_dft(n: int, bins) -> np.ndarray:
     """Rows of the n-point DFT at ``bins`` with the Hann window folded in.
-    The phase index bin * j is reduced mod n before scaling, so every phase
-    is below 2 pi."""
-    k = np.outer(bins, np.arange(n)) % n
-    return np.hanning(n) * np.exp(-2j * np.pi / n * k)
+    The phase index bin * j is reduced mod n and picks one of the n roots
+    exp(-2 pi i k / n), so every phase is below 2 pi."""
+    roots = np.exp(-2j * np.pi / n * np.arange(n))
+    return np.hanning(n) * roots[np.outer(bins, np.arange(n)) % n]
 
 
-def hann_peaks_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def hann_peaks_2d(es: EigenSystem, rho: np.ndarray,
                   acquire: pl.Acquire, rows, cols,
                   catalog: TransitionCatalog) -> np.ndarray:
     """|fft2(data * outer(hann, hann))| at the bins rows x cols, where data
@@ -258,7 +260,7 @@ def hann_peaks_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
 # ---------------------------------------------------------------------------
 # tomography
 
-def tomo_diagonal(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def tomo_diagonal(es: EigenSystem, rho: np.ndarray,
                   beta_deg: float = 10.0,
                   catalog: TransitionCatalog | None = None
                   ) -> tuple[np.ndarray, bool]:
@@ -400,7 +402,7 @@ def default_tomo_dwell(es: EigenSystem) -> float:
     return 1.0 / (4.0 * emax / (2 * math.pi))
 
 
-def tomo_offdiagonal_2d(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
                         t1_points: int = 256, t2_points: int = 512,
                         catalog: TransitionCatalog | None = None
                         ) -> tuple[Dataset2D, tuple[CoherenceEstimate, ...]]:
@@ -493,8 +495,7 @@ def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
     magnitude, ties in row-major order.
     """
     n1, n2 = dataset.data.shape
-    win = np.outer(np.hanning(n1) if n1 > 1 else np.ones(1),
-                   np.hanning(n2) if n2 > 1 else np.ones(1))
+    win = np.outer(np.hanning(n1), np.hanning(n2))
     spec = np.fft.fftshift(np.fft.fft2(dataset.data * win))
     f1ax = np.fft.fftshift(np.fft.fftfreq(n1, dataset.dwell1))
     f2ax = np.fft.fftshift(np.fft.fftfreq(n2, dataset.dwell2))
@@ -521,7 +522,7 @@ def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
     return list(zip(c1[order].tolist(), c2[order].tolist(), v[order].tolist()))
 
 
-def tomo_scale_calibration(es: EigenSystem, rho: dyn.DeviationDensityMatrix,
+def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray,
                            catalog: TransitionCatalog | None = None) -> float:
     """Diagonal/off-diagonal scale check from [(pi/4)_y - t] and [(pi/4)_x - t].
 
@@ -556,10 +557,10 @@ def traceless_overlap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(a0, b0)) / (na * nb))
 
 
-def reconstruct_density(es: EigenSystem, diag: np.ndarray,
+def reconstruct_density(diag: np.ndarray,
                         coherences: tuple[CoherenceEstimate, ...],
-                        reference: dyn.DeviationDensityMatrix | None = None
-                        ) -> tuple[dyn.DeviationDensityMatrix, float | None]:
+                        reference: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, float | None]:
     """Assemble a Hermitian matrix from tomography outputs.
 
     A non-Hermitian assembly (conflicting duplicate estimates) is symmetrized
@@ -575,11 +576,10 @@ def reconstruct_density(es: EigenSystem, diag: np.ndarray,
     if herm_defect > 1e-9 * max(1.0, np.linalg.norm(mat)):
         warnings.warn("inconsistent tomography inputs; symmetrizing")
     mat = 0.5 * (mat + mat.conj().T)
-    rho = dyn.DeviationDensityMatrix(mat, es)
     fidelity = None
     if reference is not None:
-        fidelity = traceless_overlap(mat, reference.mat)
-    return rho, fidelity
+        fidelity = traceless_overlap(mat, reference)
+    return mat, fidelity
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from . import assignment as asg
 from . import dynamics as dyn
 from . import protocols as pr
 from . import pulselang as pl
-from .core import (SpinSystem, SpinSystemError, eigensystem, load_spin_system,
-                   mixing_angle_ab, parse_spin_system, transition_catalog)
+from .core import (SpinSystem, SpinSystemError, eigensystem, mixing_angle_ab,
+                   parse_spin_system, transition_catalog)
 
 USAGE_ERROR = 2
 
@@ -66,7 +66,7 @@ def _load_system(path: str) -> SpinSystem:
     return parse_spin_system(text, source=name)
 
 
-def _initial_state(es, init: str, catalog) -> dyn.DeviationDensityMatrix:
+def _initial_state(es, init: str, catalog) -> np.ndarray:
     if init == "eq":
         return dyn.equilibrium_deviation(es)
     if init.startswith("pure:"):
@@ -74,7 +74,7 @@ def _initial_state(es, init: str, catalog) -> dyn.DeviationDensityMatrix:
         k = es.index_of_label(label)
         mat = np.zeros((es.dim, es.dim), dtype=complex)
         mat[k, k] = 1.0
-        return dyn.DeviationDensityMatrix(mat, es)
+        return mat
     if init.startswith("pps:"):
         label = init.split(":", 1)[1]
         if es.n != 2:
@@ -261,8 +261,7 @@ def cmd_tomo(args) -> int:
         es, rho, t1_points=args.t1_points, t2_points=args.t2_points,
         catalog=cat)
     ratio = acq.tomo_scale_calibration(es, rho, cat)
-    recon, fidelity = acq.reconstruct_density(es, diag, coherences,
-                                              reference=rho)
+    recon, fidelity = acq.reconstruct_density(diag, coherences, reference=rho)
     out_dir = Path(args.out)
     _write(out_dir / f"{label}_tomo.state", dyn.format_state(recon))
     rows = ["k,l,order,freq_hz,re,im,magnitude"]

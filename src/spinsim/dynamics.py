@@ -1,5 +1,9 @@
 """Deviation density matrices and the primitive evolutions acting on them.
 
+A state is a complex d x d array in the eigenbasis of the spin system, or
+a (..., d, d) stack of them after a symbolic delay bound to an array of
+times (one state per time along the leading axis).
+
 Everything lives in the eigenbasis of the spin system: transition-selective
 pulses are 2x2 rotations on eigenstate pairs, gradient crushers zero the
 off-diagonal, free evolution is a diagonal phase map, and hard
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,31 +34,7 @@ class DynamicsError(ValueError):
     pass
 
 
-@dataclass
-class DeviationDensityMatrix:
-    """Traceless Hermitian state expressed in the eigenbasis of ``es``.
-
-    ``mat`` is d x d, or a stack shaped (..., d, d) after a symbolic delay
-    bound to an array of times (one state per time along the leading
-    axis); ``validate`` and ``populations`` take a single d x d state.
-    """
-
-    mat: np.ndarray
-    es: EigenSystem
-
-    def copy(self) -> "DeviationDensityMatrix":
-        return DeviationDensityMatrix(self.mat.copy(), self.es)
-
-    def validate(self) -> None:
-        if np.linalg.norm(self.mat - self.mat.conj().T) > HERMITICITY_TOL * max(
-                1.0, np.linalg.norm(self.mat)):
-            raise DynamicsError("density matrix is not Hermitian")
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.mat)).copy()
-
-
-def equilibrium_deviation(es: EigenSystem) -> DeviationDensityMatrix:
+def equilibrium_deviation(es: EigenSystem) -> np.ndarray:
     """High-temperature equilibrium deviation of a homonuclear system.
 
     For like spins the lab-frame energy is dominated by the common Larmor
@@ -67,7 +46,7 @@ def equilibrium_deviation(es: EigenSystem) -> DeviationDensityMatrix:
     span = pops.max() - pops.min()
     if span > 0:
         pops *= es.n / span
-    return DeviationDensityMatrix(np.diag(pops).astype(complex), es)
+    return np.diag(pops).astype(complex)
 
 
 def _canonical_pair(es: EigenSystem, r: int, s: int) -> tuple[int, int]:
@@ -108,10 +87,9 @@ def selective_pulse_unitary(es: EigenSystem, r: int, s: int,
     return u
 
 
-def apply_selective_pulse(rho: DeviationDensityMatrix, r: int, s: int,
-                          theta_deg: float,
-                          phase_deg: float) -> DeviationDensityMatrix:
-    """``apply_unitary(rho, selective_pulse_unitary(rho.es, r, s, ...))``,
+def apply_selective_pulse(es: EigenSystem, rho: np.ndarray, r: int, s: int,
+                          theta_deg: float, phase_deg: float) -> np.ndarray:
+    """``apply_unitary(rho, selective_pulse_unitary(es, r, s, ...))``,
     bit for bit, with work on the two rows and two columns the pulse mixes.
 
     With R the unitary's rows (lower, upper), U rho differs from rho only
@@ -124,17 +102,17 @@ def apply_selective_pulse(rho: DeviationDensityMatrix, r: int, s: int,
     with inf or nan entries the dense product spreads nan, and this does
     not.)
     """
-    lo, up, rows = _selective_rows(rho.es, r, s, theta_deg, phase_deg)
+    lo, up, rows = _selective_rows(es, r, s, theta_deg, phase_deg)
     # the other elements as the dense product leaves them: -0.0 becomes +0.0
-    x = rho.mat + 0j
-    y = rows @ rho.mat
+    x = rho + 0j
+    y = rows @ rho
     x[..., lo, :], x[..., up, :] = y[..., 0, :], y[..., 1, :]
     if x.shape[-1] == 2:
         u = rows[[lo, up]]          # (lo, up) permutes (0, 1), its own inverse
-        return DeviationDensityMatrix(x @ u.conj().T, rho.es)
+        return x @ u.conj().T
     y = rows.conj() @ x.swapaxes(-1, -2)
     x[..., :, lo], x[..., :, up] = y[..., 0, :], y[..., 1, :]
-    return DeviationDensityMatrix(x, rho.es)
+    return x
 
 
 def hard_pulse_unitary(es: EigenSystem, theta_deg: float,
@@ -155,20 +133,20 @@ def hard_pulse_unitary(es: EigenSystem, theta_deg: float,
     return es.vectors.conj().T @ u @ es.vectors
 
 
-def apply_unitary(rho: DeviationDensityMatrix, u: np.ndarray) -> DeviationDensityMatrix:
-    return DeviationDensityMatrix(u @ rho.mat @ u.conj().T, rho.es)
+def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return u @ rho @ u.conj().T
 
 
-def crush_gradient(rho: DeviationDensityMatrix) -> DeviationDensityMatrix:
+def crush_gradient(rho: np.ndarray) -> np.ndarray:
     """Idealized field-gradient crusher: zero every off-diagonal element."""
-    idx = np.arange(rho.mat.shape[-1])
-    mat = np.zeros_like(rho.mat)
-    mat[..., idx, idx] = rho.mat[..., idx, idx]
-    return DeviationDensityMatrix(mat, rho.es)
+    idx = np.arange(rho.shape[-1])
+    mat = np.zeros_like(rho)
+    mat[..., idx, idx] = rho[..., idx, idx]
+    return mat
 
 
-def free_evolution(es: EigenSystem, rho: DeviationDensityMatrix,
-                   t_seconds: float | np.ndarray) -> DeviationDensityMatrix:
+def free_evolution(es: EigenSystem, rho: np.ndarray,
+                   t_seconds: float | np.ndarray) -> np.ndarray:
     """rho_kl <- rho_kl * exp(-i (E_k - E_l) t); populations are invariant.
 
     A 1-D array of times evolves rho to one state per time, stacked along
@@ -178,8 +156,7 @@ def free_evolution(es: EigenSystem, rho: DeviationDensityMatrix,
     if np.any(t < 0):
         raise DynamicsError("evolution time must be nonnegative")
     phase = np.exp(-1j * es.energies * t[..., None])
-    return DeviationDensityMatrix(
-        (phase[..., :, None] * rho.mat) * np.conj(phase)[..., None, :], es)
+    return (phase[..., :, None] * rho) * np.conj(phase)[..., None, :]
 
 
 def selective_population_update(p_i: float, p_j: float,
@@ -194,7 +171,7 @@ def selective_population_update(p_i: float, p_j: float,
     return p_i * c2 + p_j * s2, p_j * c2 + p_i * s2
 
 
-def pure_part(rho: DeviationDensityMatrix) -> tuple[float, np.ndarray]:
+def pure_part(rho: np.ndarray) -> tuple[float, np.ndarray]:
     """Extract the pure component of a pseudopure deviation.
 
     Diagonalizes rho and returns (coefficient, eigenvector) of the outlier
@@ -202,7 +179,7 @@ def pure_part(rho: DeviationDensityMatrix) -> tuple[float, np.ndarray]:
     c*(|psi><psi| - I/2^n) this recovers (c, |psi>) up to phase and the
     identity offset.
     """
-    w, v = np.linalg.eigh(rho.mat)
+    w, v = np.linalg.eigh(rho)
     med = float(np.median(w))
     k = int(np.argmax(np.abs(w - med)))
     coeff = float(w[k] - med)
@@ -270,12 +247,12 @@ def _format_sparse_loop(header: str, mat: np.ndarray) -> str:
     return "\n".join(out) + "\n"
 
 
-def format_state(rho: DeviationDensityMatrix) -> str:
-    return format_sparse(f"dim {rho.es.dim}", rho.mat)
+def format_state(rho: np.ndarray) -> str:
+    return format_sparse(f"dim {rho.shape[-1]}", rho)
 
 
 def parse_state(text: str, es: EigenSystem,
-                source: str = "<string>") -> DeviationDensityMatrix:
+                source: str = "<string>") -> np.ndarray:
     """Read the text format above; errors name ``source:line``.
 
     The matrix must be Hermitian.  Its trace is not checked: the identity
@@ -306,9 +283,7 @@ def parse_state(text: str, es: EigenSystem,
         if not (1 <= k <= dim and 1 <= l <= dim):
             raise DynamicsError(f"{source}:{ln}: index ({k}, {l}) outside 1..{dim}")
         mat[k - 1, l - 1] = z
-    rho = DeviationDensityMatrix(mat, es)
-    try:
-        rho.validate()
-    except DynamicsError as exc:
-        raise DynamicsError(f"{source}: {exc}") from None
-    return rho
+    if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_TOL * max(
+            1.0, np.linalg.norm(mat)):
+        raise DynamicsError(f"{source}: density matrix is not Hermitian")
+    return mat

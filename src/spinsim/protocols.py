@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (EigenSystem, TransitionCatalog, Transition,
                    transition_catalog)
+from . import acquisition as acq
 from . import dynamics as dyn
 from . import pulselang as pl
 
@@ -35,7 +36,7 @@ class ProtocolError(ValueError):
 class ProtocolReport:
     name: str
     program_text: str
-    final_state: dyn.DeviationDensityMatrix
+    final_state: np.ndarray
     metrics: dict[str, float] = field(default_factory=dict)
     info: dict[str, str] = field(default_factory=dict)
 
@@ -49,7 +50,7 @@ class ProtocolReport:
 
 
 def _run(name: str, text: str, es: EigenSystem,
-         rho0: dyn.DeviationDensityMatrix,
+         rho0: np.ndarray,
          catalog: TransitionCatalog) -> ProtocolReport:
     program = pl.parse_program(text, source=name)
     final = pl.execute_cycled(program, es, rho0, catalog)
@@ -107,7 +108,7 @@ def pseudopure_2spin(es: EigenSystem, target: str,
     catalog = _checked(es, 2, "pseudopure_2spin", catalog)
     rho0 = dyn.equilibrium_deviation(es)
     rep = _run(f"pps{target}", _pps_program(target), es, rho0, catalog)
-    pops = rep.final_state.populations()
+    pops = np.real(np.diag(rep.final_state))
     tgt = es.index_of_label(target)
     others = [pops[k] for k in range(es.dim) if k != tgt]
     coeff, vec = dyn.pure_part(rep.final_state)
@@ -140,10 +141,9 @@ def pops_pair(es: EigenSystem, tid: int,
     rho_eq = dyn.equilibrium_deviation(es)
     program = pl.parse_program(text, source=f"pops{tid}")
     rho_inv = pl.execute(program, es, rho_eq, catalog)
-    pops = rho_eq.populations()
+    pops = np.real(np.diag(rho_eq))
     return ProtocolReport(
-        name=f"pops{tid}", program_text=text,
-        final_state=dyn.DeviationDensityMatrix(rho_eq.mat - rho_inv.mat, es),
+        name=f"pops{tid}", program_text=text, final_state=rho_eq - rho_inv,
         metrics={"scale": float(pops[t.lower] - pops[t.upper])},
         info={"pair": pair})
 
@@ -189,8 +189,7 @@ def dj_one_qubit(es: EigenSystem, f: str,
         text += f"selpulse ({a},{b}) 180 y\n"
     rep = _run(f"dj1_{f}", text, es, dyn.equilibrium_deviation(es), catalog)
 
-    from .acquisition import line_amplitudes
-    amps = line_amplitudes(es, rep.final_state, catalog)
+    amps = acq.line_amplitudes(es, rep.final_state, catalog)
     t_a = find_transition_by_labels(es, catalog, "00", "10")
     t_b = find_transition_by_labels(es, catalog, "01", "11")
     a1, a2 = amps[t_a.tid - 1], amps[t_b.tid - 1]
@@ -225,7 +224,7 @@ def epr_create(es: EigenSystem,
 
     i00, i01 = es.index_of_label("00"), es.index_of_label("01")
     i10, i11 = es.index_of_label("10"), es.index_of_label("11")
-    rho = rep.final_state.mat
+    rho = rep.final_state
     sq, = _order_maxima(es, rho, (1,))
     target = np.zeros(4, dtype=complex)
     target[i00] = target[i11] = 1 / math.sqrt(2)
@@ -247,7 +246,7 @@ def epr_pure_projector(es: EigenSystem) -> np.ndarray:
     i00 = es.index_of_label("00")
     p0 = np.zeros((4, 4), dtype=complex)
     p0[i00, i00] = 1.0
-    return pl.execute(program, es, dyn.DeviationDensityMatrix(p0, es)).mat
+    return pl.execute(program, es, p0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def ghz_create(es: EigenSystem,
              f"selpulse ({labels[2]},{labels[3]}) 180 $P3\n")
     rep = _run("ghz", text, es, pops.final_state, catalog)
 
-    rho = rep.final_state.mat
+    rho = rep.final_state
     i000, i111 = es.index_of_label("000"), es.index_of_label("111")
     rep.metrics["tq_amplitude"] = float(abs(rho[i000, i111]) / scale)
     (rep.metrics["zq_offdiag_amplitude"], rep.metrics["sq_amplitude"],
@@ -382,8 +381,7 @@ def gate_library_2spin(es: EigenSystem, gate: int,
     expect = np.zeros_like(projectors)
     expect[np.arange(4), dst, dst] = 1.0
     program = pl.parse_program(text, source=rep.name)
-    out = pl.execute(program, es, dyn.DeviationDensityMatrix(projectors, es),
-                     catalog).mat
+    out = pl.execute(program, es, projectors, catalog)
     ok = np.abs(out - expect).max() <= 1e-12
     rep.metrics["truth_table_ok"] = 1.0 if ok else 0.0
     rep.metrics["n_pulses"] = float(len(word))
@@ -403,8 +401,8 @@ def c3not_4spin(es: EigenSystem,
         raise ProtocolError("the (1110,1111) transition is not observable")
     text = "selpulse (1110,1111) 180 x\ngrad\n"
     rep = _run("c3not", text, es, dyn.equilibrium_deviation(es), catalog)
-    pops_eq = dyn.equilibrium_deviation(es).populations()
-    pops = rep.final_state.populations()
+    pops_eq = np.real(np.diag(dyn.equilibrium_deviation(es)))
+    pops = np.real(np.diag(rep.final_state))
     expect = pops_eq.copy()
     a, b = es.index_of_label("1110"), es.index_of_label("1111")
     expect[a], expect[b] = expect[b], expect[a]
@@ -414,7 +412,7 @@ def c3not_4spin(es: EigenSystem,
 
 
 def c2swap_4spin(es: EigenSystem, catalog: TransitionCatalog | None = None,
-                 rho0: dyn.DeviationDensityMatrix | None = None) -> ProtocolReport:
+                 rho0: np.ndarray | None = None) -> ProtocolReport:
     """C2-SWAP interchanging |1110> and |1101> via three selective pulses.
 
     Defaults to the POPS input |1010><1010| - |1110><1110| (transition
@@ -438,13 +436,13 @@ def c2swap_4spin(es: EigenSystem, catalog: TransitionCatalog | None = None,
     rep = _run("c2swap", text, es, rho0, catalog)
     pops_out = pops_pair(es, t_out.tid, catalog).final_state
     rep.metrics["pops_output_error"] = float(
-        np.abs(rep.final_state.mat - pops_out.mat).max())
-    pin = rho0.populations()
+        np.abs(rep.final_state - pops_out).max())
+    pin = np.real(np.diag(rho0))
     expect = pin.copy()
     a, b = es.index_of_label("1110"), es.index_of_label("1101")
     expect[a], expect[b] = expect[b], expect[a]
     rep.metrics["truth_table_ok"] = float(
-        np.abs(rep.final_state.populations() - expect).max() <= 1e-12)
+        np.abs(np.real(np.diag(rep.final_state)) - expect).max() <= 1e-12)
     rep.info["pulses"] = f"t{t_a.tid},t{t_b.tid},t{t_a.tid}"
     return rep
 
@@ -527,7 +525,6 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     and raises.
     """
     catalog = _checked(es, 3, "dj_two_qubit_2d", catalog)
-    from . import acquisition as acq
     dwell = acq.default_tomo_dwell(es)
     text, program = _dj2_program(es, f, catalog, t2_points, dwell)
     rho0 = dyn.equilibrium_deviation(es)
@@ -550,9 +547,8 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
                    for t in (line, partner)})
     # Hann apodization pushes leakage tails of nearby strong peaks below
     # the decision thresholds
-    ref_spec, spec = acq.hann_peaks_2d(
-        es, dyn.DeviationDensityMatrix(np.stack([ref.mat, rho.mat]), es),
-        acquire, rows, cols, catalog)
+    ref_spec, spec = acq.hann_peaks_2d(es, np.stack([ref, rho]), acquire,
+                                       rows, cols, catalog)
 
     def peak(mag, line, t):
         return float(mag[rows.index(bin1(line.freq_hz)),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenSystem, TransitionCatalog
+from .core import EigenSystem, TransitionCatalog, transition_catalog
 from . import dynamics as dyn
 
 _AXIS_TO_DEG = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
@@ -360,7 +360,6 @@ class _Executor:
     def __init__(self, program: PulseProgram, es: EigenSystem,
                  catalog: TransitionCatalog | None,
                  t1: float | np.ndarray | None, t2: float | None):
-        from .core import transition_catalog
         self.program, self.es = program, es
         self.catalog = transition_catalog(es) if catalog is None else catalog
         self.delays = {"t1": t1, "t2": t2}
@@ -375,15 +374,14 @@ class _Executor:
     def error(self, ins: Instruction, message: str) -> PulseProgramError:
         return PulseProgramError(message, self.program.source, ins.line, ins.col)
 
-    def step(self, k: int, rho: dyn.DeviationDensityMatrix,
-             row: int) -> dyn.DeviationDensityMatrix:
+    def step(self, k: int, rho: np.ndarray, row: int) -> np.ndarray:
         ins, es = self.program.instructions[k], self.es
         if isinstance(ins, SelPulse):
             try:
                 lo, up = resolve_transition(ins.ref, es, self.catalog)
             except PulseProgramError as exc:
                 raise self.error(ins, exc.reason) from None
-            return dyn.apply_selective_pulse(rho, lo, up, ins.angle_deg,
+            return dyn.apply_selective_pulse(es, rho, lo, up, ins.angle_deg,
                                              self.phase(k, row))
         if isinstance(ins, HardPulse):
             u = self.hard.get(k)
@@ -405,10 +403,10 @@ class _Executor:
 
 
 def execute(program: PulseProgram, es: EigenSystem,
-            rho0: dyn.DeviationDensityMatrix,
+            rho0: np.ndarray,
             catalog: TransitionCatalog | None = None,
             row: int = 0, t1: float | np.ndarray | None = None,
-            t2: float | None = None) -> dyn.DeviationDensityMatrix:
+            t2: float | None = None) -> np.ndarray:
     """Apply the instructions left to right to rho0 and return the result.
 
     Symbolic delays must be bound through t1/t2; acquire instructions are
@@ -425,10 +423,10 @@ def execute(program: PulseProgram, es: EigenSystem,
 
 
 def execute_cycled(program: PulseProgram, es: EigenSystem,
-                   rho0: dyn.DeviationDensityMatrix,
+                   rho0: np.ndarray,
                    catalog: TransitionCatalog | None = None,
                    t1: float | np.ndarray | None = None,
-                   t2: float | None = None) -> dyn.DeviationDensityMatrix:
+                   t2: float | None = None) -> np.ndarray:
     """Receiver-weighted average of the per-row results of the phase cycle.
 
     The rows run as a prefix tree, depth first: at each instruction, the
@@ -456,8 +454,8 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
             pending += [(k, g, rho) for g in others]
             rho = run.step(k, rho, rows[0])
         for r in rows:
-            weighted = receivers[r] * rho.mat
+            weighted = receivers[r] * rho
             if out is None:
                 out = np.empty((len(receivers),) + weighted.shape, weighted.dtype)
             out[r] = weighted
-    return dyn.DeviationDensityMatrix(np.mean(out, axis=0), es)
+    return np.mean(out, axis=0)

@@ -21,11 +21,11 @@ PPS_EXPECTED = {
 def test_pseudopure_targets(citrate_es, citrate_cat, target):
     rep = pr.pseudopure_2spin(citrate_es, target, citrate_cat)
     perm = [citrate_es.index_of_label(l) for l in ("00", "01", "10", "11")]
-    pops = rep.final_state.populations()[perm]
+    pops = np.real(np.diag(rep.final_state))[perm]
     assert np.allclose(pops, PPS_EXPECTED[target], atol=1e-12)
     assert rep.metrics["pps_fidelity"] >= 0.999
     assert rep.metrics["others_spread"] <= 1e-10
-    off = rep.final_state.mat - np.diag(np.diag(rep.final_state.mat))
+    off = rep.final_state - np.diag(np.diag(rep.final_state))
     assert np.abs(off).max() <= 1e-12
 
 
@@ -35,7 +35,7 @@ def test_pseudopure_program_reruns_bit_exact(citrate_es, citrate_cat):
     again = pl.execute_cycled(prog, citrate_es,
                               dyn.equilibrium_deviation(citrate_es),
                               citrate_cat)
-    assert np.array_equal(again.mat, rep.final_state.mat)
+    assert np.array_equal(again, rep.final_state)
 
 
 def test_pseudopure_needs_two_spins(demo3_es):
@@ -55,7 +55,7 @@ def test_pops_pair(demo3_es, demo3_cat):
     expect = np.zeros((8, 8), dtype=complex)
     expect[i0, i0] = scale
     expect[i1, i1] = -scale
-    assert np.abs(rep.final_state.mat - expect).max() <= 1e-12
+    assert np.abs(rep.final_state - expect).max() <= 1e-12
     assert scale == pytest.approx(1.0, abs=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_pops_zero_for_equal_populations(demo3_es, demo3_cat):
     rho = dyn.crush_gradient(dyn.apply_unitary(rho, u))
     u180 = dyn.selective_pulse_unitary(es, t.lower, t.upper, 180.0, 0.0)
     inverted = dyn.crush_gradient(dyn.apply_unitary(rho, u180))
-    assert np.abs(rho.mat - inverted.mat).max() <= 1e-12
+    assert np.abs(rho - inverted).max() <= 1e-12
 
 
 def test_pops_requires_observable(demo3_es, demo3_cat):
@@ -117,9 +117,9 @@ def test_epr_cycle_rows_identical(citrate_es, citrate_cat):
     states = [pl.execute(prog, citrate_es, rho0, citrate_cat, row=r)
               for r in range(len(prog.cycle.rows))]
     for s in states[1:]:
-        assert np.abs(s.mat - states[0].mat).max() <= 1e-12
+        assert np.abs(s - states[0]).max() <= 1e-12
     cycled = pl.execute_cycled(prog, citrate_es, rho0, citrate_cat)
-    assert np.abs(cycled.mat - states[0].mat).max() <= 1e-12
+    assert np.abs(cycled - states[0]).max() <= 1e-12
 
 
 def test_epr_reduced_states_maximally_mixed(citrate_es):
@@ -148,7 +148,7 @@ def test_ghz_cycle_rows_identical(demo3_es, demo3_cat):
     states = [pl.execute(prog, demo3_es, rho0, demo3_cat, row=r)
               for r in range(16)]
     for s in states[1:]:
-        assert np.abs(s.mat - states[0].mat).max() <= 1e-12
+        assert np.abs(s - states[0]).max() <= 1e-12
 
 
 def test_gate_identity_is_empty(compound1_es):
@@ -190,7 +190,7 @@ def test_gate_composition(compound1_es):
         a = pl.execute(combined, compound1_es, rho0, cat)
         b = pl.execute(pl.parse_program(r12.program_text), compound1_es,
                        rho0, cat)
-        assert np.abs(np.diag(a.mat) - np.diag(b.mat)).max() <= 1e-12
+        assert np.abs(np.diag(a) - np.diag(b)).max() <= 1e-12
 
 
 def test_c3not(demo4_es, demo4_cat):
@@ -200,7 +200,7 @@ def test_c3not(demo4_es, demo4_cat):
     prog = pl.parse_program(rep.program_text * 2)
     rho0 = dyn.equilibrium_deviation(demo4_es)
     out = pl.execute(prog, demo4_es, rho0, demo4_cat)
-    assert np.abs(out.populations() - rho0.populations()).max() <= 1e-12
+    assert np.abs(np.real(np.diag(out)) - np.real(np.diag(rho0))).max() <= 1e-12
 
 
 def test_c2swap_eq20(demo4_es, demo4_cat):
@@ -211,12 +211,11 @@ def test_c2swap_eq20(demo4_es, demo4_cat):
     rin = np.zeros((16, 16), dtype=complex)
     rin[i1110, i1110] = 1.0
     rin[i1010, i1010] = -1.0
-    rep = pr.c2swap_4spin(es, demo4_cat,
-                          rho0=dyn.DeviationDensityMatrix(rin, es))
+    rep = pr.c2swap_4spin(es, demo4_cat, rho0=rin)
     expect = np.zeros((16, 16), dtype=complex)
     expect[i1101, i1101] = 1.0
     expect[i1010, i1010] = -1.0
-    assert np.abs(rep.final_state.mat - expect).max() <= 1e-12
+    assert np.abs(rep.final_state - expect).max() <= 1e-12
 
 
 def test_c2swap_matches_pops(demo4_es, demo4_cat):
@@ -251,7 +250,7 @@ def test_dj2_runs_its_t1_prefix_once(demo3_es, demo3_cat, monkeypatch, f):
         return evolve(*args, **kwargs)
 
     def recording(es, rho, *args):
-        read.append(rho.mat)
+        read.append(rho)
         return peaks(es, rho, *args)
 
     monkeypatch.setattr(dyn, "free_evolution", counting)
@@ -263,7 +262,7 @@ def test_dj2_runs_its_t1_prefix_once(demo3_es, demo3_cat, monkeypatch, f):
     def stack(text):
         return acq.t1_stack(pl.parse_program(text), demo3_es,
                             dyn.equilibrium_deviation(demo3_es), 64,
-                            acq.default_tomo_dwell(demo3_es), demo3_cat)[1].mat
+                            acq.default_tomo_dwell(demo3_es), demo3_cat)[1]
 
     f1 = pr.dj_two_qubit_2d(demo3_es, "f1", demo3_cat, 64, 256)
     assert np.array_equal(read[0], np.stack([stack(f1.program_text),
@@ -451,9 +450,8 @@ def _check_bin_magnitudes(es, cat):
                 ref_max = want.max()
             acquire, rho = acq.t1_stack(program, es, rho0, t1_points, dwell,
                                         cat)
-            _, got = acq.hann_peaks_2d(
-                es, dyn.DeviationDensityMatrix(np.stack([ref.mat, rho.mat]), es),
-                acquire, rows, cols, cat)
+            _, got = acq.hann_peaks_2d(es, np.stack([ref, rho]), acquire,
+                                       rows, cols, cat)
             assert got.shape == (len(rows), len(cols))
             err = np.abs(got - want).max()
             assert err <= 1e-12 * ref_max, (f, t1_points, t2_points,
@@ -572,7 +570,7 @@ def test_ghz_ladder_and_metrics_match_loops():
         assert rep.info["ladder"] == ",".join(f"t{tid}" for tid in ladder)
         got = [rep.metrics[k] for k in ("zq_offdiag_amplitude",
                                         "sq_amplitude", "dq_amplitude")]
-        assert _bits(got) == _bits(_order_maxima_loop(es, rep.final_state.mat)), case
+        assert _bits(got) == _bits(_order_maxima_loop(es, rep.final_state)), case
 
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
@@ -581,7 +579,7 @@ def test_epr_sq_amplitude_matches_loop():
     for case in range(200):
         es, cat = _random_system(rng, 2, weak=case % 4 == 3)
         rep = pr.epr_create(es, cat)
-        rho = rep.final_state.mat
+        rho = rep.final_state
         sq = max(abs(rho[k, l]) for k in range(4) for l in range(4)
                  if abs(es.mz[k] - es.mz[l]) == 1)
         coeff, _ = dyn.pure_part(rep.final_state)

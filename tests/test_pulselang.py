@@ -112,7 +112,7 @@ def test_runtime_errors_carry_location(citrate_es, citrate_cat, text, message):
 def test_empty_program_is_identity(citrate_es, citrate_cat):
     rho = dyn.equilibrium_deviation(citrate_es)
     out = pl.execute(pl.parse_program(""), citrate_es, rho, citrate_cat)
-    assert np.array_equal(out.mat, rho.mat)
+    assert np.array_equal(out, rho)
 
 
 def test_execution_is_compositional(citrate_es, citrate_cat):
@@ -123,7 +123,7 @@ def test_execution_is_compositional(citrate_es, citrate_cat):
                           citrate_es, rho, citrate_cat)
     step = pl.execute(pl.parse_program(text_a), citrate_es, rho, citrate_cat)
     step = pl.execute(pl.parse_program(text_b), citrate_es, step, citrate_cat)
-    assert np.abs(combined.mat - step.mat).max() <= 1e-14
+    assert np.abs(combined - step).max() <= 1e-14
 
 
 def test_pseudopure_program_execution(citrate_es, citrate_cat):
@@ -133,7 +133,7 @@ def test_pseudopure_program_execution(citrate_es, citrate_cat):
     rho = pl.execute(pl.parse_program(text), citrate_es,
                      dyn.equilibrium_deviation(citrate_es), citrate_cat)
     perm = [citrate_es.index_of_label(l) for l in ("00", "01", "10", "11")]
-    pops = rho.populations()[perm]
+    pops = np.real(np.diag(rho))[perm]
     assert np.allclose(pops, [1, -1 / 3, -1 / 3, -1 / 3], atol=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_epr_program_from_pps(citrate_es, citrate_cat):
     p0 = np.zeros((4, 4), dtype=complex)
     i00 = es.index_of_label("00")
     p0[i00, i00] = 1.0
-    out = pl.execute(prog, es, dyn.DeviationDensityMatrix(p0, es), citrate_cat)
+    out = pl.execute(prog, es, p0, citrate_cat)
     perm = [es.index_of_label(l) for l in ("00", "01", "10", "11")]
     eq12 = 0.5 * np.array([[1, 0, 0, 1], [0, 0, 0, 0],
                            [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex)
@@ -153,8 +153,8 @@ def test_epr_program_from_pps(citrate_es, citrate_cat):
     text = ("cycle P1 P2\nrow x -x +\n"
             "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n")
     out = pl.execute_cycled(pl.parse_program(text), es,
-                            dyn.DeviationDensityMatrix(p0, es), citrate_cat)
-    assert np.abs(out.mat[np.ix_(perm, perm)] - eq12).max() <= 1e-12
+                            p0, citrate_cat)
+    assert np.abs(out[np.ix_(perm, perm)] - eq12).max() <= 1e-12
 
 
 def test_single_row_cycle_equals_execute(citrate_es, citrate_cat):
@@ -164,7 +164,7 @@ def test_single_row_cycle_equals_execute(citrate_es, citrate_cat):
     rho = dyn.equilibrium_deviation(citrate_es)
     a = pl.execute(prog, citrate_es, rho, citrate_cat)
     b = pl.execute_cycled(prog, citrate_es, rho, citrate_cat)
-    assert np.array_equal(a.mat, b.mat)
+    assert np.array_equal(a, b)
 
 
 def test_identical_rows_cycle_equals_single(citrate_es, citrate_cat):
@@ -174,7 +174,7 @@ def test_identical_rows_cycle_equals_single(citrate_es, citrate_cat):
     rho = dyn.equilibrium_deviation(citrate_es)
     a = pl.execute(prog, citrate_es, rho, citrate_cat)
     b = pl.execute_cycled(prog, citrate_es, rho, citrate_cat)
-    assert np.abs(a.mat - b.mat).max() <= 1e-14
+    assert np.abs(a - b).max() <= 1e-14
 
 
 def test_receiver_weights(citrate_es, citrate_cat):
@@ -183,7 +183,7 @@ def test_receiver_weights(citrate_es, citrate_cat):
             "selpulse t1 90 $P\n")
     out = pl.execute_cycled(pl.parse_program(text), citrate_es,
                             dyn.equilibrium_deviation(citrate_es), citrate_cat)
-    assert np.abs(out.mat).max() <= 1e-14
+    assert np.abs(out).max() <= 1e-14
 
 
 def test_symbolic_delay_binding(citrate_es, citrate_cat):
@@ -192,7 +192,7 @@ def test_symbolic_delay_binding(citrate_es, citrate_cat):
     with pytest.raises(pl.PulseProgramError, match="unresolved symbolic"):
         pl.execute(prog, citrate_es, rho, citrate_cat)
     out = pl.execute(prog, citrate_es, rho, citrate_cat, t1=0.01)
-    assert np.allclose(out.mat, rho.mat)  # diagonal state is invariant
+    assert np.allclose(out, rho)  # diagonal state is invariant
 
 
 def test_acquire_not_executable(citrate_es, citrate_cat):
@@ -234,8 +234,8 @@ def reference_cycled(program, es, rho0, catalog, t1=None, t2=None):
     """Reference: every cycle row run on its own, weighted by its receiver,
     stacked and averaged."""
     if program.cycle is None:
-        return reference_execute(program, es, rho0, catalog, t1=t1, t2=t2).mat
-    mats = [recv * reference_execute(program, es, rho0, catalog, row, t1, t2).mat
+        return reference_execute(program, es, rho0, catalog, t1=t1, t2=t2)
+    mats = [recv * reference_execute(program, es, rho0, catalog, row, t1, t2)
             for row, recv in enumerate(program.cycle.receivers)]
     return np.mean(np.stack(mats), axis=0)
 
@@ -249,7 +249,7 @@ def assert_same_bits(got, want):
 
 def assert_tree_matches_rows(program, es, rho0, catalog, t1=None):
     got = pl.execute_cycled(program, es, rho0, catalog, t1=t1)
-    assert_same_bits(got.mat, reference_cycled(program, es, rho0, catalog, t1=t1))
+    assert_same_bits(got, reference_cycled(program, es, rho0, catalog, t1=t1))
 
 
 _T1 = np.array([0.0, 4e-4, 1.3e-3])
@@ -274,7 +274,7 @@ def random_state(es, seed):
     a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
     h = a + a.conj().T
     h -= np.trace(h) / es.dim * np.eye(es.dim)
-    return dyn.DeviationDensityMatrix(h, es)
+    return h
 
 
 @st.composite
@@ -327,7 +327,7 @@ def test_prefix_tree_shipped_programs(citrate_es, citrate_cat, demo3_es, demo3_c
     p0 = np.zeros((4, 4), dtype=complex)
     p0[citrate_es.index_of_label("00"), citrate_es.index_of_label("00")] = 1.0
     assert_tree_matches_rows(_shipped_program("epr.pp"), citrate_es,
-                             dyn.DeviationDensityMatrix(p0, citrate_es), citrate_cat)
+                             p0, citrate_cat)
     assert_tree_matches_rows(_shipped_program("ghz.pp"), demo3_es,
                              random_state(demo3_es, 3), demo3_cat)
     assert_tree_matches_rows(_shipped_program("tomo_mq.pp"), citrate_es,

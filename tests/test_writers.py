@@ -4,7 +4,6 @@ gnuplot magnitude grid and the ``spinsim run`` FID/FFT rows."""
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +16,11 @@ CUT = 1e-14
 # --- the replaced per-element loops, kept verbatim as references -----------
 
 def ref_format_state(rho):
-    dim = rho.es.dim
+    dim = rho.shape[0]
     out = [f"dim {dim}"]
     for k in range(dim):
         for l in range(dim):
-            z = rho.mat[k, l]
+            z = rho[k, l]
             if abs(z) >= 1e-14:
                 out.append(f"{k + 1} {l + 1} {z.real:.12g} {z.imag:.12g}")
     return "\n".join(out) + "\n"
@@ -84,12 +83,8 @@ def random_matrix(rng, shape):
     return (parts[0] + 1j * parts[1]).reshape(shape)
 
 
-def state(mat):
-    return dyn.DeviationDensityMatrix(mat, SimpleNamespace(dim=mat.shape[0]))
-
-
 def dataset(data, dwell1=1e-3, dwell2=2.5e-4):
-    return acq.Dataset2D(data.shape[0], data.shape[1], dwell1, dwell2, data)
+    return acq.Dataset2D(dwell1, dwell2, data)
 
 
 # --- tests ------------------------------------------------------------------
@@ -110,7 +105,7 @@ def test_sparse_writers_match_loops(seed, shape, sparse_path):
     ds = dataset(mat)
     assert ds.to_text() == ref_to_text(ds)
     if shape[0] == shape[1]:
-        assert dyn.format_state(state(mat)) == ref_format_state(state(mat))
+        assert dyn.format_state(mat) == ref_format_state(mat)
 
 
 def test_sparse_cut_matches_scalar_abs(sparse_path):
@@ -128,15 +123,15 @@ def test_sparse_special_values(sparse_path):
     mat.real, mat.imag = vals[:, None], vals[None, :]
     mat[1, 2] = complex(-0.0, 1.0)
     mat[2, 1] = complex(1.0, -0.0)
-    assert dyn.format_state(state(mat)) == ref_format_state(state(mat))
+    assert dyn.format_state(mat) == ref_format_state(mat)
     real = np.array([[0.0, -2.5], [CUT, 1e-15]])
-    assert dyn.format_state(state(real)) == ref_format_state(state(real))
+    assert dyn.format_state(real) == ref_format_state(real)
 
 
 def test_sparse_all_below_cut_writes_header_only(sparse_path):
     mat = np.full((4, 4), 1e-15 + 1e-15j)
     mat[0, 0] = -0.0
-    assert dyn.format_state(state(mat)) == ref_format_state(state(mat)) \
+    assert dyn.format_state(mat) == ref_format_state(mat) \
         == "dim 4\n"
     ds = dataset(mat[:2])
     assert ds.to_text() == ref_to_text(ds)
@@ -151,7 +146,7 @@ def test_sparse_small_matrix_paths():
     rng = np.random.default_rng(3)
     for n in (2, 4, 8, 16):
         mat = random_matrix(rng, (n, n))
-        assert dyn.format_state(state(mat)) == ref_format_state(state(mat))
+        assert dyn.format_state(mat) == ref_format_state(mat)
     mat = np.zeros((4, 4), dtype=complex)
     mat[1, 2] = complex(1.5e308, 1.5e308)
     mat[3, 0] = 0.5
@@ -159,8 +154,8 @@ def test_sparse_small_matrix_paths():
         dyn._format_sparse_loop("dim 4", mat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        text = dyn.format_state(state(mat))
-        assert text == ref_format_state(state(mat))
+        text = dyn.format_state(mat)
+        assert text == ref_format_state(mat)
     assert text.splitlines()[1:] == ["2 3 1.5e+308 1.5e+308", "4 1 0.5 0"]
 
 
@@ -169,7 +164,7 @@ def test_sparse_rows_cross_slice_boundaries(monkeypatch):
     big = rng.normal(size=(120, 120)) + 1j * rng.normal(size=(120, 120))
     big[rng.random(big.shape) < 0.1] = 0
     assert np.count_nonzero(big) > dyn._SPARSE_SLICE
-    assert dyn.format_state(state(big)) == ref_format_state(state(big))
+    assert dyn.format_state(big) == ref_format_state(big)
     monkeypatch.setattr(dyn, "_SPARSE_SLICE", 7)
     for shape in [(7, 1), (8, 8), (9, 5)]:
         ds = dataset(random_matrix(rng, shape))
