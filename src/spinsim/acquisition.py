@@ -195,13 +195,17 @@ def t1_stack(program: pl.PulseProgram, es: EigenSystem,
              rho0: np.ndarray, t1_points: int, dwell1: float,
              catalog: TransitionCatalog
              ) -> tuple[pl.Acquire, np.ndarray]:
-    """Check a 2D program and its grid, and run the (possibly phase-cycled)
-    prefix once with t1 bound to the whole t1 grid, giving one state per
-    row.  Returns the trailing acquire instruction and the states."""
+    """Check a 2D program, its grid and its one initial state, and run the
+    (possibly phase-cycled) prefix once with t1 bound to the whole t1 grid,
+    giving one state per row.  Returns the trailing acquire instruction and
+    the states."""
     if not program.instructions or not isinstance(program.instructions[-1], pl.Acquire):
         raise AcquisitionError("2D program must end with an acquire instruction")
     if t1_points < 1:
         raise AcquisitionError(f"t1 points must be at least 1, got {t1_points}")
+    if np.shape(rho0) != (es.dim, es.dim):
+        raise AcquisitionError(f"a 2D run starts from one {es.dim} x {es.dim} "
+                               f"state, got shape {np.shape(rho0)}")
     acq = program.instructions[-1]
     _check_points(acq.points)
     prefix = replace(program, instructions=program.instructions[:-1])

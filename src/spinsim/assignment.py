@@ -10,6 +10,9 @@ that the diagram's derived connectivity reproduces the input exactly.
 Key structural fact exploited throughout: a level may only be reused by a
 transition whose connectivity entry dictates the sharing, so every
 endpoint is either forced by an already-placed neighbor or a fresh level.
+The placed transitions are the bits of integer masks, so a placement is
+checked against all of them, required zeros included, by comparing two
+masks.
 Fresh levels inside one manifold are interchangeable, which quotients the
 within-manifold permutation symmetry; the global top-bottom inversion is
 quotiented by pinning the first transition's layer and canonicalizing.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +55,7 @@ class ConnectivityMatrix:
             raise AssignmentError("connectivity matrix must be symmetric")
         if np.any(np.diag(self.m) != 0):
             raise AssignmentError("connectivity matrix must have zero diagonal")
-        if not np.all(np.isin(self.m, (-1, 0, 1))):
+        if np.any((self.m < -1) | (self.m > 1)):
             raise AssignmentError("entries must be -1, 0 or +1")
 
     @property
@@ -59,19 +63,10 @@ class ConnectivityMatrix:
         return self.m.shape[0]
 
 
-# the usual spellings of the three entries, read without int()
-_ENTRIES = {"-1": -1, "0": 0, "1": 1}
-
-
 def _row_values(line: str, source: str, ln: int) -> list[int]:
-    toks = line.split()
+    # any token int() reads: +1 and 01 are entries, 2 is not
     try:
-        return [_ENTRIES[x] for x in toks]
-    except KeyError:
-        pass
-    # any other token as int() reads it: +1 and 01 are entries, 2 is not
-    try:
-        row = [int(x) for x in toks]
+        row = [int(x) for x in line.split()]
     except ValueError:
         raise AssignmentError(f"{source}:{ln}: malformed row {line!r}") from None
     bad = [v for v in row if v not in (-1, 0, 1)]
@@ -81,17 +76,55 @@ def _row_values(line: str, source: str, ln: int) -> list[int]:
     return row
 
 
+_BLANKS = b" \t\r\n"
+
+
+def _canonical_matrix(text: str) -> np.ndarray | None:
+    """The matrix of a text that holds only the entries -1, 0 and 1 between
+    blanks and line breaks, in equal rows, one to each nonblank line, read
+    from all its bytes at once; None for any other text."""
+    raw = text.encode("ascii", errors="replace")
+    if not raw or raw.translate(None, _BLANKS + b"-01"):
+        return None
+    c = np.frombuffer(raw, dtype=np.uint8)
+    digit = c >= ord("0")
+    minus = c == ord("-")
+    blank = ~(digit | minus)
+    # every token is 0, 1 or -1: a digit ends its token, and a minus starts
+    # one and is followed by a 1
+    if (np.any(digit[:-1] & ~blank[1:]) or np.any(minus[1:] & ~blank[:-1])
+            or np.any(minus & np.append(c[1:] != ord("1"), True))):
+        return None
+    breaks = (c[:-1] == ord("\n")) | (c[:-1] == ord("\r"))
+    lengths = np.add.reduceat(digit, np.append(0, np.flatnonzero(breaks) + 1),
+                              dtype=np.intp)
+    lengths = lengths[lengths > 0]
+    t = lengths.size
+    if not t or np.any(lengths != t):
+        return None
+    tokens = np.frombuffer(raw.translate(None, _BLANKS), dtype=np.uint8)
+    values = (tokens == ord("1")).astype(int)
+    values[1:] -= 2 * (tokens[:-1] == ord("-"))     # the 1 of a -1
+    return values[tokens != ord("-")].reshape(t, t)
+
+
 def parse_connectivity(text: str, source: str = "<string>") -> ConnectivityMatrix:
-    rows = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(_row_values(line, source, ln))
-    if not rows:
-        raise AssignmentError(f"{source}: empty connectivity matrix")
-    if any(len(r) != len(rows) for r in rows):
-        raise AssignmentError(f"{source}: matrix is not square")
-    return ConnectivityMatrix(m=np.array(rows, dtype=int))
+    if "#" in text:
+        text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    m = _canonical_matrix(text)
+    if m is None:
+        # other spellings of the entries, and the messages for what is wrong
+        rows = []
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line:
+                rows.append(_row_values(line, source, ln))
+        if not rows:
+            raise AssignmentError(f"{source}: empty connectivity matrix")
+        if any(len(r) != len(rows) for r in rows):
+            raise AssignmentError(f"{source}: matrix is not square")
+        m = np.array(rows, dtype=int)
+    return ConnectivityMatrix(m=m)
 
 
 def connectivity(lower, upper) -> np.ndarray:
@@ -214,10 +247,15 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     """Backtracking search for all diagrams consistent with cm, up to symmetry.
 
     Transitions are placed most-constrained-first; each endpoint is either
-    forced by a placed neighbor or fresh.  A placement is checked against
-    the placed transitions that share one of its levels, which with the
-    forced endpoints covers every pairwise relation (including required
-    zeros), so a complete assignment is consistent by construction.
+    forced by a placed neighbor or fresh.  The placed transitions are the
+    bits of an integer, bit i standing for the one placed at depth i: each
+    transition carries the masks of its +1 and of its -1 entries, and each
+    level the masks of the placed transitions having it as their lower and
+    as their upper level.  A placement (u, v) fits exactly when the placed
+    transitions having u as upper or v as lower level are its placed +1
+    entries, and those having u as lower or v as upper level its placed -1
+    entries.  That one test covers every pairwise relation, required zeros
+    included, so a complete assignment is consistent by construction.
     Solutions are deduplicated modulo within-manifold level permutation and
     global inversion, canonicalized, and capped at ``max_solutions`` (the
     ``truncated`` flag reports a hit cap).  If no diagram exists the result
@@ -235,155 +273,101 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
             f"possible for {n} spins")
     caps = [math.comb(n, k) for k in range(n + 1)]
     order = _search_order(cm.m)
-    rows = cm.m.tolist()   # Python ints: the search reads single entries
-    ambiguous = tuple(cm.ids[i] for i in range(t_count)
-                      if t_count > 1 and not np.any(cm.m[i]))
-
-    # at depth pos the placed transitions are order[:pos], so each
-    # transition's placed neighbors are its nonzero entries among those
-    # before it in the search order, in that order
-    earlier = {t: [s for s in order[:pos] if rows[t][s] != 0]
-               for pos, t in enumerate(order)}
+    ambiguous = ()
+    if t_count > 1:
+        ambiguous = tuple(cm.ids[i] for i in
+                          np.flatnonzero(~cm.m.any(axis=1)).tolist())
+    # bit i of plus[t] (minus[t]) is set when t's entry for order[i] is +1 (-1)
+    by_depth = cm.m[:, order]
+    plus, minus = _bit_rows(by_depth == 1), _bit_rows(by_depth == -1)
 
     solutions: list[list[tuple[int, int, int]]] = []
     seen: set = set()
-    truncated = [False]
-    placed: dict[int, tuple[int, int, int]] = {}
-    used_levels: dict[int, list[int]] = {k: [] for k in range(n + 1)}
-    used_edges: set[tuple[int, int]] = set()
-    next_handle = [0]
-    # the placed transitions having each live handle as their lower
-    # (upper) level, in placement order
-    lower_of: dict[int, list[int]] = {}
-    upper_of: dict[int, list[int]] = {}
+    truncated = False
+    edge_of: list = [None] * t_count      # (layer, u, v) of placed transitions
+    # level handles 0 .. live - 1 are open, each in one manifold, opened and
+    # released last in first out; lower[h] (upper[h]) is the mask of the
+    # placed transitions having h as their lower (upper) level, 0 when closed
+    lower = [0] * 2 ** n
+    upper = [0] * 2 ** n
+    live = 0
+    opened = [0] * (n + 1)
 
-    def fresh(man: int) -> int | None:
-        if len(used_levels[man]) >= caps[man]:
-            return None
-        h = next_handle[0]
-        next_handle[0] += 1
-        lower_of[h], upper_of[h] = [], []
-        used_levels[man].append(h)
-        return h
-
-    def release(man: int, h: int) -> None:
-        used_levels[man].remove(h)
-        del lower_of[h], upper_of[h]
-
-    def candidates(t: int, pos: int):
-        row = rows[t]
-        neighbors = earlier[t]
-        cands: list[tuple[int, int | None, int | None]] = []
-        if not neighbors:
-            layers = range(n)
-            if pos == 0:
-                layers = range((n + 1) // 2)   # global-inversion quotient
-            for p in layers:
-                cands.append((p, None, None))
+    def candidates(depth: int, want_plus: int, linked: int):
+        """(layer, u, v) placements meeting the first placed neighbor, None
+        for a fresh level, in the order the search tries them."""
+        if not linked:
+            layers = range(n if depth else (n + 1) // 2)   # inversion quotient
+            return [(p, None, None) for p in layers]
+        d0 = (linked & -linked).bit_length() - 1
+        p0, u0, v0 = edge_of[order[d0]]
+        if want_plus >> d0 & 1:
+            seeds = ((p0 + 1, v0, None), (p0 - 1, None, u0))
         else:
-            s0 = neighbors[0]
-            p0, u0, v0 = placed[s0]
-            if row[s0] == 1:
-                if p0 + 1 < n:
-                    cands.append((p0 + 1, v0, None))
-                if p0 - 1 >= 0:
-                    cands.append((p0 - 1, None, u0))
-            else:
-                cands.append((p0, u0, None))
-                cands.append((p0, None, v0))
-            for s in neighbors[1:]:
-                ps, us, vs = placed[s]
-                refined = []
-                for (p, u, v) in cands:
-                    if row[s] == 1:
-                        if p == ps + 1 and (u is None or u == vs):
-                            refined.append((p, vs, v))
-                        if p == ps - 1 and (v is None or v == us):
-                            refined.append((p, u, us))
-                    else:
-                        if p == ps:
-                            if u is None or u == us:
-                                refined.append((p, us, v))
-                            if v is None or v == vs:
-                                refined.append((p, u, vs))
-                cands = list(dict.fromkeys(refined))
-                if not cands:
-                    return []
-        return list(dict.fromkeys(cands))
+            seeds = ((p0, u0, None), (p0, None, v0))
+        cands = []
+        for p, u, v in seeds:
+            if not 0 <= p < n:
+                continue
+            fixed = u if v is None else v
+            # the other level is forced by the first placed neighbor that
+            # does not share the fixed one, and fresh when there is none
+            others = linked & ~(lower[fixed] | upper[fixed])
+            if not others:
+                cands.append((p, u, v))
+                continue
+            d = (others & -others).bit_length() - 1
+            ps, us, vs = edge_of[order[d]]
+            if want_plus >> d & 1:
+                if v is None and ps == p + 1:
+                    cands.append((p, u, us))
+                elif u is None and ps == p - 1:
+                    cands.append((p, vs, v))
+            elif ps == p:
+                cands.append((p, u, vs) if v is None else (p, us, v))
+        return cands
 
-    def consistent(t: int, u: int, v: int) -> bool:
-        """Whether edge (u, v) for t relates to every placed transition as
-        row t requires.  The candidate already meets the relation of each
-        placed neighbor.  Handles are unique across manifolds, so any other
-        placed edge relates to it only through a shared level: +1 where u
-        is its upper level or v its lower one, -1 where u is its lower
-        level or v its upper one."""
-        row = rows[t]
-        for rel, group in ((1, upper_of[u]), (1, lower_of[v]),
-                           (-1, lower_of[u]), (-1, upper_of[v])):
-            for s in group:
-                if row[s] != rel:
-                    return False
-        return True
-
-    def place(t: int, cand) -> tuple[int, int, int] | None:
-        p, u, v = cand
-        created = []
-        if u is None:
-            u = fresh(p)
-            if u is None:
-                return None
-            created.append((p, u))
-        if v is None:
-            v = fresh(p + 1)
-            if v is None:
-                for man, h in created:
-                    release(man, h)
-                return None
-            created.append((p + 1, v))
-        if (u, v) in used_edges or not consistent(t, u, v):
-            for man, h in created:
-                release(man, h)
-            return None
-        edge = (p, u, v)
-        placed[t] = edge
-        used_edges.add((u, v))
-        lower_of[u].append(t)
-        upper_of[v].append(t)
-        return edge
-
-    def unplace(t: int, edge, cand) -> None:
-        p, u, v = edge
-        del placed[t]
-        used_edges.discard((u, v))
-        lower_of[u].pop()             # t was placed last
-        upper_of[v].pop()
-        if cand[1] is None:
-            release(p, u)
-        if cand[2] is None:
-            release(p + 1, v)
-
-    def search(pos: int) -> None:
-        if truncated[0]:
-            return
-        if pos == t_count:
-            sol = [placed[i] for i in range(t_count)]
-            sig = _canonical_signature(n, sol)
+    def search(depth: int) -> None:
+        nonlocal truncated, live
+        if depth == t_count:
+            sig = _canonical_signature(n, edge_of)
             if sig not in seen:
                 seen.add(sig)
                 if len(solutions) >= max_solutions:
-                    truncated[0] = True
+                    truncated = True
                     return
                 solutions.append(list(sig))
             return
-        t = order[pos]
-        for cand in candidates(t, pos):
-            edge = place(t, cand)
-            if edge is None:
+        t = order[depth]
+        bit = 1 << depth
+        want_plus, want_minus = plus[t] & (bit - 1), minus[t] & (bit - 1)
+        for p, u, v in candidates(depth, want_plus, want_plus | want_minus):
+            fresh_u, fresh_v = u is None, v is None
+            if ((fresh_u and opened[p] == caps[p])
+                    or (fresh_v and opened[p + 1] == caps[p + 1])):
                 continue
-            search(pos + 1)
-            unplace(t, edge, cand)
-            if truncated[0]:
+            top = live
+            if fresh_u:
+                u, top = top, top + 1
+            if fresh_v:
+                v, top = top, top + 1
+            if (upper[u] | lower[v] != want_plus
+                    or lower[u] | upper[v] != want_minus
+                    or lower[u] & upper[v]):   # the edge of a placed transition
+                continue
+            edge_of[t] = (p, u, v)
+            lower[u] |= bit
+            upper[v] |= bit
+            opened[p] += fresh_u
+            opened[p + 1] += fresh_v
+            saved, live = live, top
+            search(depth + 1)
+            live = saved
+            opened[p] -= fresh_u
+            opened[p + 1] -= fresh_v
+            lower[u] ^= bit
+            upper[v] ^= bit
+            if truncated:
                 return
 
     search(0)
@@ -396,7 +380,13 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     solutions.sort()
     diagrams = [_diagram_from_signature(n, cm.ids, sig, ambiguous)
                 for sig in solutions]
-    return AssignmentResult(diagrams=diagrams, truncated=truncated[0])
+    return AssignmentResult(diagrams=diagrams, truncated=truncated)
+
+
+def _bit_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an integer, column i as bit i."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
 def _search_order(m: np.ndarray) -> list[int]:
@@ -409,11 +399,13 @@ def _search_order(m: np.ndarray) -> list[int]:
     # + (T - 1 - t); a picked transition's key is pushed far below zero
     key = (nonzero.sum(axis=1) * t_count
            + (t_count - 1 - np.arange(t_count))).astype(np.int64)
+    # row s: the key increment of every transition linked to s
+    increments = nonzero.T * np.int64(t_count * t_count)
     order: list[int] = []
     for _ in range(t_count):
-        best = int(np.argmax(key))
+        best = int(key.argmax())
         order.append(best)
-        key += t_count * t_count * nonzero[:, best]
+        key += increments[best]
         key[best] = np.iinfo(np.int64).min
     return order
 
@@ -426,16 +418,27 @@ def _diagram_from_signature(n, ids, sig, ambiguous) -> LevelDiagram:
 
 
 def _first_conflict(cm: ConnectivityMatrix, n: int) -> tuple[int, ...] | None:
+    """The first transition triple, in lexicographic order, that no diagram
+    of n spins realizes.  Whether one does depends only on the triple's
+    three entries, so each of the 27 patterns is searched once."""
     t = cm.size
-    for i in range(t):
-        for j in range(i + 1, t):
-            for k in range(j + 1, t):
-                sub = cm.m[np.ix_((i, j, k), (i, j, k))]
-                res = reconstruct_levels(
-                    ConnectivityMatrix(m=sub), n, max_solutions=1,
-                    analyze_conflict=False)
-                if not res.diagrams:
-                    return (cm.ids[i], cm.ids[j], cm.ids[k])
+    if t < 3:       # no triple, and n may be too small to hold one
+        return None
+    realizable = np.zeros((3, 3, 3), dtype=bool)
+    for a, b, c in itertools.product((-1, 0, 1), repeat=3):
+        sub = np.array([[0, a, b], [a, 0, c], [b, c, 0]])
+        realizable[a + 1, b + 1, c + 1] = bool(reconstruct_levels(
+            ConnectivityMatrix(m=sub), n, max_solutions=1,
+            analyze_conflict=False).diagrams)
+    cell = cm.m + 1
+    for i in range(t - 2):
+        rest = cell[i, i + 1:]
+        # entry (j, k) of the triple (i, i + 1 + j, i + 1 + k), for j < k
+        failing = np.triu(~realizable[rest[:, None], rest[None, :],
+                                      cell[i + 1:, i + 1:]], 1)
+        if failing.any():
+            j, k = np.unravel_index(int(failing.argmax()), failing.shape)
+            return (cm.ids[i], cm.ids[i + 1 + j], cm.ids[i + 1 + k])
     return None
 
 

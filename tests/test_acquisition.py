@@ -853,6 +853,16 @@ def test_run_2d_without_t1_repeats_the_fid(citrate_es, citrate_cat):
     assert all(np.array_equal(row, fid) for row in ds.data)
 
 
+def test_run_2d_rejects_a_stack_of_initial_states(citrate_es, citrate_cat):
+    prog = pl.parse_program("pulse 90 y\nacquire 8 0.001\n")
+    rho = np.stack([dyn.equilibrium_deviation(citrate_es)] * 3)
+    with pytest.raises(acq.AcquisitionError,
+                       match=r"^a 2D run starts from one 4 x 4 state, "
+                             r"got shape \(3, 4, 4\)$"):
+        acq.run_2d(prog, citrate_es, rho, t1_points=4, dwell1=0.002,
+                   catalog=citrate_cat)
+
+
 # ---------------------------------------------------------------------------
 # acquire_fid: the per-level phases against the dense definition, and the
 # line table of small systems against the formula it has always used

@@ -107,6 +107,9 @@ def test_parse_connectivity_matches_int_loop(text):
     "", "\n# only a comment\n", "0 +1\n+1 0\n", "00 1\n1 -0\n", "0 2\n2 0\n",
     "0 1_0\n1 0\n", "0 12345678901234567890\n1 0\n", "0 x\n1 0\n",
     "0 1\n1\n", "0 1 0\n1 0\n", "0 1\n1 0 # c\n", "0 " + "1" * 5000 + "\n1 0\n",
+    "0\t1\r\n1 0\r\n", "0 -1\r-1 0", "0 -1\n-1 0\n", "0 - 1\n1 0\n", "0 1-1\n1 0\n",
+    "0 -\n1 0\n", "0 -10\n1 0\n", "0 10\n10 0\n", "0 1\n\n1 0\n\n0 1\n",
+    "-1 0\n0 0\n", "0 1\n-1 0\n",
 ])
 def test_parse_connectivity_edge_texts_match_int_loop(text):
     assert (parse_outcome(asg.parse_connectivity, text)
@@ -479,3 +482,59 @@ def test_reconstruct_matches_full_scan_reference(case):
     assert [ld.ambiguous for ld in got.diagrams] == [
         ld.ambiguous for ld in ref.diagrams]
     assert (got.truncated, got.conflict) == (ref.truncated, ref.conflict)
+
+
+def changed_full_matrix(n, changes):
+    """The Z-COSY connectivity of every line of a seeded random n-spin
+    system, with entry (i, j) and (j, i) set to v for each (i, j, v)."""
+    es = core.eigensystem(random_system(np.random.default_rng(n - 3), n))
+    cm = acq.zcosy_connectivity(es, threshold=0.0,
+                                catalog=core.transition_catalog(es, threshold=0.0))
+    m = cm.m.copy()
+    for i, j, v in changes:
+        m[i, j] = m[j, i] = v
+    return asg.ConnectivityMatrix(m=m, ids=cm.ids)
+
+
+# full matrices (T = 56 and 210, as the benchmark assigns) and copies with
+# one or two entries changed: a sign negated, a zero made -1, or a -1 zeroed
+# (every triple stays realizable, and only the placed -1 entries rule the
+# diagram out)
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("n, changes", [
+    (4, ()), (4, ((54, 55, -1),)), (4, ((0, 19, 0),)),
+    (5, ()), (5, ((0, 1, -1),)), (5, ((0, 3, -1), (0, 59, 0))),
+])
+def test_reconstruct_matches_full_scan_at_benchmark_sizes(n, changes):
+    cm = changed_full_matrix(n, changes)
+    assert cm.size == math.comb(2 * n, n - 1)
+    conflict = full_scan_reconstruct(cm, n).conflict
+    for cap in (1, 3, 64):
+        got = asg.reconstruct_levels(cm, n, max_solutions=cap)
+        ref = full_scan_reconstruct(cm, n, max_solutions=cap,
+                                    analyze_conflict=False)
+        assert [ld.edges for ld in got.diagrams] == [
+            ld.edges for ld in ref.diagrams]
+        assert [ld.ambiguous for ld in got.diagrams] == [
+            ld.ambiguous for ld in ref.diagrams]
+        assert (got.truncated, got.conflict) == (ref.truncated, conflict)
+        assert bool(got.diagrams) == (not changes)
+
+
+# the first unsatisfiable triples, as a scan over all triples in order finds them
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("n, changes, first", [
+    (4, ((54, 55, -1),), (4, 55, 56)), (5, ((208, 209, 1),), (160, 209, 210))])
+def test_conflict_analysis_searches_each_sign_pattern_once(n, changes, first,
+                                                           monkeypatch):
+    cm = changed_full_matrix(n, changes)
+    search = asg.reconstruct_levels
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(asg, "reconstruct_levels", counting)
+    assert search(cm, n).conflict == first
+    assert len(calls) <= 27
