@@ -125,15 +125,30 @@ def acquire_fid(es: EigenSystem, rho: np.ndarray,
     t = np.arange(points) * dwell
     if k.size >= _FACTORED_LINES * math.prod(w.shape[:-2]) * es.dim:
         # exp(i (E_l - E_k) t) = p_l(t) conj(p_k(t)) with p = exp(i E t),
-        # the phases of free_evolution: d x points exponentials and one
-        # matmul in place of a K x points table
-        p = np.exp(1j * es.energies[:, None] * t)
-        wp = np.where(on, w, 0) @ p
-        return (p.conj() * wp).sum(axis=-2)
+        # the phases of free_evolution, and w is nonzero only where F- is:
+        # rows k of one manifold, columns l of the one before it
+        p = _level_phases(es.energies, t)
+        fid = np.zeros(w.shape[:-2] + (points,), dtype=complex)
+        cols = [c for c, _ in es.manifold_vectors()]
+        for c, r in zip(cols, cols[1:]):
+            wp = np.where(on[r, c], w[..., r, c], 0) @ p[c]
+            fid += (p[r].conj() * wp).sum(axis=-2)
+        return fid
     freqs = (es.energies[l] - es.energies[k]) / (2 * math.pi)
     table = 2j * math.pi * freqs[:, None] * t
     np.exp(table, out=table)            # in place: K x points is the peak memory
     return w[..., k, l] @ table
+
+
+def _level_phases(energies: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(i E t) for the sample times t = m * dwell of a power-of-two
+    count: with m = q * a + b, a about sqrt(points), the product of
+    exp(i E t[q * a]) and exp(i E t[b]), two tables of about sqrt(points)
+    exponentials per level in place of points."""
+    a = 1 << (t.size.bit_length() // 2)
+    outer = np.exp(1j * energies[:, None] * t[::a])
+    inner = np.exp(1j * energies[:, None] * t[:a])
+    return (outer[:, :, None] * inner[:, None, :]).reshape(energies.size, t.size)
 
 
 def fft_spectrum(fid: np.ndarray, dwell: float) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ import bisect
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +371,13 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
             if truncated:
                 return
 
-    search(0)
+    try:
+        search(0)
+    except RecursionError:      # one frame per placed transition
+        raise AssignmentError(
+            f"{t_count} transitions are too many for the level search, which "
+            "needs one Python stack frame per transition (recursion limit "
+            f"{sys.getrecursionlimit()})") from None
 
     if not solutions:
         conflict = _first_conflict(cm, n) if analyze_conflict else None

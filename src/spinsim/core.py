@@ -173,6 +173,8 @@ class EigenSystem:
     labels: tuple[str, ...]
     mz: np.ndarray
     label_conflicts: int = 0
+    _blocks: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
     _lowering: np.ndarray | None = field(default=None, init=False,
                                          repr=False, compare=False)
 
@@ -186,22 +188,35 @@ class EigenSystem:
         except ValueError:
             raise KeyError(f"no eigenstate labeled {label!r}") from None
 
+    def manifold_vectors(self) -> tuple[tuple[slice, np.ndarray], ...]:
+        """Per M_z manifold, descending M_z: its eigenstate columns and the
+        block of ``vectors`` on its product states (ascending index), the
+        only nonzero block of those columns.  Read-only, built on the
+        first call."""
+        if self._blocks is None:
+            blocks = []
+            for _, idx, _, cols, _ in _manifold_layout(self.n):
+                v = self.vectors[idx, cols]
+                v.flags.writeable = False
+                blocks.append((cols, v))
+            self._blocks = tuple(blocks)
+        return self._blocks
+
     def lowering_operator(self) -> np.ndarray:
         """F- in the eigenbasis, read-only: built on the first call and
         returned by every later one.
 
-        F- = sum_i I_i- is built from the spin bits, as ``build_hamiltonian``
-        builds H: 1.0 at (k | bit_i, k) for every spin i whose bit is 0
-        (alpha) in basis state k.
+        F- = sum_i I_i- lowers M_z by one, so it is nonzero only from one
+        manifold to the next: there it is V_next^H F V, F the 0/1 block of
+        ``_lowering_blocks``.  Every other entry is exactly 0.
         """
         if self._lowering is None:
-            k = np.arange(self.dim)
             fm = np.zeros((self.dim, self.dim), dtype=complex)
-            for i in range(self.n):
-                bit = 1 << (self.n - 1 - i)
-                alpha = k[(k & bit) == 0]
-                fm[alpha | bit, alpha] = 1.0
-            self._lowering = self.vectors.conj().T @ fm @ self.vectors
+            blocks = self.manifold_vectors()
+            for (cols, v), (rows, w), f in zip(blocks, blocks[1:],
+                                               _lowering_blocks(self.n)):
+                fm[rows, cols] = w.conj().T @ (f @ v)
+            self._lowering = fm
             self._lowering.flags.writeable = False
         return self._lowering
 
@@ -220,6 +235,19 @@ def _manifold_layout(n: int):
                           tuple(label_of_index(int(k), n) for k in idx)))
         pos += idx.size
     return tuple(manifolds)
+
+
+@functools.cache
+def _lowering_blocks(n: int) -> tuple[np.ndarray, ...]:
+    """F- = sum_i I_i- in the product basis, from each manifold to the next
+    (the rows and columns of ``_manifold_layout``): 1 where the row state
+    is the column state with one more beta (1) bit, else 0."""
+    layout = _manifold_layout(n)
+    blocks = tuple(((dst[:, None] & src) == src).astype(complex)
+                   for (_, src, *_), (_, dst, *_) in zip(layout, layout[1:]))
+    for f in blocks:
+        f.flags.writeable = False
+    return blocks
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

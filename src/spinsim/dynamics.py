@@ -21,11 +21,12 @@ y -> 90 deg.  For a selective pulse the 2x2 block is written in
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
-from .core import EigenSystem
+from .core import EigenSystem, _manifold_layout
 
 HERMITICITY_TOL = 1e-12
 
@@ -120,17 +121,46 @@ def hard_pulse_unitary(es: EigenSystem, theta_deg: float,
     """Non-selective pulse exp(-i theta F_phi), exact, in the eigenbasis.
 
     F_phi = sum_k (I_kx cos phi + I_ky sin phi); the single-spin rotations
-    commute, so the product-basis unitary is an exact kron product.
+    commute, so the product-basis unitary K is a kron product of one 2 x 2
+    rotation u: K[p, q] = c^(n - a - b) u01^a u10^b, with a (b) the bits
+    set in q (p) only.  K is built in eigenstate order from that table,
+    and V^H K V as one product per manifold on each side, V being zero
+    outside its per-manifold blocks.
     """
     th = math.radians(theta_deg)
     ph = math.radians(phase_deg)
     c, sn = math.cos(th / 2), math.sin(th / 2)
-    u1 = np.array([[c, -1j * np.exp(-1j * ph) * sn],
-                   [-1j * np.exp(1j * ph) * sn, c]], dtype=complex)
-    u = np.array([[1.0 + 0j]])
-    for _ in range(es.n):
-        u = np.kron(u, u1)
-    return es.vectors.conj().T @ u @ es.vectors
+    n = es.n
+    # powers 0..n of each entry of u, by repeated multiplication
+    u = np.array([c, -1j * np.exp(-1j * ph) * sn, -1j * np.exp(1j * ph) * sn])
+    powers = np.ones((3, n + 1), dtype=complex)
+    powers[:, 1:] = u[:, None]
+    powers = np.cumprod(powers, axis=1)
+    j = np.arange(n + 1)
+    # table[a, b]; a + b > n never occurs
+    table = np.outer(powers[1], powers[2]) \
+        * powers[0][np.maximum(n - j[:, None] - j, 0)]
+    k = table.ravel()[_flip_counts(n)]
+    blocks = es.manifold_vectors()
+    kv = np.empty_like(k)
+    for cols, v in blocks:
+        kv[:, cols] = k[:, cols] @ v
+    for cols, v in blocks:
+        k[cols] = v.conj().T @ kv[cols]
+    return k
+
+
+@functools.cache
+def _flip_counts(n: int) -> np.ndarray:
+    """a * (n + 1) + b for each pair (p, q) of product states in eigenstate
+    order (manifold by manifold, ascending index), with a the bits set in
+    q only and b those set in p only: the kron factor counts of K[p, q]."""
+    s = np.concatenate([idx for _, idx, *_ in _manifold_layout(n)])
+    p, q = s[:, None], s[None, :]
+    code = np.bitwise_count(~p & q).astype(np.intp) * (n + 1) \
+        + np.bitwise_count(p & ~q)
+    code.flags.writeable = False
+    return code
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -538,3 +538,16 @@ def test_conflict_analysis_searches_each_sign_pattern_once(n, changes, first,
     monkeypatch.setattr(asg, "reconstruct_levels", counting)
     assert search(cm, n).conflict == first
     assert len(calls) <= 27
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_search_deeper_than_the_stack_is_one_error():
+    """The full Z-COSY matrix of a 7-spin system has 3003 lines, and the
+    search needs one stack frame per placed line."""
+    es = core.eigensystem(random_system(np.random.default_rng(3), 7))
+    cm = acq.zcosy_connectivity(es, threshold=0.0)
+    assert cm.size == 3003
+    with pytest.raises(asg.AssignmentError,
+                       match=r"^3003 transitions are too many for the level "
+                             r"search, .*\(recursion limit \d+\)$"):
+        asg.reconstruct_levels(cm, 7)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinsim import core
+from spinsim import dynamics as dyn
 
 
 def random_system_strategy(nmax=4, oriented=True):
@@ -384,9 +385,14 @@ def assert_same_bits(a, b):
 
 
 def assert_lowering_matches_reference(es):
+    """F- within 1e-13 of its largest entry of the dense V^H F- V, and
+    exactly 0 outside the blocks from one M_z manifold to the next."""
     v = es.vectors
-    assert_same_bits(es.lowering_operator(),
-                     v.conj().T @ total_operator(es.n, "-") @ v)
+    fm = es.lowering_operator()
+    ref = v.conj().T @ total_operator(es.n, "-") @ v
+    assert np.abs(fm - ref).max() <= 1e-13 * np.abs(ref).max()
+    adjacent = es.mz[:, None] == es.mz[None, :] - 1     # row one quantum lower
+    assert not fm[~adjacent].any()
 
 
 def greedy_labels(es):
@@ -520,6 +526,46 @@ def test_lowering_operator_matches_reference(n):
     d = np.triu(rng.uniform(-200, 200, (n, n)), 1)
     es = core.eigensystem(core.SpinSystem.create("r", offs, j + j.T, d + d.T))
     assert_lowering_matches_reference(es)
+
+
+def dense_hard_pulse(es, theta_deg, phase_deg):
+    """Reference: V^H K V, K the Kronecker product of n single-spin
+    rotations exp(-i theta I_phi) = cos(theta/2) - 2i sin(theta/2) I_phi."""
+    th, ph = math.radians(theta_deg), math.radians(phase_deg)
+    i_phi = math.cos(ph) * _SX + math.sin(ph) * _SY
+    u1 = math.cos(th / 2) * _ID2 - 2j * math.sin(th / 2) * i_phi
+    k = np.array([[1.0 + 0j]])
+    for _ in range(es.n):
+        k = np.kron(k, u1)
+    return es.vectors.conj().T @ k @ es.vectors
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=40, deadline=None)
+@given(reference_systems(nmax=8), st.booleans(),
+       st.one_of(st.sampled_from([0.0, 90.0, 180.0, -90.0, 720.0]),
+                 st.floats(-720, 720)),
+       st.one_of(st.sampled_from([0.0, 90.0, 270.0]), st.floats(0, 360)))
+def test_hard_pulse_matches_dense_reference(sys_, weak, theta, phase):
+    es = core.diagonalize(core.build_hamiltonian(sys_, weak=weak), sys_)
+    u = dyn.hard_pulse_unitary(es, theta, phase)
+    assert u.shape == (es.dim, es.dim)
+    assert np.abs(u - dense_hard_pulse(es, theta, phase)).max() <= 1e-13
+
+
+def test_manifold_vectors_are_the_blocks_of_vectors(demo4_es):
+    es = demo4_es
+    blocks = es.manifold_vectors()
+    assert es.manifold_vectors() is blocks
+    assert [cols.stop - cols.start for cols, _ in blocks] == [1, 4, 6, 4, 1]
+    rebuilt = np.zeros_like(es.vectors)
+    pmz = core.product_mz(es.n)
+    for cols, v in blocks:
+        rebuilt[np.ix_(np.flatnonzero(pmz == es.mz[cols.start]),
+                       np.arange(cols.start, cols.stop))] = v
+    assert np.array_equal(rebuilt, es.vectors)
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[1][1][0, 0] = 1.0
 
 
 def test_lowering_operator_built_once_and_read_only(demo3):
