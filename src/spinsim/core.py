@@ -191,7 +191,8 @@ class EigenSystem:
     def manifold_vectors(self) -> tuple[tuple[slice, np.ndarray], ...]:
         """Per M_z manifold, descending M_z: its eigenstate columns and the
         block of ``vectors`` on its product states (ascending index), the
-        only nonzero block of those columns.  Read-only, built on the
+        only nonzero block of those columns.  Read-only; ``diagonalize``
+        hands them over, and any other eigensystem gathers them on the
         first call."""
         if self._blocks is None:
             blocks = []
@@ -309,6 +310,7 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
     vectors = np.zeros((dim, dim), dtype=complex)
     mz_out = np.zeros(dim)
     labels: list[str] = []
+    blocks = []
     conflicts = 0
     for m, idx, block, cols, names in _manifold_layout(n):
         # off-manifold leakage would mean [H, F_z] != 0
@@ -318,18 +320,23 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
         if hnorm > 0 and leak > 1e-10 * hnorm:
             raise SpinSystemError("Hamiltonian mixes M_z manifolds")
         w, v = np.linalg.eigh(h[block])
+        v = _fix_phase(v)
         energies[cols] = w
-        vectors[idx, cols] = _fix_phase(v)
+        vectors[idx, cols] = v
+        v.flags.writeable = False
+        blocks.append((cols, v))
         mz_out[cols] = m
         # greedy max-overlap labeling within the manifold
-        row_of, clashes = _greedy_match(np.abs(vectors[idx, cols]) ** 2)
+        row_of, clashes = _greedy_match(np.abs(v) ** 2)
         labels.extend(names[r] for r in row_of.tolist())
         conflicts += clashes
 
     if conflicts:
         warnings.warn(f"{conflicts} eigenstate(s) resolved by best-overlap "
                       "labeling after a degenerate-label conflict")
-    return EigenSystem(n, energies, vectors, tuple(labels), mz_out, conflicts)
+    es = EigenSystem(n, energies, vectors, tuple(labels), mz_out, conflicts)
+    es._blocks = tuple(blocks)      # manifold_vectors() without a gather
+    return es
 
 
 def eigensystem(sys: SpinSystem, weak: bool = False) -> EigenSystem:

@@ -566,6 +566,10 @@ def test_manifold_vectors_are_the_blocks_of_vectors(demo4_es):
     assert np.array_equal(rebuilt, es.vectors)
     with pytest.raises(ValueError, match="read-only"):
         blocks[1][1][0, 0] = 1.0
+    # an eigensystem not made by diagonalize gathers the same blocks
+    bare = core.EigenSystem(es.n, es.energies, es.vectors, es.labels, es.mz)
+    for (cols, v), (bare_cols, bare_v) in zip(blocks, bare.manifold_vectors()):
+        assert cols == bare_cols and np.array_equal(v, bare_v)
 
 
 def test_lowering_operator_built_once_and_read_only(demo3):
