@@ -513,7 +513,8 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
 
     The program runs once: its (pi/2)_y - t1 prefix, on the whole t1 grid,
     is the identity function's (f1's) t1 stack and the reference, and U_f
-    applied to that stack gives the function's.  The readout is the
+    applied to that stack gives the function's; f1's empty U_f reads the
+    reference's spectrum for both.  The readout is the
     Hann-windowed 2D magnitude spectrum of both stacks, evaluated only at
     the bins the classifier reads, from their line amplitudes
     (``acquisition.hann_peaks_2d``); no FID is synthesized.  These values
@@ -531,7 +532,6 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     ins = program.instructions          # pulse, delay t1, U_f ..., acquire
     acquire, ref = acq.t1_stack(replace(program, instructions=ins[:2] + ins[-1:]),
                                 es, rho0, t1_points, dwell, catalog)
-    rho = pl.execute(replace(program, instructions=ins[2:-1]), es, ref, catalog)
 
     # the bins of a line; the readout reads bin b as b mod the point count
     # (after checking the counts, so these stay unreduced)
@@ -547,8 +547,13 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
                    for t in (line, partner)})
     # Hann apodization pushes leakage tails of nearby strong peaks below
     # the decision thresholds
-    ref_spec, spec = acq.hann_peaks_2d(es, np.stack([ref, rho]), acquire,
-                                       rows, cols, catalog)
+    u_f = ins[2:-1]
+    if u_f:
+        rho = pl.execute(replace(program, instructions=u_f), es, ref, catalog)
+        ref_spec, spec = acq.hann_peaks_2d(es, np.stack([ref, rho]), acquire,
+                                           rows, cols, catalog)
+    else:   # f1: U_f is empty, so the function's stack is the reference
+        ref_spec = spec = acq.hann_peaks_2d(es, ref, acquire, rows, cols, catalog)
 
     def peak(mag, line, t):
         return float(mag[rows.index(bin1(line.freq_hz)),

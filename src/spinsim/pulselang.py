@@ -353,8 +353,7 @@ class _Executor:
     """The instruction dispatch of ``execute`` and ``execute_cycled``.
 
     ``step`` applies one instruction of ``program`` to a state.  A hard
-    pulse of fixed phase is built once per executor and kept by its
-    instruction index; a slot-phased one is built on every step.
+    pulse is built once per instruction and phase, and kept.
     """
 
     def __init__(self, program: PulseProgram, es: EigenSystem,
@@ -363,7 +362,7 @@ class _Executor:
         self.program, self.es = program, es
         self.catalog = transition_catalog(es) if catalog is None else catalog
         self.delays = {"t1": t1, "t2": t2}
-        self.hard: dict[int, np.ndarray] = {}
+        self.hard: dict[tuple[int, float], np.ndarray] = {}
 
     def phase(self, k: int, row: int) -> float | None:
         """Phase of instruction k in cycle row ``row``; None without one."""
@@ -384,12 +383,10 @@ class _Executor:
             return dyn.apply_selective_pulse(es, rho, lo, up, ins.angle_deg,
                                              self.phase(k, row))
         if isinstance(ins, HardPulse):
-            u = self.hard.get(k)
-            if u is None:
-                u = dyn.hard_pulse_unitary(es, ins.angle_deg, self.phase(k, row))
-                if ins.phase.slot is None:
-                    self.hard[k] = u
-            return dyn.apply_unitary(rho, u)
+            key = (k, self.phase(k, row))
+            if key not in self.hard:
+                self.hard[key] = dyn.hard_pulse_unitary(es, ins.angle_deg, key[1])
+            return dyn.apply_unitary(rho, self.hard[key])
         if isinstance(ins, Grad):
             return dyn.crush_gradient(rho)
         if isinstance(ins, Delay):
@@ -429,33 +426,66 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
                    t2: float | None = None) -> np.ndarray:
     """Receiver-weighted average of the per-row results of the phase cycle.
 
-    The rows run as a prefix tree, depth first: at each instruction, the
-    rows of a branch that resolve the same phase share one state, so work
-    common to several rows is done once.  Each row's weighted state fills
-    its own slot of one (rows, ...) array, which is reduced with numpy's
-    pairwise summation: the same arithmetic, bit for bit, as running the
-    rows one by one and stacking the results.
+    The rows run as branches, one instruction at a time, and each
+    instruction is applied once per branch.  A branch is shared (every
+    row of it holds its state) or summed (its state is the sum of
+    receiver times state over its rows).  Before each instruction, a
+    shared branch splits into the groups of its rows that resolve the
+    same phase there, as a prefix tree would.  Then the branches whose
+    rows all resolve the same phases from that instruction to the end
+    (one suffix class) merge into one summed branch; every instruction is
+    linear in the state, so the sum of their futures is the future of
+    their sum.  A shared branch enters the sum as (sum of its receivers)
+    times its state.
+
+    At the end each row of a shared branch fills its own slot of one
+    (rows, ...) array with its weighted state, a summed branch fills the
+    slot of its first row, the other slots hold 0, and the array is
+    averaged over the rows.  Where no two branches merge, that is the
+    same arithmetic, bit for bit, as running the rows one by one and
+    stacking the results.
     """
     if program.cycle is None:
         return execute(program, es, rho0, catalog, t1=t1, t2=t2)
     run = _Executor(program, es, catalog, t1, t2)
     receivers = program.cycle.receivers
-    out = None
-    # (next instruction, rows, state before it) of each branch still to
-    # run; a state is dropped once the last branch that needs it takes it
-    pending = [(0, list(range(len(receivers))), rho0)]
-    while pending:
-        start, rows, rho = pending.pop()
-        for k in range(start, len(program.instructions)):
+    count = len(program.instructions)
+    phases = [[run.phase(k, r) for r in range(len(receivers))]
+              for k in range(count)]
+    # future[k][r]: the class of the phases row r resolves from instruction
+    # k to the end; the rows of one class see the same instructions from k on
+    future = [[0] * len(receivers)]
+    for k in reversed(range(count)):
+        ids: dict = {}
+        future.insert(0, [ids.setdefault(key, len(ids))
+                          for key in zip(phases[k], future[0])])
+    # (rows in ascending order, state, summed) of each branch
+    branches = [(list(range(len(receivers))), rho0, False)]
+    for k in range(count):
+        by_future: dict = {}
+        for rows, rho, summed in branches:
             groups: dict = {}
             for r in rows:
-                groups.setdefault(run.phase(k, r), []).append(r)
-            rows, *others = groups.values()
-            pending += [(k, g, rho) for g in others]
-            rho = run.step(k, rho, rows[0])
-        for r in rows:
-            weighted = receivers[r] * rho
-            if out is None:
-                out = np.empty((len(receivers),) + weighted.shape, weighted.dtype)
-            out[r] = weighted
+                groups.setdefault(phases[k][r], []).append(r)
+            for g in groups.values():
+                classes = {future[k][r] for r in g}
+                key = classes.pop() if len(classes) == 1 else ("split", g[0])
+                by_future.setdefault(key, []).append((g, rho, summed))
+        branches = []
+        for group in by_future.values():
+            if len(group) > 1:
+                total = sum(rho if summed else sum(receivers[r] for r in rows) * rho
+                            for rows, rho, summed in group)
+                group = [(sorted(r for rows, _, _ in group for r in rows), total, True)]
+            branches += [(rows, run.step(k, rho, rows[0]), summed)
+                         for rows, rho, summed in group]
+    out = None
+    for rows, rho, summed in branches:
+        if out is None:
+            out = np.zeros((len(receivers),) + rho.shape, rho.dtype)
+        if summed:
+            out[rows[0]] = rho
+        else:
+            for r in rows:
+                out[r] = receivers[r] * rho
     return np.mean(out, axis=0)
