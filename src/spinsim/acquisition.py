@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,34 +177,46 @@ class Dataset2D:
     def t2_points(self) -> int:
         return self.data.shape[1]
 
-    def fft2(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        spec = np.fft.fftshift(np.fft.fft2(self.data))
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         f1 = np.fft.fftshift(np.fft.fftfreq(self.t1_points, self.dwell1))
         f2 = np.fft.fftshift(np.fft.fftfreq(self.t2_points, self.dwell2))
-        return f1, f2, spec
+        return f1, f2
 
-    def to_text(self) -> str:
-        """The time-domain data in the sparse ``k l re im`` state format."""
-        return dyn.format_sparse(
+    def fft2(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return *self._axes(), np.fft.fftshift(np.fft.fft2(self.data))
+
+    def text_chunks(self) -> Iterator[str]:
+        """The text of ``to_text`` in chunks, as ``dynamics.sparse_chunks``."""
+        return dyn.sparse_chunks(
             f"t1_points {self.t1_points}\nt2_points {self.t2_points}\n"
             f"dwell1 {self.dwell1:.12g}\ndwell2 {self.dwell2:.12g}", self.data)
 
-    def to_gnuplot_grid(self) -> str:
-        """Magnitude spectrum as a gnuplot-compatible grid (blank-line rows).
+    def to_text(self) -> str:
+        """The time-domain data in the sparse ``k l re im`` state format."""
+        return "".join(self.text_chunks())
 
-        The axis text is formatted once and joined into each f1 block's
+    def grid_chunks(self) -> Iterator[str]:
+        """The text of ``to_gnuplot_grid`` in chunks, one per f1 block.
+
+        The axis text is formatted once and joined into each block's
         pattern; one ``%`` per block formats the magnitudes as Python
-        floats.
+        floats.  The magnitudes are shifted rather than the complex
+        spectrum: the same values from half the bytes.
         """
-        f1, f2, spec = self.fft2()
-        mag = np.abs(spec)
+        f1, f2 = self._axes()
+        mag = np.fft.fftshift(np.abs(np.fft.fft2(self.data)))
         cells = [f" {y:.12g} %.12g" for y in f2.tolist()]
-        blocks = []
+        gap = ""                        # the blank line between blocks
         for i, x in enumerate(f1.tolist()):
             x_text = f"{x:.12g}"
-            pattern = x_text + ("\n" + x_text).join(cells)
-            blocks.append(pattern % tuple(mag[i].tolist()))
-        return "\n\n".join(blocks) + "\n"
+            pattern = gap + x_text + ("\n" + x_text).join(cells)
+            yield pattern % tuple(mag[i].tolist())
+            gap = "\n\n"
+        yield "\n"
+
+    def to_gnuplot_grid(self) -> str:
+        """Magnitude spectrum as a gnuplot-compatible grid (blank-line rows)."""
+        return "".join(self.grid_chunks())
 
 
 def t1_stack(program: pl.PulseProgram, es: EigenSystem,

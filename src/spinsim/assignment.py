@@ -396,6 +396,9 @@ def _bit_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row, "little") for row in packed.tolist()]
 
 
+_PICKED = np.iinfo(np.int64).min    # the search-order key of a picked transition
+
+
 def _search_order(m: np.ndarray) -> list[int]:
     """Most-constrained-first order: repeatedly pick the transition with the
     most links to those already picked, then the highest degree, then the
@@ -413,7 +416,7 @@ def _search_order(m: np.ndarray) -> list[int]:
         best = int(key.argmax())
         order.append(best)
         key += increments[best]
-        key[best] = np.iinfo(np.int64).min
+        key[best] = _PICKED
     return order
 
 

@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import math
 import sys
+from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
 
@@ -83,11 +84,15 @@ def _initial_state(es, init: str, catalog) -> np.ndarray:
     raise CliError(f"unknown initial state {init!r}")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each chunk of an iterable of them in turn, to
+    ``path`` as UTF-8: a chunked writer's file is never whole in memory."""
+    chunks = [text] if isinstance(text, str) else text
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:              # --out names a file, no permission
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:              # --out names a file, no permission, disk full
         raise CliError(f"cannot write {exc.filename or str(path)!r}: "
                        f"{exc.strerror}") from exc
 
@@ -134,7 +139,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     stem = Path(name).stem
     spec = acq.detect_small_angle(es, dyn.crush_gradient(final), args.beta, cat)
-    _write(out_dir / f"{stem}.state", dyn.format_state(final))
+    _write(out_dir / f"{stem}.state", dyn.state_chunks(final))
     _write(out_dir / f"{stem}.spectrum", spec.to_csv())
     if acquire is not None:
         fid = acq.acquire_fid(es, final, acquire.points, acquire.dwell_s)
@@ -210,11 +215,11 @@ def cmd_protocol(args) -> int:
                              acq.default_tomo_dwell(es), cat)
     out_dir = Path(args.out)
     _write(out_dir / f"{rep.name}.pp", rep.program_text)
-    _write(out_dir / f"{rep.name}.state", dyn.format_state(rep.final_state))
+    _write(out_dir / f"{rep.name}.state", dyn.state_chunks(rep.final_state))
     _write(out_dir / f"{rep.name}.report", rep.format_report())
     if dataset is not None:
-        _write(out_dir / f"{rep.name}.2d", dataset.to_text())
-        _write(out_dir / f"{rep.name}.grid", dataset.to_gnuplot_grid())
+        _write(out_dir / f"{rep.name}.2d", dataset.text_chunks())
+        _write(out_dir / f"{rep.name}.grid", dataset.grid_chunks())
     print(rep.format_report(), end="")
     return 0
 
@@ -263,7 +268,7 @@ def cmd_tomo(args) -> int:
     ratio = acq.tomo_scale_calibration(es, rho, cat)
     recon, fidelity = acq.reconstruct_density(diag, coherences, reference=rho)
     out_dir = Path(args.out)
-    _write(out_dir / f"{label}_tomo.state", dyn.format_state(recon))
+    _write(out_dir / f"{label}_tomo.state", dyn.state_chunks(recon))
     rows = ["k,l,order,freq_hz,re,im,magnitude"]
     for r in sorted(coherences, key=lambda r: (-r.magnitude, r.k, r.l)):
         rows.append(f"{r.k + 1},{r.l + 1},{r.order},{r.freq_hz:.12g},"

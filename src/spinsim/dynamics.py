@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -224,13 +225,14 @@ def pure_part(rho: np.ndarray) -> tuple[float, np.ndarray]:
 # text serialization: header "dim <2^n>", rows "k l re im" (1-based),
 # entries below 1e-14 in magnitude omitted
 
-_SPARSE_SLICE = 4096        # rows per % call: bounds the transient lists
+_SPARSE_SLICE = 4096        # rows per % call and per chunk: bounds the text
 _SPARSE_SMALL = 64          # up to this many elements, one Python loop
 
 
-def format_sparse(header: str, mat: np.ndarray) -> str:
-    """``header``, then one ``k l re im`` row (1-based, row-major) per
-    element of the 2-D array ``mat`` with magnitude at least 1e-14.
+def sparse_chunks(header: str, mat: np.ndarray) -> Iterator[str]:
+    """The text of ``format_sparse`` in chunks: the header line, then the
+    rows of one ``_SPARSE_SLICE`` slice of the kept elements per chunk, so
+    a writer holds one slice of text at a time.
 
     Only the floats go through ``%``, one call per slice of rows, as
     Python floats: ``"%.12g" % x`` is the text of ``format(x, ".12g")``.
@@ -238,30 +240,38 @@ def format_sparse(header: str, mat: np.ndarray) -> str:
     The cut uses ``np.hypot``, which decides as the scalar ``abs(z)``
     does; complex ``np.abs`` rounds differently.
 
-    A matrix of at most ``_SPARSE_SMALL`` elements is written by
-    ``_format_sparse_loop`` instead: on cold caches the dozen numpy calls
-    below cost about 0.1 ms, twice the loop over a 4x4 state.
+    A matrix of at most ``_SPARSE_SMALL`` elements is written in one chunk
+    by ``_format_sparse_loop`` instead: on cold caches the dozen numpy
+    calls below cost about 0.1 ms, twice the loop over a 4x4 state.
     """
     if mat.size <= _SPARSE_SMALL:
         try:
-            return _format_sparse_loop(header, mat)
+            text = _format_sparse_loop(header, mat)
         except OverflowError:       # |z| above the largest float
             pass
+        else:
+            yield text
+            return
     re, im = mat.real, mat.imag
     with np.errstate(over="ignore"):    # inf, silently, as the scalar abs
         k, l = np.nonzero(np.hypot(re, im) >= 1e-14)
     index = [str(i) for i in range(1, max(mat.shape) + 1)]
     row_text = np.array(index, dtype=object)
     col_text = np.array([f" {i} %.12g %.12g\n" for i in index], dtype=object)
-    parts = [header, "\n"]
+    yield header + "\n"
     for s in range(0, k.size, _SPARSE_SLICE):
         ks, ls = k[s:s + _SPARSE_SLICE], l[s:s + _SPARSE_SLICE]
         values = [None] * (2 * ks.size)
         values[0::2] = re[ks, ls].tolist()
         values[1::2] = im[ks, ls].tolist()
         pattern = "".join((row_text[ks] + col_text[ls]).tolist())
-        parts.append(pattern % tuple(values))
-    return "".join(parts)
+        yield pattern % tuple(values)
+
+
+def format_sparse(header: str, mat: np.ndarray) -> str:
+    """``header``, then one ``k l re im`` row (1-based, row-major) per
+    element of the 2-D array ``mat`` with magnitude at least 1e-14."""
+    return "".join(sparse_chunks(header, mat))
 
 
 def _format_sparse_loop(header: str, mat: np.ndarray) -> str:
@@ -277,8 +287,13 @@ def _format_sparse_loop(header: str, mat: np.ndarray) -> str:
     return "\n".join(out) + "\n"
 
 
+def state_chunks(rho: np.ndarray) -> Iterator[str]:
+    """The text of ``format_state`` in chunks, as ``sparse_chunks``."""
+    return sparse_chunks(f"dim {rho.shape[-1]}", rho)
+
+
 def format_state(rho: np.ndarray) -> str:
-    return format_sparse(f"dim {rho.shape[-1]}", rho)
+    return "".join(state_chunks(rho))
 
 
 def parse_state(text: str, es: EigenSystem,

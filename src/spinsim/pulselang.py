@@ -443,7 +443,9 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
     slot of its first row, the other slots hold 0, and the array is
     averaged over the rows.  Where no two branches merge, that is the
     same arithmetic, bit for bit, as running the rows one by one and
-    stacking the results.
+    stacking the results.  When every row ends in one summed branch, its
+    sum plus 0.0 (which turns -0.0 into 0.0, as adding the empty slots
+    does) divided by the row count is that average, without the array.
     """
     if program.cycle is None:
         return execute(program, es, rho0, catalog, t1=t1, t2=t2)
@@ -479,6 +481,8 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
                 group = [(sorted(r for rows, _, _ in group for r in rows), total, True)]
             branches += [(rows, run.step(k, rho, rows[0]), summed)
                          for rows, rho, summed in group]
+    if len(branches) == 1 and branches[0][2]:
+        return (branches[0][1] + 0.0) / len(receivers)
     out = None
     for rows, rho, summed in branches:
         if out is None:

@@ -1,8 +1,12 @@
 """The batched text writers equal the per-element loops they replaced, byte
 for byte: the sparse ``k l re im`` format (state files and ``.2d``), the
-gnuplot magnitude grid and the ``spinsim run`` FID/FFT rows."""
+gnuplot magnitude grid and the ``spinsim run`` FID/FFT rows.  The files the
+CLI streams chunk by chunk equal the joined texts."""
 
+import errno
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -191,3 +195,132 @@ def test_fid_fft_rows_match_loops(n):
     assert cli._complex_rows(times, fid) == ref_fid_rows(fid, dwell)
     freqs = np.fft.fftshift(np.fft.fftfreq(n, dwell)) if n else np.zeros(0)
     assert cli._complex_rows(freqs.tolist(), fid) == ref_fft_rows(freqs, fid)
+
+
+# --- the streamed files ------------------------------------------------------
+
+def rows_below_cut(rng):
+    """A 7 x 9 dataset whose rows 2 and 5 hold only entries below the cut."""
+    data = random_matrix(rng, (7, 9))
+    data[[1, 4]] = 0.5 * CUT * np.exp(1j * rng.uniform(0, 7, size=(2, 9)))
+    data[[1, 4], 3] = -0.0
+    return dataset(data)
+
+
+def read(path):
+    return path.read_bytes().decode("utf-8")
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The states and datasets that ``cli.main`` hands to the writers."""
+    seen = {"states": [], "datasets": []}
+    state_chunks, run_2d = dyn.state_chunks, acq.run_2d
+
+    def record_state(rho):
+        seen["states"].append(rho)
+        return state_chunks(rho)
+
+    def record_dataset(*args, **kwargs):
+        seen["datasets"].append(run_2d(*args, **kwargs))
+        return seen["datasets"][-1]
+
+    monkeypatch.setattr(dyn, "state_chunks", record_state)
+    monkeypatch.setattr(acq, "run_2d", record_dataset)
+    return seen
+
+
+def test_streamed_cli_files_equal_joined_texts(tmp_path, recorded, monkeypatch):
+    # 7 rows per slice on the batched path: the kept entries of the states
+    # and of the 16-column dataset cross slice boundaries inside a row
+    monkeypatch.setattr(dyn, "_SPARSE_SLICE", 7)
+    monkeypatch.setattr(dyn, "_SPARSE_SMALL", 0)
+    assert cli.main(["run", "citrate.spin", "epr.pp",
+                     "--out", str(tmp_path / "r")]) == 0
+    assert cli.main(["protocol", "dj2:f1", "demo3.spin", "--write-2d",
+                     "--t1-points", "8", "--t2-points", "16",
+                     "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["tomo", "citrate.spin", "--protocol", "epr",
+                     "--out", str(tmp_path / "t")]) == 0
+    run_rho, dj2_rho, recon = recorded["states"]
+    assert read(tmp_path / "r" / "epr.state") == dyn.format_state(run_rho)
+    assert read(tmp_path / "p" / "dj2_f1.state") == dyn.format_state(dj2_rho)
+    assert read(tmp_path / "t" / "epr_tomo.state") == dyn.format_state(recon)
+    ds = recorded["datasets"][0]            # tomo records its own after it
+    assert ds.data.shape == (8, 16)
+    assert np.count_nonzero(np.abs(ds.data) >= CUT) > dyn._SPARSE_SLICE
+    text = read(tmp_path / "p" / "dj2_f1.2d")
+    assert text == ds.to_text() == ref_to_text(ds)
+    grid = read(tmp_path / "p" / "dj2_f1.grid")
+    assert grid == ds.to_gnuplot_grid() == ref_to_gnuplot_grid(ds)
+
+
+@pytest.mark.parametrize("slice_rows", [1, 5, 4096])
+def test_write_streams_chunks_byte_for_byte(tmp_path, monkeypatch, slice_rows):
+    monkeypatch.setattr(dyn, "_SPARSE_SLICE", slice_rows)
+    monkeypatch.setattr(dyn, "_SPARSE_SMALL", 0)
+    ds = rows_below_cut(np.random.default_rng(slice_rows))
+    cli._write(tmp_path / "a.2d", ds.text_chunks())
+    cli._write(tmp_path / "a.grid", ds.grid_chunks())
+    cli._write(tmp_path / "a.state", dyn.state_chunks(ds.data[:, :7]))
+    assert read(tmp_path / "a.2d") == ds.to_text() == ref_to_text(ds)
+    assert read(tmp_path / "a.grid") == ds.to_gnuplot_grid() \
+        == ref_to_gnuplot_grid(ds)
+    assert read(tmp_path / "a.state") == ref_format_state(ds.data[:, :7])
+    assert not any(line.startswith(("2 ", "5 "))
+                   for line in read(tmp_path / "a.2d").splitlines())
+
+
+def test_chunks_hold_one_slice_each(monkeypatch):
+    monkeypatch.setattr(dyn, "_SPARSE_SLICE", 5)
+    monkeypatch.setattr(dyn, "_SPARSE_SMALL", 0)
+    ds = dataset(np.ones((3, 4), dtype=complex))
+    chunks = list(ds.text_chunks())
+    assert [c.count("\n") for c in chunks] == [4, 5, 5, 2]
+    grid = list(ds.grid_chunks())
+    assert len(grid) == 4 and grid[-1] == "\n"
+    assert [c.count("\n") for c in grid[:3]] == [3, 5, 5]
+
+
+def test_write_2d_peak_memory_below_the_text(tmp_path):
+    # each of the .2d and .grid texts is about 10 MB at the default grid;
+    # held whole, joined and encoded they took the peak above 40 MB
+    tracemalloc.start()
+    try:
+        code = cli.main(["protocol", "dj2:f1", "demo3.spin", "--write-2d",
+                         "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "dj2_f1.2d").stat().st_size > 9e6
+    assert (tmp_path / "dj2_f1.grid").stat().st_size > 9e6
+    assert peak < 20e6
+
+
+def test_error_while_chunks_are_written_is_one_line(tmp_path, capsys, monkeypatch):
+    def failing(self):
+        yield "0 0 0\n"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(acq.Dataset2D, "grid_chunks", failing)
+    code = cli.main(["protocol", "dj2:f1", "demo3.spin", "--write-2d",
+                     "--t1-points", "8", "--t2-points", "16",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    path = str(tmp_path / "dj2_f1.grid")
+    assert err == f"spinsim: error: cannot write {path!r}: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_while_writing_is_one_line(tmp_path, capsys):
+    # the file opens, and the write fails once the buffer reaches the device
+    (tmp_path / "dj2_f1.2d").symlink_to("/dev/full")
+    code = cli.main(["protocol", "dj2:f1", "demo3.spin", "--write-2d",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    path = str(tmp_path / "dj2_f1.2d")
+    assert err == f"spinsim: error: cannot write {path!r}: No space left on device\n"
+    assert not (tmp_path / "dj2_f1.grid").exists()
