@@ -19,21 +19,19 @@ def main() -> None:
     here = OUT.parent / "systems"
     cit = core.load_spin_system(here / "citrate.spin")
     es = core.eigensystem(cit)
-    cat = core.transition_catalog(es)
 
     for tgt in ("00", "01", "10", "11"):
-        rep = pr.pseudopure_2spin(es, tgt, cat)
+        rep = pr.pseudopure_2spin(es, tgt)
         (OUT / f"pps{tgt}.pp").write_text(rep.program_text, encoding="utf-8")
     for f in ("f1", "f2", "f3", "f4"):
-        rep = pr.dj_one_qubit(es, f, cat)
+        rep = pr.dj_one_qubit(es, f)
         (OUT / f"dj1_{f}.pp").write_text(rep.program_text, encoding="utf-8")
-    rep = pr.epr_create(es, cat)
+    rep = pr.epr_create(es)
     (OUT / "epr.pp").write_text(rep.program_text, encoding="utf-8")
 
     demo3 = core.load_spin_system(here / "demo3.spin")
     es3 = core.eigensystem(demo3)
-    cat3 = core.transition_catalog(es3)
-    rep = pr.ghz_create(es3, cat3)
+    rep = pr.ghz_create(es3)
     (OUT / "ghz.pp").write_text(
         "# GHZ creation pulses for demo3; apply to the POPS difference\n"
         "# state of the (000,001) transition (spinsim protocol ghz does\n"

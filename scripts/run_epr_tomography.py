@@ -25,25 +25,24 @@ def main() -> None:
         system = core.SpinSystem.create("citrate+40", [67.75, 12.25],
                                         [[0, 15], [15, 0]])
     es = core.eigensystem(system)
-    cat = core.transition_catalog(es)
     print(f"system {system.name}: mixing angle "
           f"{core.mixing_angle_ab(system):.3f} deg")
 
-    rep = pr.epr_create(es, cat)
+    rep = pr.epr_create(es)
     for key in ("dq_amplitude", "sq_amplitude", "zq_amplitude", "fidelity"):
         print(f"  {key} = {rep.metrics[key]:.12g}")
 
     rho = rep.final_state
-    diag, under = acq.tomo_diagonal(es, rho, catalog=cat)
+    diag, under = acq.tomo_diagonal(es, rho)
     print(f"  diagonal estimate (gauge-fixed): {np.round(diag, 6).tolist()}"
           f"{' [underdetermined]' if under else ''}")
     dataset, coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
-                                                  t2_points=256, catalog=cat)
+                                                  t2_points=256)
     top = max(coherences, key=lambda r: r.magnitude)
     print(f"  dominant coherence: ({es.labels[top.k]},{es.labels[top.l]}) "
           f"order {top.order} at {top.freq_hz:.2f} Hz, "
           f"magnitude {top.magnitude:.6f}")
-    ratio = acq.tomo_scale_calibration(es, rho, cat)
+    ratio = acq.tomo_scale_calibration(es, rho)
     print(f"  scale check (iv)/(iii) = {ratio:.3g}")
     recon, fid = acq.reconstruct_density(diag, coherences, reference=rho)
     print(f"  reconstruction fidelity = {fid:.9f}")

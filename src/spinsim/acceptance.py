@@ -92,11 +92,10 @@ def criterion_3_transition_counts() -> CriterionResult:
 
 def criterion_4_pseudopure() -> CriterionResult:
     es = eigensystem(_shipped_system("citrate.spin"))
-    cat = transition_catalog(es)
     ok = True
     worst = 0.0
     for target in ("00", "01", "10", "11"):
-        rep = pr.pseudopure_2spin(es, target, cat)
+        rep = pr.pseudopure_2spin(es, target)
         off = rep.final_state - np.diag(np.diag(rep.final_state))
         spread = rep.metrics["others_spread"]
         worst = max(worst, spread, float(np.abs(off).max()))
@@ -112,7 +111,6 @@ def criterion_4_pseudopure() -> CriterionResult:
 
 def criterion_5_epr() -> CriterionResult:
     es = eigensystem(_shipped_system("citrate.spin"))
-    cat = transition_catalog(es)
     perm = [es.index_of_label(l) for l in ("00", "01", "10", "11")]
     i00, i10, i11 = perm[0], perm[2], perm[3]
     u = dyn.selective_pulse_unitary(es, i10, i11, 180.0, 180.0) \
@@ -129,20 +127,19 @@ def criterion_5_epr() -> CriterionResult:
                            [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex)
     d_eq12 = float(np.abs(proj - eq12).max())
 
-    rep = pr.epr_create(es, cat)
+    rep = pr.epr_create(es)
     rho = rep.final_state
-    ratio = acq.tomo_scale_calibration(es, rho, cat)
+    ratio = acq.tomo_scale_calibration(es, rho)
 
     # tomography round-trip on a carrier-shifted variant (same J and offset
     # difference), so the double-quantum peak is clear of the axial ridge
     shifted = SpinSystem.create("citrate+40", [67.75, 12.25],
                                 [[0, 15], [15, 0]])
     es_s = eigensystem(shifted)
-    cat_s = transition_catalog(es_s)
-    rho_s = pr.epr_create(es_s, cat_s).final_state
-    diag, _ = acq.tomo_diagonal(es_s, rho_s, catalog=cat_s)
+    rho_s = pr.epr_create(es_s).final_state
+    diag, _ = acq.tomo_diagonal(es_s, rho_s)
     _, coherences = acq.tomo_offdiagonal_2d(es_s, rho_s, t1_points=128,
-                                            t2_points=256, catalog=cat_s)
+                                            t2_points=256)
     _, fidelity = acq.reconstruct_density(diag, coherences, reference=rho_s)
     ok = (d_eq11 <= 1e-12 and d_eq12 <= 1e-12
           and rep.metrics["sq_amplitude"] <= 1e-12
@@ -157,7 +154,7 @@ def criterion_5_epr() -> CriterionResult:
 def criterion_6_ghz() -> CriterionResult:
     es = eigensystem(_shipped_system("demo3.spin"))
     cat = transition_catalog(es)
-    rep = pr.ghz_create(es, cat)
+    rep = pr.ghz_create(es)
     tq = rep.metrics["tq_amplitude"]
     low = max(rep.metrics["zq_offdiag_amplitude"], rep.metrics["sq_amplitude"],
               rep.metrics["dq_amplitude"])
@@ -167,8 +164,7 @@ def criterion_6_ghz() -> CriterionResult:
     t1_points, t2_points = 256, 512
     dwell1 = acq.default_tomo_dwell(es)
     dataset, _ = acq.tomo_offdiagonal_2d(
-        es, rep.final_state, t1_points=t1_points, t2_points=t2_points,
-        catalog=cat)
+        es, rep.final_state, t1_points=t1_points, t2_points=t2_points)
     bin1 = 1.0 / (t1_points * dwell1)
     peaks = [p for p in acq.peak_pick_2d(dataset) if abs(p[0]) > bin1]
     peak_ok = bool(peaks) and abs(abs(peaks[0][0]) - abs(fsum)) <= bin1
@@ -182,19 +178,16 @@ def criterion_6_ghz() -> CriterionResult:
 
 def criterion_7_deutsch_jozsa() -> CriterionResult:
     es2 = eigensystem(_shipped_system("citrate.spin"))
-    cat2 = transition_catalog(es2)
     ok = True
     bad = []
     for f, truth in pr.DJ1_TRUTH.items():
-        rep = pr.dj_one_qubit(es2, f, cat2)
+        rep = pr.dj_one_qubit(es2, f)
         if rep.info["verdict"] != truth:
             ok = False
             bad.append(f"1q:{f}")
     es3 = eigensystem(_shipped_system("demo3.spin"))
-    cat3 = transition_catalog(es3)
     for f, truth in pr.DJ2_TRUTH.items():
-        rep = pr.dj_two_qubit_2d(es3, f, cat3, t1_points=256,
-                                 t2_points=1024)
+        rep = pr.dj_two_qubit_2d(es3, f, t1_points=256, t2_points=1024)
         if rep.info["verdict"] != truth:
             ok = False
             bad.append(f"2q:{f}")
@@ -204,26 +197,24 @@ def criterion_7_deutsch_jozsa() -> CriterionResult:
 
 def criterion_8_gates() -> CriterionResult:
     es = eigensystem(_shipped_system("compound1.spin"))
-    cat = transition_catalog(es)
     gates_ok = all(
-        pr.gate_library_2spin(es, g, cat).metrics["truth_table_ok"] == 1.0
+        pr.gate_library_2spin(es, g).metrics["truth_table_ok"] == 1.0
         for g in range(1, 25))
 
     es4 = eigensystem(_shipped_system("demo4.spin"))
-    cat4 = transition_catalog(es4)
-    c3 = pr.c3not_4spin(es4, cat4)
+    c3 = pr.c3not_4spin(es4)
     i1110 = es4.index_of_label("1110")
     i1101 = es4.index_of_label("1101")
     i1010 = es4.index_of_label("1010")
     rin = np.zeros((16, 16), dtype=complex)
     rin[i1110, i1110] = 1.0
     rin[i1010, i1010] = -1.0
-    rep = pr.c2swap_4spin(es4, cat4, rho0=rin)
+    rep = pr.c2swap_4spin(es4, rho0=rin)
     expect = np.zeros((16, 16), dtype=complex)
     expect[i1101, i1101] = 1.0
     expect[i1010, i1010] = -1.0
     d_eq20 = float(np.abs(rep.final_state - expect).max())
-    pops_rep = pr.c2swap_4spin(es4, cat4)
+    pops_rep = pr.c2swap_4spin(es4)
     ok = (gates_ok and c3.metrics["truth_table_ok"] == 1.0
           and d_eq20 <= 1e-12
           and pops_rep.metrics["pops_output_error"] <= 1e-10)
@@ -303,9 +294,8 @@ def criterion_9_assignment() -> CriterionResult:
     for i in range(100):
         n = int(rng.integers(2, 5))
         es = eigensystem(random_system(rng, n))
-        cat = transition_catalog(es, threshold=0.0)
-        truth = asg.diagram_from_catalog(es, cat)
-        cm_full = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat)
+        truth = asg.diagram_from_catalog(es, threshold=0.0)
+        cm_full = acq.zcosy_connectivity(es, threshold=0.0)
         out = asg.reconstruct_levels(cm_full, n, max_solutions=4)
         if not out.diagrams:
             failures += 1
@@ -325,11 +315,10 @@ def criterion_9_assignment() -> CriterionResult:
     checked = 0
     for n, tmax in ((2, 4), (2, 3), (3, 4), (3, 5)):
         es = eigensystem(random_system(rng2, n))
-        cat = transition_catalog(es, threshold=0.0)
-        ids = list(range(1, len(cat) + 1))
+        ids = list(range(1, len(transition_catalog(es)) + 1))
         pick = sorted(rng2.choice(len(ids), size=tmax, replace=False).tolist())
         sub_ids = tuple(ids[k] for k in pick)
-        full = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat)
+        full = acq.zcosy_connectivity(es, threshold=0.0)
         idx = [full.ids.index(t) for t in sub_ids]
         sub = asg.ConnectivityMatrix(m=full.m[np.ix_(idx, idx)], ids=sub_ids)
         if _solver_signatures(sub, n) != oracle_reconstruct(sub, n):

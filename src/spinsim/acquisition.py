@@ -62,8 +62,7 @@ class StickSpectrum:
 
 
 def detect_small_angle(es: EigenSystem, rho: np.ndarray,
-                       beta_deg: float = 10.0,
-                       catalog: TransitionCatalog | None = None) -> StickSpectrum:
+                       beta_deg: float = 10.0) -> StickSpectrum:
     """Population readout by a small-angle pulse, linear response.
 
     Line (r, s) has amplitude sin(beta) * (p_lower - p_upper) * intensity,
@@ -75,8 +74,7 @@ def detect_small_angle(es: EigenSystem, rho: np.ndarray,
     if not math.isfinite(beta_deg) or beta_deg % 180 == 0:
         raise AcquisitionError("the detection pulse must be finite and not a "
                                f"multiple of 180 degrees, got {beta_deg:g}")
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = transition_catalog(es)
     off = rho - np.diag(np.diag(rho))
     if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(rho)):
         warnings.warn("small-angle detection ignores off-diagonal elements")
@@ -86,16 +84,14 @@ def detect_small_angle(es: EigenSystem, rho: np.ndarray,
     return StickSpectrum(freq_hz=catalog.freq_hz, amplitude=amp)
 
 
-def line_amplitudes(es: EigenSystem, rho: np.ndarray,
-                    catalog: TransitionCatalog | None = None) -> np.ndarray:
+def line_amplitudes(es: EigenSystem, rho: np.ndarray) -> np.ndarray:
     """Complex amplitude of each catalog line in the detected signal, in
     transition-id order: shape (lines,), or (..., lines) for a stack.
 
     Amplitude of transition T is rho[upper, lower] * F+[lower, upper]; the
     full FID is the sum of these oscillating at their catalog frequencies.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = transition_catalog(es)
     fplus = es.lowering_operator().conj().T
     return (rho[..., catalog.upper, catalog.lower]
             * fplus[catalog.lower, catalog.upper])
@@ -182,9 +178,6 @@ class Dataset2D:
         f2 = np.fft.fftshift(np.fft.fftfreq(self.t2_points, self.dwell2))
         return f1, f2
 
-    def fft2(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return *self._axes(), np.fft.fftshift(np.fft.fft2(self.data))
-
     def text_chunks(self) -> Iterator[str]:
         """The text of ``to_text`` in chunks, as ``dynamics.sparse_chunks``."""
         return dyn.sparse_chunks(
@@ -220,8 +213,7 @@ class Dataset2D:
 
 
 def t1_stack(program: pl.PulseProgram, es: EigenSystem,
-             rho0: np.ndarray, t1_points: int, dwell1: float,
-             catalog: TransitionCatalog
+             rho0: np.ndarray, t1_points: int, dwell1: float
              ) -> tuple[pl.Acquire, np.ndarray]:
     """Check a 2D program, its grid and its one initial state, and run the
     (possibly phase-cycled) prefix once with t1 bound to the whole t1 grid,
@@ -237,21 +229,18 @@ def t1_stack(program: pl.PulseProgram, es: EigenSystem,
     acq = program.instructions[-1]
     _check_points(acq.points)
     prefix = replace(program, instructions=program.instructions[:-1])
-    return acq, pl.execute_cycled(prefix, es, rho0, catalog,
+    return acq, pl.execute_cycled(prefix, es, rho0,
                                   t1=np.arange(t1_points) * dwell1)
 
 
 def run_2d(program: pl.PulseProgram, es: EigenSystem,
-           rho0: np.ndarray, t1_points: int, dwell1: float,
-           catalog: TransitionCatalog | None = None) -> Dataset2D:
+           rho0: np.ndarray, t1_points: int, dwell1: float) -> Dataset2D:
     """Execute a program with one symbolic t1 delay and a final acquire.
 
     The prefix runs once on the whole t1 grid, and the FIDs of the
     trailing acquire instruction are synthesized for all rows together.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
-    acq, rho = t1_stack(program, es, rho0, t1_points, dwell1, catalog)
+    acq, rho = t1_stack(program, es, rho0, t1_points, dwell1)
     data = acquire_fid(es, rho, acq.points, acq.dwell_s)
     if data.ndim == 1:                  # no delay t1: every row is the same
         data = np.tile(data, (t1_points, 1))
@@ -267,8 +256,7 @@ def _hann_dft(n: int, bins) -> np.ndarray:
 
 
 def hann_peaks_2d(es: EigenSystem, rho: np.ndarray,
-                  acquire: pl.Acquire, rows, cols,
-                  catalog: TransitionCatalog) -> np.ndarray:
+                  acquire: pl.Acquire, rows, cols) -> np.ndarray:
     """|fft2(data * outer(hann, hann))| at the bins rows x cols, where data
     holds the FIDs ``acquire`` records from each state of the t1 stack
     ``rho`` (shaped (..., t1, d, d), as ``t1_stack`` gives it), without
@@ -282,9 +270,10 @@ def hann_peaks_2d(es: EigenSystem, rho: np.ndarray,
     exp)^T|: a t1 x lines matmul and a lines x t2 table in place of the
     t1 x t2 dataset.
     """
-    amps = line_amplitudes(es, rho, catalog)
+    amps = line_amplitudes(es, rho)
     t2 = np.arange(acquire.points) * acquire.dwell_s
-    lines_t2 = np.exp(2j * math.pi * catalog.freq_hz[:, None] * t2)
+    freqs = transition_catalog(es).freq_hz
+    lines_t2 = np.exp(2j * math.pi * freqs[:, None] * t2)
     return np.abs((_hann_dft(amps.shape[-2], rows) @ amps)
                   @ (_hann_dft(acquire.points, cols) @ lines_t2.T).T)
 
@@ -293,9 +282,7 @@ def hann_peaks_2d(es: EigenSystem, rho: np.ndarray,
 # tomography
 
 def tomo_diagonal(es: EigenSystem, rho: np.ndarray,
-                  beta_deg: float = 10.0,
-                  catalog: TransitionCatalog | None = None
-                  ) -> tuple[np.ndarray, bool]:
+                  beta_deg: float = 10.0) -> tuple[np.ndarray, bool]:
     """Measure the diagonal: [G_z - small pulse - detect], then invert.
 
     Solves the linear system mapping population differences to line
@@ -304,10 +291,9 @@ def tomo_diagonal(es: EigenSystem, rho: np.ndarray,
     graph does not connect all levels the minimum-norm pseudo-inverse
     solution is returned and flagged.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = transition_catalog(es)
     crushed = dyn.crush_gradient(rho)
-    spec = detect_small_angle(es, crushed, beta_deg, catalog)
+    spec = detect_small_angle(es, crushed, beta_deg)
     s = math.sin(math.radians(beta_deg))
     seen = np.flatnonzero(catalog.intensity > 1e-12)
     a = np.zeros((seen.size + 1, es.dim))
@@ -435,8 +421,7 @@ def default_tomo_dwell(es: EigenSystem) -> float:
 
 
 def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
-                        t1_points: int = 256, t2_points: int = 512,
-                        catalog: TransitionCatalog | None = None
+                        t1_points: int = 256, t2_points: int = 512
                         ) -> tuple[Dataset2D, tuple[CoherenceEstimate, ...]]:
     """Two-dimensional multiple-quantum measurement of all off-diagonals.
 
@@ -447,8 +432,7 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
     upper-triangle element (k < l) with its magnitude and coherence order
     (from its omega_1 coordinate).
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = transition_catalog(es)
     dwell = default_tomo_dwell(es)
     dim = es.dim
     energies = es.energies
@@ -457,8 +441,7 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
 
     program = pl.parse_program(
         f"delay t1\npulse 90 y\ngrad\npulse 45 -y\nacquire {t2_points} {dwell:.12g}\n")
-    dataset = run_2d(program, es, rho0=rho, t1_points=t1_points,
-                     dwell1=dwell, catalog=catalog)
+    dataset = run_2d(program, es, rho0=rho, t1_points=t1_points, dwell1=dwell)
 
     # transfer weights: coherence element (a, c) -> diagonal after (pi/2)_y,
     # then line amplitudes after (pi/4)_-y
@@ -554,8 +537,7 @@ def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
     return list(zip(c1[order].tolist(), c2[order].tolist(), v[order].tolist()))
 
 
-def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray,
-                           catalog: TransitionCatalog | None = None) -> float:
+def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray) -> float:
     """Diagonal/off-diagonal scale check from [(pi/4)_y - t] and [(pi/4)_x - t].
 
     The (pi/4)_y line amplitudes (iii) respond to sums of diagonal and
@@ -567,12 +549,10 @@ def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray,
     """
     # under this package's rotation convention the summing quadrature is
     # phase 0 and the differencing one phase 90
-    if catalog is None:
-        catalog = transition_catalog(es)
     a3 = line_amplitudes(
-        es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 0.0)), catalog)
+        es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 0.0)))
     a4 = line_amplitudes(
-        es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 90.0)), catalog)
+        es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 90.0)))
     n3 = math.sqrt(sum(abs(v) ** 2 for v in a3))
     n4 = math.sqrt(sum(abs(v) ** 2 for v in a4))
     return n4 / n3 if n3 > 0 else math.inf
@@ -630,8 +610,8 @@ def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
     them.
     """
     if catalog is None:
-        catalog = transition_catalog(es, threshold)
-    obs = np.flatnonzero(catalog.observable)
+        catalog = transition_catalog(es)
+    obs = np.flatnonzero(catalog.observable_at(threshold))
     tids = (obs + 1).tolist()
     m = connectivity(catalog.lower[obs], catalog.upper[obs])
     connected = np.flatnonzero(m.any(axis=1)).tolist()
@@ -675,8 +655,8 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
     beta = pl.HardPulse(beta_deg, pl.PhaseSpec(degrees=0.0))
     program = pl.PulseProgram((beta, pl.Delay(symbol="t1"), beta, pl.Grad(), beta))
     t1 = np.arange(t1_points) * default_tomo_dwell(es)
-    rho = pl.execute(program, es, dyn.equilibrium_deviation(es), catalog, t1=t1)
-    amps = line_amplitudes(es, rho, catalog)                   # [t1, line]
+    rho = pl.execute(program, es, dyn.equilibrium_deviation(es), t1=t1)
+    amps = line_amplitudes(es, rho)                            # [t1, line]
 
     # project each line's t1 trace onto the +/- transition frequencies: the
     # candidates 0, f1, -f1, f2, ... in turn, each kept unless within 1e-9

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import transition_catalog
+
 
 class AssignmentError(ValueError):
     pass
@@ -468,11 +470,12 @@ def verify_diagram(ld: LevelDiagram, cm: ConnectivityMatrix
     return not disc, disc
 
 
-def diagram_from_catalog(es, catalog) -> LevelDiagram:
-    """Ground-truth diagram of a simulated system over its observable
-    transitions.  Eigenstates are manifold-major, so an eigenstate index is
-    its level index."""
-    obs = np.flatnonzero(catalog.observable)
+def diagram_from_catalog(es, threshold: float = 0.05) -> LevelDiagram:
+    """Ground-truth diagram of a simulated system over its transitions
+    observable at ``threshold``.  Eigenstates are manifold-major, so an
+    eigenstate index is its level index."""
+    catalog = transition_catalog(es)
+    obs = np.flatnonzero(catalog.observable_at(threshold))
     edges = {tid: (lo, up) for tid, lo, up in zip(
         (obs + 1).tolist(), catalog.lower[obs].tolist(),
         catalog.upper[obs].tolist())}

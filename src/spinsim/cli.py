@@ -67,12 +67,15 @@ def _load_system(path: str) -> SpinSystem:
     return parse_spin_system(text, source=name)
 
 
-def _initial_state(es, init: str, catalog) -> np.ndarray:
+def _initial_state(es, init: str) -> np.ndarray:
     if init == "eq":
         return dyn.equilibrium_deviation(es)
     if init.startswith("pure:"):
         label = init.split(":", 1)[1]
-        k = es.index_of_label(label)
+        try:
+            k = es.index_of_label(label)
+        except KeyError as exc:
+            raise CliError(exc.args[0]) from None
         mat = np.zeros((es.dim, es.dim), dtype=complex)
         mat[k, k] = 1.0
         return mat
@@ -80,7 +83,7 @@ def _initial_state(es, init: str, catalog) -> np.ndarray:
         label = init.split(":", 1)[1]
         if es.n != 2:
             raise CliError("pps: initial states are defined for 2-spin systems")
-        return pr.pseudopure_2spin(es, label, catalog).final_state
+        return pr.pseudopure_2spin(es, label).final_state
     raise CliError(f"unknown initial state {init!r}")
 
 
@@ -102,7 +105,8 @@ def _write(path: Path, text: str | Iterable[str]) -> None:
 def cmd_eigen(args) -> int:
     sys_ = _load_system(args.system)
     es = eigensystem(sys_, weak=args.weak)
-    cat = transition_catalog(es, args.threshold)
+    cat = transition_catalog(es)
+    observable = cat.observable_at(args.threshold)
     out = [f"system {sys_.name}", f"nspins {sys_.n}"]
     if sys_.n == 2:
         th = mixing_angle_ab(sys_)
@@ -115,8 +119,8 @@ def cmd_eigen(args) -> int:
         "transition %d lower %s upper %s freq_hz %.12g intensity %.12g obs %d", [
             range(1, len(cat) + 1), labels[cat.lower].tolist(),
             labels[cat.upper].tolist(), cat.freq_hz.tolist(),
-            cat.intensity.tolist(), cat.observable.tolist()]))
-    out.append(f"observable {np.count_nonzero(cat.observable)} of {len(cat)}")
+            cat.intensity.tolist(), observable.tolist()]))
+    out.append(f"observable {np.count_nonzero(observable)} of {len(cat)}")
     print("\n".join(out))
     return 0
 
@@ -124,21 +128,20 @@ def cmd_eigen(args) -> int:
 def cmd_run(args) -> int:
     sys_ = _load_system(args.system)
     es = eigensystem(sys_)
-    cat = transition_catalog(es, args.threshold)
     text, name = _read_resource(args.program, "programs")
     program = pl.parse_program(text, source=name)
-    rho0 = _initial_state(es, args.init, cat)
+    rho0 = _initial_state(es, args.init)
 
     acquire = None
     instructions = program.instructions
     if instructions and isinstance(instructions[-1], pl.Acquire):
         acquire = instructions[-1]
         program = dataclasses.replace(program, instructions=instructions[:-1])
-    final = pl.execute_cycled(program, es, rho0, cat, t1=args.t1, t2=args.t2)
+    final = pl.execute_cycled(program, es, rho0, t1=args.t1, t2=args.t2)
 
     out_dir = Path(args.out)
     stem = Path(name).stem
-    spec = acq.detect_small_angle(es, dyn.crush_gradient(final), args.beta, cat)
+    spec = acq.detect_small_angle(es, dyn.crush_gradient(final), args.beta)
     _write(out_dir / f"{stem}.state", dyn.state_chunks(final))
     _write(out_dir / f"{stem}.spectrum", spec.to_csv())
     if acquire is not None:
@@ -177,42 +180,41 @@ def _index_argument(name: str) -> int:
                        f"got {text!r}") from None
 
 
-def _protocol_report(es, cat, name: str, args) -> pr.ProtocolReport:
+def _protocol_report(es, name: str, args) -> pr.ProtocolReport:
     if name.startswith("pps"):
-        return pr.pseudopure_2spin(es, name[3:], cat)
+        return pr.pseudopure_2spin(es, name[3:])
     if name.startswith("pops:"):
-        return pr.pops_pair(es, _index_argument(name), cat)
+        return pr.pops_pair(es, _index_argument(name), args.threshold)
     if name.startswith("dj1:"):
-        return pr.dj_one_qubit(es, name.split(":", 1)[1], cat)
+        return pr.dj_one_qubit(es, name.split(":", 1)[1])
     if name.startswith("dj2:"):
-        return pr.dj_two_qubit_2d(es, name.split(":", 1)[1], cat,
+        return pr.dj_two_qubit_2d(es, name.split(":", 1)[1],
                                   t1_points=args.t1_points,
                                   t2_points=args.t2_points)
     if name == "epr":
-        return pr.epr_create(es, cat)
+        return pr.epr_create(es)
     if name == "ghz":
-        return pr.ghz_create(es, cat)
+        return pr.ghz_create(es, args.threshold)
     if name.startswith("gate:"):
-        return pr.gate_library_2spin(es, _index_argument(name), cat)
+        return pr.gate_library_2spin(es, _index_argument(name))
     if name == "c3not":
-        return pr.c3not_4spin(es, cat)
+        return pr.c3not_4spin(es, args.threshold)
     if name == "c2swap":
-        return pr.c2swap_4spin(es, cat)
+        return pr.c2swap_4spin(es, args.threshold)
     raise CliError(f"unknown protocol {name!r}")
 
 
 def cmd_protocol(args) -> int:
     sys_ = _load_system(args.system)
     es = eigensystem(sys_)
-    cat = transition_catalog(es, args.threshold)
-    rep = _protocol_report(es, cat, args.name, args)
+    rep = _protocol_report(es, args.name, args)
     dataset = None
     if args.write_2d:
         # the emitted program replayed from equilibrium; run_2d rejects a
         # program that does not end in acquire
         dataset = acq.run_2d(pl.parse_program(rep.program_text, source=rep.name),
                              es, dyn.equilibrium_deviation(es), args.t1_points,
-                             acq.default_tomo_dwell(es), cat)
+                             acq.default_tomo_dwell(es))
     out_dir = Path(args.out)
     _write(out_dir / f"{rep.name}.pp", rep.program_text)
     _write(out_dir / f"{rep.name}.state", dyn.state_chunks(rep.final_state))
@@ -252,20 +254,18 @@ def cmd_assign(args) -> int:
 def cmd_tomo(args) -> int:
     sys_ = _load_system(args.system)
     es = eigensystem(sys_)
-    cat = transition_catalog(es, args.threshold)
     if args.protocol is not None:
-        rep = _protocol_report(es, cat, args.protocol, args)
+        rep = _protocol_report(es, args.protocol, args)
         rho = rep.final_state
         label = rep.name
     else:
         text, name = _read_resource(args.state, "states")
         rho = dyn.parse_state(text, es, source=name)
         label = Path(args.state).stem
-    diag, under = acq.tomo_diagonal(es, rho, args.beta, cat)
+    diag, under = acq.tomo_diagonal(es, rho, args.beta)
     _, coherences = acq.tomo_offdiagonal_2d(
-        es, rho, t1_points=args.t1_points, t2_points=args.t2_points,
-        catalog=cat)
-    ratio = acq.tomo_scale_calibration(es, rho, cat)
+        es, rho, t1_points=args.t1_points, t2_points=args.t2_points)
+    ratio = acq.tomo_scale_calibration(es, rho)
     recon, fidelity = acq.reconstruct_density(diag, coherences, reference=rho)
     out_dir = Path(args.out)
     _write(out_dir / f"{label}_tomo.state", dyn.state_chunks(recon))
@@ -301,6 +301,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _threshold(text: str) -> float:
+    """argparse type: a relative intensity threshold in [0, 1)."""
+    value = _finite_float(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``spinsim: error:`` line and exits 2;
     the subcommand parsers share the class."""
@@ -315,10 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for QIP on strongly coupled spin systems")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def threshold_option(sp):
+        sp.add_argument("--threshold", type=_threshold, default=0.05,
+                        help="relative intensity threshold for observability")
+
     def common(sp, beta=False, points=False):
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--threshold", type=float, default=0.05,
-                        help="relative intensity threshold for observability")
         if beta:
             sp.add_argument("--beta", type=_finite_float, default=10.0,
                             help="small-angle detection pulse, degrees")
@@ -328,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eigen", help="print eigen table and transitions")
     sp.add_argument("system")
-    sp.add_argument("--threshold", type=float, default=0.05)
+    threshold_option(sp)
     sp.add_argument("--weak", action="store_true",
                     help="truncate the J coupling to its weak form")
     sp.set_defaults(func=cmd_eigen)
@@ -351,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system")
     sp.add_argument("--write-2d", action="store_true",
                     help="also write 2D dataset text and gnuplot grid")
+    threshold_option(sp)
     common(sp, points=True)
     sp.set_defaults(func=cmd_protocol)
 
@@ -366,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--protocol")
     source.add_argument("--state")
+    threshold_option(sp)
     common(sp, beta=True, points=True)
     sp.set_defaults(func=cmd_tomo)
 
@@ -389,8 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
     except (SpinSystemError, asg.AssignmentError, pr.ProtocolError,
-            acq.AcquisitionError, dyn.DynamicsError, CliError, KeyError,
-            FileNotFoundError) as exc:
+            acq.AcquisitionError, dyn.DynamicsError, CliError) as exc:
         code = exc.code if isinstance(exc, CliError) else USAGE_ERROR
         msg = exc.args[0] if exc.args else str(exc)
         print(f"spinsim: error: {msg}", file=sys.stderr)

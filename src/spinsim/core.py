@@ -177,6 +177,8 @@ class EigenSystem:
                                   compare=False)
     _lowering: np.ndarray | None = field(default=None, init=False,
                                          repr=False, compare=False)
+    _catalog: TransitionCatalog | None = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -351,7 +353,6 @@ class Transition:
     upper: int       # eigenstate index one quantum below
     freq_hz: float
     intensity: float
-    observable: bool
 
 
 @dataclass(eq=False)
@@ -369,16 +370,23 @@ class TransitionCatalog:
     upper: np.ndarray        # eigenstate index one quantum below
     freq_hz: np.ndarray
     intensity: np.ndarray
-    observable: np.ndarray   # bool
     pair_tid: np.ndarray     # (dim, dim) ids, 0 for no line
 
     def __post_init__(self):
         for col in (self.lower, self.upper, self.freq_hz, self.intensity,
-                    self.observable, self.pair_tid):
+                    self.pair_tid):
             col.flags.writeable = False
 
     def __len__(self) -> int:
         return self.lower.size
+
+    def observable_at(self, threshold: float) -> np.ndarray:
+        """Per line in id order, whether its intensity is at or above
+        ``threshold`` times the largest one (none when that is 0)."""
+        if not 0 <= threshold < 1:
+            raise SpinSystemError("threshold must be in [0, 1)")
+        max_i = float(self.intensity.max()) if len(self) else 0.0
+        return (self.intensity >= threshold * max_i) & (max_i > 0)
 
     def by_id(self, tid: int) -> Transition:
         if not 1 <= tid <= len(self):
@@ -387,8 +395,7 @@ class TransitionCatalog:
         return Transition(tid=tid, lower=int(self.lower[k]),
                           upper=int(self.upper[k]),
                           freq_hz=float(self.freq_hz[k]),
-                          intensity=float(self.intensity[k]),
-                          observable=bool(self.observable[k]))
+                          intensity=float(self.intensity[k]))
 
     def by_pair(self, a: int, b: int) -> Transition:
         dim = self.pair_tid.shape[0]
@@ -409,16 +416,16 @@ def sq_transition_count(n: int) -> int:
     return math.comb(2 * n, n - 1)
 
 
-def transition_catalog(es: EigenSystem, threshold: float = 0.05) -> TransitionCatalog:
-    """Enumerate all delta-M_z = -1 eigenstate pairs with intensities.
+def transition_catalog(es: EigenSystem) -> TransitionCatalog:
+    """All delta-M_z = -1 eigenstate pairs of ``es`` with intensities, built
+    on the first call and returned by every later one.
 
     intensity = |<upper| F- |lower>|^2, freq_hz = (E_lower - E_upper)/2pi.
     Ids are assigned in descending intensity order, ties broken by
-    ascending frequency; the observable flag marks intensities at or above
-    threshold * max-intensity.
+    ascending frequency.
     """
-    if not 0 <= threshold < 1:
-        raise SpinSystemError("threshold must be in [0, 1)")
+    if es._catalog is not None:
+        return es._catalog
     fme = es.lowering_operator()
     lo, up = np.nonzero(es.mz[None, :] == es.mz[:, None] - 1)
     amp = fme[up, lo]
@@ -428,12 +435,11 @@ def transition_catalog(es: EigenSystem, threshold: float = 0.05) -> TransitionCa
     freq = (es.energies[lo] - es.energies[up]) / (2 * math.pi)
     order = np.lexsort((up, lo, freq, -inten))
     lo, up, freq, inten = lo[order], up[order], freq[order], inten[order]
-    max_i = float(inten.max()) if inten.size else 0.0
-    observable = (inten >= threshold * max_i) & (max_i > 0)
     pair_tid = np.zeros((es.dim, es.dim), dtype=np.int32)
     pair_tid[lo, up] = np.arange(1, lo.size + 1)
-    return TransitionCatalog(lower=lo, upper=up, freq_hz=freq, intensity=inten,
-                             observable=observable, pair_tid=pair_tid)
+    es._catalog = TransitionCatalog(lower=lo, upper=up, freq_hz=freq,
+                                    intensity=inten, pair_tid=pair_tid)
+    return es._catalog
 
 
 # ---------------------------------------------------------------------------

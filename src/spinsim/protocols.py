@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import (EigenSystem, TransitionCatalog, Transition,
-                   transition_catalog)
+from .core import EigenSystem, Transition, transition_catalog
 from . import acquisition as acq
 from . import dynamics as dyn
 from . import pulselang as pl
@@ -50,23 +49,19 @@ class ProtocolReport:
 
 
 def _run(name: str, text: str, es: EigenSystem,
-         rho0: np.ndarray,
-         catalog: TransitionCatalog) -> ProtocolReport:
+         rho0: np.ndarray) -> ProtocolReport:
     program = pl.parse_program(text, source=name)
-    final = pl.execute_cycled(program, es, rho0, catalog)
+    final = pl.execute_cycled(program, es, rho0)
     return ProtocolReport(name=name, program_text=text, final_state=final)
 
 
 _SPIN_COUNTS = {2: "two", 3: "three", 4: "four"}
 
 
-def _checked(es: EigenSystem, n: int, what: str,
-             catalog: TransitionCatalog | None) -> TransitionCatalog:
-    """Raise unless ``es`` has ``n`` spins; return the catalog, built from
-    ``es`` when the caller passed none."""
+def _checked(es: EigenSystem, n: int, what: str) -> None:
+    """Raise unless ``es`` has ``n`` spins."""
     if es.n != n:
         raise ProtocolError(f"{what} needs a {_SPIN_COUNTS[n]}-spin system")
-    return transition_catalog(es) if catalog is None else catalog
 
 
 def _order_maxima(es: EigenSystem, mat: np.ndarray, orders) -> list[float]:
@@ -96,8 +91,7 @@ def _pps_program(target: str) -> str:
     raise ProtocolError(f"unknown pseudopure target {target!r}")
 
 
-def pseudopure_2spin(es: EigenSystem, target: str,
-                     catalog: TransitionCatalog | None = None) -> ProtocolReport:
+def pseudopure_2spin(es: EigenSystem, target: str) -> ProtocolReport:
     """Prepare a two-spin pseudopure deviation by population transfers.
 
     |00> uses the two-step sequence with the 70.5 deg pulse; |01> and |10>
@@ -105,9 +99,9 @@ def pseudopure_2spin(es: EigenSystem, target: str,
     mirrored sequence (its deviation carries the pure part with a negative
     coefficient, which the fidelity metric folds out).
     """
-    catalog = _checked(es, 2, "pseudopure_2spin", catalog)
+    _checked(es, 2, "pseudopure_2spin")
     rho0 = dyn.equilibrium_deviation(es)
-    rep = _run(f"pps{target}", _pps_program(target), es, rho0, catalog)
+    rep = _run(f"pps{target}", _pps_program(target), es, rho0)
     pops = np.real(np.diag(rep.final_state))
     tgt = es.index_of_label(target)
     others = [pops[k] for k in range(es.dim) if k != tgt]
@@ -123,24 +117,26 @@ def pseudopure_2spin(es: EigenSystem, target: str,
 # POPS: pair of pseudopure states
 
 def pops_pair(es: EigenSystem, tid: int,
-              catalog: TransitionCatalog | None = None) -> ProtocolReport:
+              threshold: float = 0.05) -> ProtocolReport:
     """Equilibrium minus pi-inverted populations for one transition.
 
     The final state, (p_lower - p_upper) * (|lower><lower| -
     |upper><upper|) with equilibrium populations, is a pair of pseudopure
     states; ``metrics["scale"]`` is p_lower - p_upper and ``info["pair"]``
-    the two labels.
+    the two labels.  The transition must be observable at ``threshold``.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
-    t = catalog.by_id(tid)
-    if not t.observable:
+    catalog = transition_catalog(es)
+    try:
+        t = catalog.by_id(tid)
+    except KeyError as exc:
+        raise ProtocolError(exc.args[0]) from None
+    if not catalog.observable_at(threshold)[tid - 1]:
         raise ProtocolError(f"transition t{tid} is not observable")
     pair = f"{es.labels[t.lower]},{es.labels[t.upper]}"
     text = f"selpulse ({pair}) 180 x\ngrad\n"
     rho_eq = dyn.equilibrium_deviation(es)
     program = pl.parse_program(text, source=f"pops{tid}")
-    rho_inv = pl.execute(program, es, rho_eq, catalog)
+    rho_inv = pl.execute(program, es, rho_eq)
     pops = np.real(np.diag(rho_eq))
     return ProtocolReport(
         name=f"pops{tid}", program_text=text, final_state=rho_eq - rho_inv,
@@ -148,10 +144,9 @@ def pops_pair(es: EigenSystem, tid: int,
         info={"pair": pair})
 
 
-def find_transition_by_labels(es: EigenSystem, catalog: TransitionCatalog,
-                              a: str, b: str) -> Transition:
+def find_transition_by_labels(es: EigenSystem, a: str, b: str) -> Transition:
     try:
-        return catalog.by_labels(es, a, b)
+        return transition_catalog(es).by_labels(es, a, b)
     except KeyError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -169,8 +164,7 @@ DJ1_TRUTH = {"f1": "constant", "f2": "constant",
              "f3": "balanced", "f4": "balanced"}
 
 
-def dj_one_qubit(es: EigenSystem, f: str,
-                 catalog: TransitionCatalog | None = None) -> ProtocolReport:
+def dj_one_qubit(es: EigenSystem, f: str) -> ProtocolReport:
     """One-qubit Deutsch-Jozsa on the |00> pseudopure state.
 
     A (pi/2)_-y pulse creates the (non-uniform) superposition, U_f is a set
@@ -178,7 +172,7 @@ def dj_one_qubit(es: EigenSystem, f: str,
     two input-qubit lines are read out: equal phases mean constant,
     opposite phases balanced.
     """
-    catalog = _checked(es, 2, "dj_one_qubit", catalog)
+    _checked(es, 2, "dj_one_qubit")
     if f not in _DJ1_PULSES:
         raise ProtocolError(f"unknown one-qubit DJ function {f!r}")
     # y-phase pi pulses make the coherence-transfer factors real (+1 into
@@ -187,11 +181,11 @@ def dj_one_qubit(es: EigenSystem, f: str,
     text = _pps_program("00") + "pulse 90 -y\n"
     for (a, b) in _DJ1_PULSES[f]:
         text += f"selpulse ({a},{b}) 180 y\n"
-    rep = _run(f"dj1_{f}", text, es, dyn.equilibrium_deviation(es), catalog)
+    rep = _run(f"dj1_{f}", text, es, dyn.equilibrium_deviation(es))
 
-    amps = acq.line_amplitudes(es, rep.final_state, catalog)
-    t_a = find_transition_by_labels(es, catalog, "00", "10")
-    t_b = find_transition_by_labels(es, catalog, "01", "11")
+    amps = acq.line_amplitudes(es, rep.final_state)
+    t_a = find_transition_by_labels(es, "00", "10")
+    t_b = find_transition_by_labels(es, "01", "11")
     a1, a2 = amps[t_a.tid - 1], amps[t_b.tid - 1]
     agreement = float(np.real(a1 * np.conj(a2)))
     verdict = "constant" if agreement > 0 else "balanced"
@@ -210,17 +204,16 @@ _EPR_CYCLE = "cycle P1 P2\n" + "".join(f"row {row} +\n" for row in _EPR_ROWS)
 _EPR_PULSES = "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n"
 
 
-def epr_create(es: EigenSystem,
-               catalog: TransitionCatalog | None = None) -> ProtocolReport:
+def epr_create(es: EigenSystem) -> ProtocolReport:
     """Create (|00> + |11>)/sqrt(2) from the |00> pseudopure state.
 
     The sequence is a (pi/2) pulse on (00,10) followed by a pi pulse on
     (10,11), repeated under the eight-row phase cycle; each row yields the
     same state for ideal pulses, so the cycle is an identity safeguard.
     """
-    catalog = _checked(es, 2, "epr_create", catalog)
+    _checked(es, 2, "epr_create")
     text = _EPR_CYCLE + _pps_program("00") + _EPR_PULSES
-    rep = _run("epr", text, es, dyn.equilibrium_deviation(es), catalog)
+    rep = _run("epr", text, es, dyn.equilibrium_deviation(es))
 
     i00, i01 = es.index_of_label("00"), es.index_of_label("01")
     i10, i11 = es.index_of_label("10"), es.index_of_label("11")
@@ -260,14 +253,14 @@ _GHZ_ROWS = [
 ]
 
 
-def find_ghz_ladder(es: EigenSystem, catalog: TransitionCatalog
-                    ) -> tuple[Transition, Transition, Transition]:
+def find_ghz_ladder(es: EigenSystem) -> tuple[Transition, Transition, Transition]:
     """Pick a transition ladder |000> -> X -> Y -> |111> clear of |001>.
 
     Chooses the ladder with the largest intensity product; deterministic
     tie-break on the indices of X and Y.  Every pair one M_z quantum
     apart is a catalog line, so every such X and Y form a ladder.
     """
+    catalog = transition_catalog(es)
     i000, i001, i111 = (es.index_of_label(lab) for lab in ("000", "001", "111"))
     return min(((catalog.by_pair(i000, x), catalog.by_pair(x, y),
                  catalog.by_pair(y, i111))
@@ -278,22 +271,22 @@ def find_ghz_ladder(es: EigenSystem, catalog: TransitionCatalog
                                 abc[0].upper, abc[1].upper))
 
 
-def ghz_create(es: EigenSystem,
-               catalog: TransitionCatalog | None = None) -> ProtocolReport:
+def ghz_create(es: EigenSystem, threshold: float = 0.05) -> ProtocolReport:
     """Create |GHZ><GHZ| - |001><001| from the POPS pair on (000,001).
 
     A (pi/2) pulse on the first ladder transition followed by two pi pulses
     walks |000> into (|000> + |111>)/sqrt(2) under the 16-row phase cycle
     (every row accumulates the same 270-degree phase sum).  The ladder is
     the highest-intensity one of the catalog that connects |000> to |111>
-    without touching |001> (``find_ghz_ladder``).
+    without touching |001> (``find_ghz_ladder``).  The POPS transition
+    must be observable at ``threshold``.
     """
-    catalog = _checked(es, 3, "ghz_create", catalog)
-    pops_tid = find_transition_by_labels(es, catalog, "000", "001").tid
-    pops = pops_pair(es, pops_tid, catalog)
+    _checked(es, 3, "ghz_create")
+    pops_tid = find_transition_by_labels(es, "000", "001").tid
+    pops = pops_pair(es, pops_tid, threshold)
     scale = pops.metrics["scale"]
 
-    ta, tb, tc = find_ghz_ladder(es, catalog)
+    ta, tb, tc = find_ghz_ladder(es)
     labels = [es.labels[k] for k in (ta.lower, ta.upper, tb.upper, tc.upper)]
 
     text = "cycle P1 P2 P3\n"
@@ -302,7 +295,7 @@ def ghz_create(es: EigenSystem,
     text += (f"selpulse ({labels[0]},{labels[1]}) 90 $P1\n"
              f"selpulse ({labels[1]},{labels[2]}) 180 $P2\n"
              f"selpulse ({labels[2]},{labels[3]}) 180 $P3\n")
-    rep = _run("ghz", text, es, pops.final_state, catalog)
+    rep = _run("ghz", text, es, pops.final_state)
 
     rho = rep.final_state
     i000, i111 = es.index_of_label("000"), es.index_of_label("111")
@@ -351,8 +344,7 @@ _GATE_WORDS = _gate_words()
 GATE_PERMUTATIONS = tuple(sorted(itertools.permutations(range(4))))
 
 
-def gate_library_2spin(es: EigenSystem, gate: int,
-                       catalog: TransitionCatalog | None = None) -> ProtocolReport:
+def gate_library_2spin(es: EigenSystem, gate: int) -> ProtocolReport:
     """One of the 24 one-to-one gates as transition-selective pi pulses.
 
     Gate g (1-based) is the g-th permutation of the eigenstate labels
@@ -360,7 +352,7 @@ def gate_library_2spin(es: EigenSystem, gate: int,
     product of transpositions along allowed transitions.  The truth table
     is verified by running the program on every basis projector.
     """
-    catalog = _checked(es, 2, "gate_library_2spin", catalog)
+    _checked(es, 2, "gate_library_2spin")
     if not 1 <= gate <= 24:
         raise ProtocolError("gate index must be 1..24")
     perm = GATE_PERMUTATIONS[gate - 1]
@@ -371,7 +363,7 @@ def gate_library_2spin(es: EigenSystem, gate: int,
         text += f"selpulse ({_GATE_LABELS[a]},{_GATE_LABELS[b]}) 180 x\n"
     text = text or "# identity\n"
     rho0 = dyn.equilibrium_deviation(es)
-    rep = _run(f"gate{gate:02d}", text, es, rho0, catalog)
+    rep = _run(f"gate{gate:02d}", text, es, rho0)
 
     # the truth table: the program maps projector k onto projector perm[k]
     src = [es.index_of_label(_GATE_LABELS[k]) for k in range(4)]
@@ -381,7 +373,7 @@ def gate_library_2spin(es: EigenSystem, gate: int,
     expect = np.zeros_like(projectors)
     expect[np.arange(4), dst, dst] = 1.0
     program = pl.parse_program(text, source=rep.name)
-    out = pl.execute(program, es, projectors, catalog)
+    out = pl.execute(program, es, projectors)
     ok = np.abs(out - expect).max() <= 1e-12
     rep.metrics["truth_table_ok"] = 1.0 if ok else 0.0
     rep.metrics["n_pulses"] = float(len(word))
@@ -392,15 +384,15 @@ def gate_library_2spin(es: EigenSystem, gate: int,
 # ---------------------------------------------------------------------------
 # four-spin gates
 
-def c3not_4spin(es: EigenSystem,
-                catalog: TransitionCatalog | None = None) -> ProtocolReport:
-    """C3-NOT: a single pi pulse on the (1110, 1111) transition."""
-    catalog = _checked(es, 4, "c3not_4spin", catalog)
-    t = find_transition_by_labels(es, catalog, "1110", "1111")
-    if not t.observable:
+def c3not_4spin(es: EigenSystem, threshold: float = 0.05) -> ProtocolReport:
+    """C3-NOT: a single pi pulse on the (1110, 1111) transition, which must
+    be observable at ``threshold``."""
+    _checked(es, 4, "c3not_4spin")
+    t = find_transition_by_labels(es, "1110", "1111")
+    if not transition_catalog(es).observable_at(threshold)[t.tid - 1]:
         raise ProtocolError("the (1110,1111) transition is not observable")
     text = "selpulse (1110,1111) 180 x\ngrad\n"
-    rep = _run("c3not", text, es, dyn.equilibrium_deviation(es), catalog)
+    rep = _run("c3not", text, es, dyn.equilibrium_deviation(es))
     pops_eq = np.real(np.diag(dyn.equilibrium_deviation(es)))
     pops = np.real(np.diag(rep.final_state))
     expect = pops_eq.copy()
@@ -411,30 +403,32 @@ def c3not_4spin(es: EigenSystem,
     return rep
 
 
-def c2swap_4spin(es: EigenSystem, catalog: TransitionCatalog | None = None,
+def c2swap_4spin(es: EigenSystem, threshold: float = 0.05,
                  rho0: np.ndarray | None = None) -> ProtocolReport:
     """C2-SWAP interchanging |1110> and |1101> via three selective pulses.
 
     Defaults to the POPS input |1010><1010| - |1110><1110| (transition
     between 1010 and 1110), whose image must equal the POPS state of the
-    (1010, 1101) transition.
+    (1010, 1101) transition.  All four transitions must be observable at
+    ``threshold``.
     """
-    catalog = _checked(es, 4, "c2swap_4spin", catalog)
-    t_a = find_transition_by_labels(es, catalog, "1110", "1111")
-    t_b = find_transition_by_labels(es, catalog, "1101", "1111")
-    t_in = find_transition_by_labels(es, catalog, "1010", "1110")
-    t_out = find_transition_by_labels(es, catalog, "1010", "1101")
+    _checked(es, 4, "c2swap_4spin")
+    t_a = find_transition_by_labels(es, "1110", "1111")
+    t_b = find_transition_by_labels(es, "1101", "1111")
+    t_in = find_transition_by_labels(es, "1010", "1110")
+    t_out = find_transition_by_labels(es, "1010", "1101")
+    observable = transition_catalog(es).observable_at(threshold)
     for t, what in ((t_a, "(1110,1111)"), (t_b, "(1101,1111)"),
                     (t_in, "(1010,1110)"), (t_out, "(1010,1101)")):
-        if not t.observable:
+        if not observable[t.tid - 1]:
             raise ProtocolError(f"the {what} transition is not observable")
     if rho0 is None:
-        rho0 = pops_pair(es, t_in.tid, catalog).final_state
+        rho0 = pops_pair(es, t_in.tid, threshold).final_state
     text = ("selpulse (1110,1111) 180 x\ngrad\n"
             "selpulse (1101,1111) 180 x\ngrad\n"
             "selpulse (1110,1111) 180 x\ngrad\n")
-    rep = _run("c2swap", text, es, rho0, catalog)
-    pops_out = pops_pair(es, t_out.tid, catalog).final_state
+    rep = _run("c2swap", text, es, rho0)
+    pops_out = pops_pair(es, t_out.tid, threshold).final_state
     rep.metrics["pops_output_error"] = float(
         np.abs(rep.final_state - pops_out).max())
     pin = np.real(np.diag(rho0))
@@ -460,13 +454,13 @@ DJ2_TRUTH = {f: ("constant" if f in ("f1", "f2") else "balanced")
              for f in DJ2_PATTERNS}
 
 
-def _work_transitions(es: EigenSystem, catalog: TransitionCatalog):
+def _work_transitions(es: EigenSystem):
     """The four work-qubit transitions |rs0> <-> |rs1>, input order rs."""
-    return [find_transition_by_labels(es, catalog, rs + "0", rs + "1")
+    return [find_transition_by_labels(es, rs + "0", rs + "1")
             for rs in ("00", "01", "10", "11")]
 
 
-def _input_lines(es: EigenSystem, catalog: TransitionCatalog):
+def _input_lines(es: EigenSystem):
     """Input-qubit transitions paired with their work-bit-flipped partners.
 
     Returns (line, partner, qubit) triples for the work bit 0 lines, in
@@ -476,20 +470,20 @@ def _input_lines(es: EigenSystem, catalog: TransitionCatalog):
     triples = []
     for qubit, other in itertools.product((0, 1), "01"):
         a, b = ("0" + other, "1" + other) if qubit == 0 else (other + "0", other + "1")
-        triples.append((find_transition_by_labels(es, catalog, a + "0", b + "0"),
-                        find_transition_by_labels(es, catalog, a + "1", b + "1"),
+        triples.append((find_transition_by_labels(es, a + "0", b + "0"),
+                        find_transition_by_labels(es, a + "1", b + "1"),
                         qubit))
     return triples
 
 
-def _dj2_program(es: EigenSystem, f: str, catalog: TransitionCatalog,
-                 t2_points: int, dwell: float) -> tuple[str, pl.PulseProgram]:
+def _dj2_program(es: EigenSystem, f: str, t2_points: int,
+                 dwell: float) -> tuple[str, pl.PulseProgram]:
     """The text and the parsed DJ2 program of function ``f``:
     (pi/2)_y - t1 - U_f - acquire."""
     if f not in DJ2_PATTERNS:
         raise ProtocolError(f"unknown two-qubit DJ function {f!r}")
     text = "pulse 90 y\ndelay t1\n"
-    for bit, t in zip(DJ2_PATTERNS[f], _work_transitions(es, catalog)):
+    for bit, t in zip(DJ2_PATTERNS[f], _work_transitions(es)):
         if bit:
             text += (f"selpulse ({es.labels[t.lower]},{es.labels[t.upper]})"
                      " 180 x\n")
@@ -497,9 +491,8 @@ def _dj2_program(es: EigenSystem, f: str, catalog: TransitionCatalog,
     return text, pl.parse_program(text, source=f"dj2_{f}")
 
 
-def dj_two_qubit_2d(es: EigenSystem, f: str,
-                    catalog: TransitionCatalog | None = None,
-                    t1_points: int = 256, t2_points: int = 1024) -> ProtocolReport:
+def dj_two_qubit_2d(es: EigenSystem, f: str, t1_points: int = 256,
+                    t2_points: int = 1024) -> ProtocolReport:
     """Two-qubit Deutsch-Jozsa with 2D readout.
 
     Sequence: (pi/2) on all spins - t1 - U_f - detect(t2), both times on
@@ -525,13 +518,13 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     usable line's diagonal and cross peaks in one column cannot be read
     and raises.
     """
-    catalog = _checked(es, 3, "dj_two_qubit_2d", catalog)
+    _checked(es, 3, "dj_two_qubit_2d")
     dwell = acq.default_tomo_dwell(es)
-    text, program = _dj2_program(es, f, catalog, t2_points, dwell)
+    text, program = _dj2_program(es, f, t2_points, dwell)
     rho0 = dyn.equilibrium_deviation(es)
     ins = program.instructions          # pulse, delay t1, U_f ..., acquire
     acquire, ref = acq.t1_stack(replace(program, instructions=ins[:2] + ins[-1:]),
-                                es, rho0, t1_points, dwell, catalog)
+                                es, rho0, t1_points, dwell)
 
     # the bins of a line; the readout reads bin b as b mod the point count
     # (after checking the counts, so these stay unreduced)
@@ -541,7 +534,7 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     def bin2(freq):
         return int(round(freq * t2_points * dwell))
 
-    lines = _input_lines(es, catalog)
+    lines = _input_lines(es)
     rows = sorted({bin1(line.freq_hz) for line, _, _ in lines})
     cols = sorted({bin2(t.freq_hz) for line, partner, _ in lines
                    for t in (line, partner)})
@@ -549,11 +542,11 @@ def dj_two_qubit_2d(es: EigenSystem, f: str,
     # the decision thresholds
     u_f = ins[2:-1]
     if u_f:
-        rho = pl.execute(replace(program, instructions=u_f), es, ref, catalog)
+        rho = pl.execute(replace(program, instructions=u_f), es, ref)
         ref_spec, spec = acq.hann_peaks_2d(es, np.stack([ref, rho]), acquire,
-                                           rows, cols, catalog)
+                                           rows, cols)
     else:   # f1: U_f is empty, so the function's stack is the reference
-        ref_spec = spec = acq.hann_peaks_2d(es, ref, acquire, rows, cols, catalog)
+        ref_spec = spec = acq.hann_peaks_2d(es, ref, acquire, rows, cols)
 
     def peak(mag, line, t):
         return float(mag[rows.index(bin1(line.freq_hz)),

@@ -1,5 +1,4 @@
-"""Pulse-program DSL: parsing, compilation against a transition catalog,
-and execution with phase cycling.
+"""Pulse-program DSL: parsing, and execution with phase cycling.
 
 Grammar, one instruction per line ('#' starts a comment):
 
@@ -15,7 +14,9 @@ A phase is one of x, y, -x, -y, deg:<float> or $SLOT; slots must be
 declared by a single ``cycle`` line whose ``row`` lines each assign a phase
 per slot (optionally ending with a receiver sign, default +).  Programs are
 written in the order pulses are applied: the first line acts first.
-Diagnostics use the conventional ``file:line:col: message`` format.
+A ``selpulse`` reference resolves against the eigensystem's transition
+catalog when its instruction runs.  Diagnostics use the conventional
+``file:line:col: message`` format.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenSystem, TransitionCatalog, transition_catalog
+from .core import EigenSystem, transition_catalog
 from . import dynamics as dyn
 
 _AXIS_TO_DEG = {"x": 0.0, "y": 90.0, "-x": 180.0, "-y": 270.0}
@@ -324,9 +325,9 @@ def format_program(program: PulseProgram) -> str:
     return "\n".join(out) + "\n"
 
 
-def resolve_transition(ref: TransitionRef, es: EigenSystem,
-                       catalog: TransitionCatalog) -> tuple[int, int]:
+def resolve_transition(ref: TransitionRef, es: EigenSystem) -> tuple[int, int]:
     """Map a transition reference to a (lower, upper) eigenstate index pair."""
+    catalog = transition_catalog(es)
     try:
         if ref.tid is not None:
             t = catalog.by_id(ref.tid)
@@ -357,10 +358,8 @@ class _Executor:
     """
 
     def __init__(self, program: PulseProgram, es: EigenSystem,
-                 catalog: TransitionCatalog | None,
                  t1: float | np.ndarray | None, t2: float | None):
         self.program, self.es = program, es
-        self.catalog = transition_catalog(es) if catalog is None else catalog
         self.delays = {"t1": t1, "t2": t2}
         self.hard: dict[tuple[int, float], np.ndarray] = {}
 
@@ -377,7 +376,7 @@ class _Executor:
         ins, es = self.program.instructions[k], self.es
         if isinstance(ins, SelPulse):
             try:
-                lo, up = resolve_transition(ins.ref, es, self.catalog)
+                lo, up = resolve_transition(ins.ref, es)
             except PulseProgramError as exc:
                 raise self.error(ins, exc.reason) from None
             return dyn.apply_selective_pulse(es, rho, lo, up, ins.angle_deg,
@@ -400,9 +399,8 @@ class _Executor:
 
 
 def execute(program: PulseProgram, es: EigenSystem,
-            rho0: np.ndarray,
-            catalog: TransitionCatalog | None = None,
-            row: int = 0, t1: float | np.ndarray | None = None,
+            rho0: np.ndarray, *, row: int = 0,
+            t1: float | np.ndarray | None = None,
             t2: float | None = None) -> np.ndarray:
     """Apply the instructions left to right to rho0 and return the result.
 
@@ -412,7 +410,7 @@ def execute(program: PulseProgram, es: EigenSystem,
     Binding t1 to a 1-D array of times runs every t1 value at once: the
     result is a stack of states with the t1 axis leading.
     """
-    run = _Executor(program, es, catalog, t1, t2)
+    run = _Executor(program, es, t1, t2)
     rho = rho0.copy()
     for k in range(len(program.instructions)):
         rho = run.step(k, rho, row)
@@ -420,8 +418,7 @@ def execute(program: PulseProgram, es: EigenSystem,
 
 
 def execute_cycled(program: PulseProgram, es: EigenSystem,
-                   rho0: np.ndarray,
-                   catalog: TransitionCatalog | None = None,
+                   rho0: np.ndarray, *,
                    t1: float | np.ndarray | None = None,
                    t2: float | None = None) -> np.ndarray:
     """Receiver-weighted average of the per-row results of the phase cycle.
@@ -448,8 +445,8 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
     does) divided by the row count is that average, without the array.
     """
     if program.cycle is None:
-        return execute(program, es, rho0, catalog, t1=t1, t2=t2)
-    run = _Executor(program, es, catalog, t1, t2)
+        return execute(program, es, rho0, t1=t1, t2=t2)
+    run = _Executor(program, es, t1, t2)
     receivers = program.cycle.receivers
     count = len(program.instructions)
     phases = [[run.phase(k, r) for r in range(len(receivers))]

@@ -139,7 +139,7 @@ def test_citrate_unique_diamond(citrate_es, citrate_cat):
     cm = acq.zcosy_connectivity(citrate_es, 0.05, citrate_cat)
     res = asg.reconstruct_levels(cm, 2)
     assert len(res.diagrams) == 1
-    truth = asg.diagram_from_catalog(citrate_es, citrate_cat)
+    truth = asg.diagram_from_catalog(citrate_es, 0.05)
     assert asg.diagrams_isomorphic(res.diagrams[0], truth)
 
 
@@ -199,9 +199,8 @@ def test_roundtrip_random_systems():
     for _ in range(25):
         n = int(rng.integers(2, 5))
         es = core.eigensystem(random_system(rng, n))
-        cat = core.transition_catalog(es, threshold=0.0)
-        cm = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat)
-        truth = asg.diagram_from_catalog(es, cat)
+        cm = acq.zcosy_connectivity(es, threshold=0.0)
+        truth = asg.diagram_from_catalog(es, threshold=0.0)
         res = asg.reconstruct_levels(cm, n, max_solutions=4)
         assert res.diagrams
         assert all(asg.verify_diagram(ld, cm)[0] for ld in res.diagrams)
@@ -212,8 +211,7 @@ def test_backtracking_matches_exhaustive_oracle():
     rng = np.random.default_rng(123)
     for n, t in ((2, 3), (2, 4), (3, 4)):
         es = core.eigensystem(random_system(rng, n))
-        cat = core.transition_catalog(es, threshold=0.0)
-        cm_full = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat)
+        cm_full = acq.zcosy_connectivity(es, threshold=0.0)
         pick = sorted(rng.choice(cm_full.size, size=t, replace=False).tolist())
         sub = asg.ConnectivityMatrix(
             m=cm_full.m[np.ix_(pick, pick)],
@@ -252,10 +250,11 @@ def test_connectivity_matches_edge_relation(diagram):
     assert np.array_equal(ld.derived_connectivity(tuple(ld.edges)), want)
 
 
-def offsets_diagram_from_catalog(es, catalog):
+def offsets_diagram_from_catalog(es, threshold):
     """Reference: levels numbered by counting the eigenstates of each
     manifold, placed at the manifold's base."""
-    ids = tuple((np.flatnonzero(catalog.observable) + 1).tolist())
+    catalog = core.transition_catalog(es)
+    ids = tuple((np.flatnonzero(catalog.observable_at(threshold)) + 1).tolist())
     n = es.n
     bases = [0]
     for k in range(n + 1):
@@ -281,9 +280,8 @@ def test_diagram_from_catalog_matches_offsets(citrate_es, demo3_es, demo4_es):
         core.eigensystem(random_system(rng, n)) for n in (1, 2, 3, 4, 5, 6)]
     for es in systems:
         for threshold in (0.0, 0.05, 0.5):
-            cat = core.transition_catalog(es, threshold)
-            got = asg.diagram_from_catalog(es, cat)
-            want = offsets_diagram_from_catalog(es, cat)
+            got = asg.diagram_from_catalog(es, threshold)
+            want = offsets_diagram_from_catalog(es, threshold)
             assert got.n == want.n and got.edges == want.edges
 
 
@@ -340,8 +338,7 @@ def test_search_order_matches_reference_on_zcosy():
     rng = np.random.default_rng(5)
     for n in (2, 3, 4, 5):
         es = core.eigensystem(random_system(rng, n))
-        cat = core.transition_catalog(es, threshold=0.0)
-        m = acq.zcosy_connectivity(es, threshold=0.0, catalog=cat).m
+        m = acq.zcosy_connectivity(es, threshold=0.0).m
         assert asg._search_order(m) == cubic_search_order(m)
 
 
@@ -457,8 +454,7 @@ def thresholded_matrices(draw):
     n = draw(st.sampled_from([3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     es = core.eigensystem(random_system(rng, n))
-    cat = core.transition_catalog(es, draw(st.sampled_from([0.05, 0.2, 0.5])))
-    cm = acq.zcosy_connectivity(es, catalog=cat)
+    cm = acq.zcosy_connectivity(es, draw(st.sampled_from([0.05, 0.2, 0.5])))
     keep = sorted(draw(st.lists(st.integers(0, cm.size - 1), min_size=1,
                                 max_size=14, unique=True)))
     m = cm.m[np.ix_(keep, keep)].copy()
@@ -488,8 +484,7 @@ def changed_full_matrix(n, changes):
     """The Z-COSY connectivity of every line of a seeded random n-spin
     system, with entry (i, j) and (j, i) set to v for each (i, j, v)."""
     es = core.eigensystem(random_system(np.random.default_rng(n - 3), n))
-    cm = acq.zcosy_connectivity(es, threshold=0.0,
-                                catalog=core.transition_catalog(es, threshold=0.0))
+    cm = acq.zcosy_connectivity(es, threshold=0.0)
     m = cm.m.copy()
     for i, j, v in changes:
         m[i, j] = m[j, i] = v

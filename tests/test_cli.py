@@ -376,6 +376,10 @@ def test_shipped_lookup_misses(tmp_path, capsys, monkeypatch, argv, entry):
     ("protocol", "ghz", "demo3.spin", "--beta", "5"),
     ("protocol", "dj2:f1", "demo3.spin", "--t2-points", "2"),
     ("protocol", "dj2:f1", "demo3.spin", "--t1-points", "1", "--t2-points", "1"),
+    ("eigen", "citrate.spin", "--threshold", "1"),
+    ("run", "citrate.spin", "pps00.pp", "--threshold", "0.1"),
+    ("protocol", "pops:1", "citrate.spin", "--threshold", "-0.1"),
+    ("tomo", "citrate.spin", "--protocol", "pops:1", "--threshold", "nan"),
 ])
 def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv):
     # argparse rejects misuse through SystemExit; a value that parses but
@@ -389,6 +393,42 @@ def test_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv):
     assert_one_line_error(code, err)
     assert err.startswith("spinsim: error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "citrate.spin", "epr.pp", "--init", "pure:22"),
+     "no eigenstate labeled '22'"),
+    (("protocol", "pops:9", "citrate.spin"), "unknown transition t9"),
+])
+def test_unknown_label_or_transition_is_one_line(tmp_path, capsys, argv,
+                                                 message):
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"spinsim: error: {message}\n")
+
+
+def test_a_key_error_from_a_bug_is_not_caught(monkeypatch):
+    from spinsim import cli
+
+    def broken(es, init):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "_initial_state", broken)
+    with pytest.raises(KeyError):
+        main(["run", "citrate.spin", "pps00.pp"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("protocol", "pops:3", "citrate.spin"),
+    ("tomo", "citrate.spin", "--protocol", "pops:3"),
+])
+def test_threshold_reaches_the_protocols(tmp_path, capsys, argv):
+    # t3 of citrate is observable at the default 5 % and not at 90 %
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "a"))
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--threshold", "0.9",
+                             "--out", str(tmp_path / "b"))
+    assert (code, out) == (2, "")
+    assert err == "spinsim: error: transition t3 is not observable\n"
 
 
 @pytest.mark.parametrize("name, system", [
@@ -430,7 +470,7 @@ def test_protocol_pops_files(tmp_path, capsys, citrate_es):
         pair = f"{es.labels[t.lower]},{es.labels[t.upper]}"
         text = f"selpulse ({pair}) 180 x\ngrad\n"
         eq = dyn.equilibrium_deviation(es)
-        inv = pl.execute(pl.parse_program(text), es, eq, cat)
+        inv = pl.execute(pl.parse_program(text), es, eq)
         pops = np.real(np.diag(eq))
         report = (f"name=pops{tid}\nscale={pops[t.lower] - pops[t.upper]:.12g}\n"
                   f"pair={pair}\n")

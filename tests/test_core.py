@@ -202,10 +202,12 @@ def test_offset_shift_moves_frequencies(citrate, citrate_es, citrate_cat):
 
 
 def test_threshold_flags(demo3_es):
-    cat = core.transition_catalog(demo3_es, threshold=0.05)
-    assert np.count_nonzero(cat.observable) == 9
-    cat_all = core.transition_catalog(demo3_es, threshold=0.0)
-    assert cat_all.observable.all()
+    cat = core.transition_catalog(demo3_es)
+    assert np.count_nonzero(cat.observable_at(0.05)) == 9
+    assert cat.observable_at(0.0).all()
+    # no column or field reads as a threshold-free flag
+    assert not hasattr(cat, "observable")
+    assert not hasattr(cat.by_id(1), "observable")
 
 
 def assert_catalog_lookups(es, cat):
@@ -243,7 +245,11 @@ def assert_catalog_lookups(es, cat):
 @given(random_system_strategy(nmax=5), st.sampled_from([0.0, 0.05, 0.5]))
 def test_catalog_lookups_random(sys_, threshold):
     es = core.eigensystem(sys_)
-    assert_catalog_lookups(es, core.transition_catalog(es, threshold))
+    cat = core.transition_catalog(es)
+    assert_catalog_lookups(es, cat)
+    # ids run by descending intensity, so the observable lines come first
+    obs = cat.observable_at(threshold)
+    assert np.array_equal(obs, np.sort(obs)[::-1])
 
 
 @pytest.mark.parametrize("name", ["citrate", "compound1", "demo3", "demo4"])
@@ -252,8 +258,12 @@ def test_catalog_lookups_shipped(name, request):
     assert_catalog_lookups(es, core.transition_catalog(es))
 
 
-def test_catalog_columns_read_only(citrate_cat):
-    for col in (citrate_cat.lower, citrate_cat.freq_hz, citrate_cat.pair_tid):
+def test_catalog_columns_read_only(citrate, citrate_es, citrate_cat):
+    # one catalog per eigensystem, built on the first call
+    assert core.transition_catalog(citrate_es) is citrate_cat
+    assert core.transition_catalog(core.eigensystem(citrate)) is not citrate_cat
+    for col in (citrate_cat.lower, citrate_cat.upper, citrate_cat.freq_hz,
+                citrate_cat.intensity, citrate_cat.pair_tid):
         with pytest.raises(ValueError, match="read-only"):
             col[0] = 1
 
@@ -372,9 +382,11 @@ def loop_catalog(es, threshold=0.05):
             for lo, up, fr, inten in raw]
 
 
-def catalog_rows(cat):
-    """Every line as the fields of its ``by_id`` record."""
-    return [(t.lower, t.upper, t.freq_hz, t.intensity, t.observable)
+def catalog_rows(cat, threshold):
+    """Every line as the fields of its ``by_id`` record and its
+    observability at ``threshold``."""
+    obs = cat.observable_at(threshold).tolist()
+    return [(t.lower, t.upper, t.freq_hz, t.intensity, obs[t.tid - 1])
             for t in map(cat.by_id, range(1, len(cat) + 1))]
 
 
@@ -426,9 +438,12 @@ def assert_matches_references(sys_, weak):
     es = core.diagonalize(h, sys_)
     assert (es.labels, es.label_conflicts) == greedy_labels(es)
     assert_lowering_matches_reference(es)
-    for threshold in (0.0, 0.05):
-        assert (catalog_rows(core.transition_catalog(es, threshold))
-                == loop_catalog(es, threshold))
+    cat = core.transition_catalog(es)
+    for threshold in (0.0, 0.05, 0.5):
+        assert catalog_rows(cat, threshold) == loop_catalog(es, threshold)
+    for threshold in (-0.05, 1.0, math.nan):
+        with pytest.raises(core.SpinSystemError, match=r"\[0, 1\)"):
+            cat.observable_at(threshold)
 
 
 @st.composite

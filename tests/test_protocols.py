@@ -18,8 +18,8 @@ PPS_EXPECTED = {
 
 
 @pytest.mark.parametrize("target", ["00", "01", "10", "11"])
-def test_pseudopure_targets(citrate_es, citrate_cat, target):
-    rep = pr.pseudopure_2spin(citrate_es, target, citrate_cat)
+def test_pseudopure_targets(citrate_es, target):
+    rep = pr.pseudopure_2spin(citrate_es, target)
     perm = [citrate_es.index_of_label(l) for l in ("00", "01", "10", "11")]
     pops = np.real(np.diag(rep.final_state))[perm]
     assert np.allclose(pops, PPS_EXPECTED[target], atol=1e-12)
@@ -29,12 +29,11 @@ def test_pseudopure_targets(citrate_es, citrate_cat, target):
     assert np.abs(off).max() <= 1e-12
 
 
-def test_pseudopure_program_reruns_bit_exact(citrate_es, citrate_cat):
-    rep = pr.pseudopure_2spin(citrate_es, "00", citrate_cat)
+def test_pseudopure_program_reruns_bit_exact(citrate_es):
+    rep = pr.pseudopure_2spin(citrate_es, "00")
     prog = pl.parse_program(rep.program_text)
     again = pl.execute_cycled(prog, citrate_es,
-                              dyn.equilibrium_deviation(citrate_es),
-                              citrate_cat)
+                              dyn.equilibrium_deviation(citrate_es))
     assert np.array_equal(again, rep.final_state)
 
 
@@ -46,7 +45,7 @@ def test_pseudopure_needs_two_spins(demo3_es):
 def test_pops_pair(demo3_es, demo3_cat):
     es, cat = demo3_es, demo3_cat
     t = cat.by_labels(es, "000", "001")
-    rep = pr.pops_pair(es, t.tid, cat)
+    rep = pr.pops_pair(es, t.tid)
     assert rep.name == f"pops{t.tid}"
     assert rep.program_text == "selpulse (000,001) 180 x\ngrad\n"
     assert rep.info == {"pair": "000,001"}
@@ -74,14 +73,14 @@ def test_pops_zero_for_equal_populations(demo3_es, demo3_cat):
 
 def test_pops_requires_observable(demo3_es, demo3_cat):
     weakest = demo3_cat.by_id(int(np.argmin(demo3_cat.intensity)) + 1)
-    assert not weakest.observable
+    assert not demo3_cat.observable_at(0.05)[weakest.tid - 1]
     with pytest.raises(pr.ProtocolError, match="not observable"):
-        pr.pops_pair(demo3_es, weakest.tid, demo3_cat)
+        pr.pops_pair(demo3_es, weakest.tid)
 
 
 @pytest.mark.parametrize("f", ["f1", "f2", "f3", "f4"])
-def test_dj_one_qubit_verdicts(citrate_es, citrate_cat, f):
-    rep = pr.dj_one_qubit(citrate_es, f, citrate_cat)
+def test_dj_one_qubit_verdicts(citrate_es, f):
+    rep = pr.dj_one_qubit(citrate_es, f)
     assert rep.info["verdict"] == pr.DJ1_TRUTH[f]
 
 
@@ -93,8 +92,8 @@ def test_dj_weak_f2_equals_f1_on_input_lines(citrate):
     from spinsim.acquisition import line_amplitudes
     amps = {}
     for f in ("f1", "f2"):
-        rep = pr.dj_one_qubit(es, f, cat)
-        amps[f] = line_amplitudes(es, rep.final_state, cat)
+        rep = pr.dj_one_qubit(es, f)
+        amps[f] = line_amplitudes(es, rep.final_state)
     t_in1 = cat.by_labels(es, "00", "10").tid
     t_in2 = cat.by_labels(es, "01", "11").tid
     for tid in (t_in1, t_in2):
@@ -102,23 +101,23 @@ def test_dj_weak_f2_equals_f1_on_input_lines(citrate):
             abs(amps["f2"][tid - 1]), abs=1e-12)
 
 
-def test_epr_state(citrate_es, citrate_cat):
-    rep = pr.epr_create(citrate_es, citrate_cat)
+def test_epr_state(citrate_es):
+    rep = pr.epr_create(citrate_es)
     assert rep.metrics["dq_amplitude"] == pytest.approx(0.5, abs=1e-12)
     assert rep.metrics["sq_amplitude"] <= 1e-12
     assert rep.metrics["zq_amplitude"] <= 1e-12
     assert rep.metrics["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_epr_cycle_rows_identical(citrate_es, citrate_cat):
-    rep = pr.epr_create(citrate_es, citrate_cat)
+def test_epr_cycle_rows_identical(citrate_es):
+    rep = pr.epr_create(citrate_es)
     prog = pl.parse_program(rep.program_text)
     rho0 = dyn.equilibrium_deviation(citrate_es)
-    states = [pl.execute(prog, citrate_es, rho0, citrate_cat, row=r)
+    states = [pl.execute(prog, citrate_es, rho0, row=r)
               for r in range(len(prog.cycle.rows))]
     for s in states[1:]:
         assert np.abs(s - states[0]).max() <= 1e-12
-    cycled = pl.execute_cycled(prog, citrate_es, rho0, citrate_cat)
+    cycled = pl.execute_cycled(prog, citrate_es, rho0)
     assert np.abs(cycled - states[0]).max() <= 1e-12
 
 
@@ -131,8 +130,8 @@ def test_epr_reduced_states_maximally_mixed(citrate_es):
         assert np.abs(red - np.eye(2) / 2).max() <= 1e-12
 
 
-def test_ghz_state(demo3_es, demo3_cat):
-    rep = pr.ghz_create(demo3_es, demo3_cat)
+def test_ghz_state(demo3_es):
+    rep = pr.ghz_create(demo3_es)
     assert rep.metrics["tq_amplitude"] == pytest.approx(0.5, abs=1e-9)
     assert rep.metrics["zq_offdiag_amplitude"] <= 1e-9
     assert rep.metrics["sq_amplitude"] <= 1e-9
@@ -140,12 +139,12 @@ def test_ghz_state(demo3_es, demo3_cat):
     assert rep.metrics["state_error"] <= 1e-9
 
 
-def test_ghz_cycle_rows_identical(demo3_es, demo3_cat):
-    rep = pr.ghz_create(demo3_es, demo3_cat)
+def test_ghz_cycle_rows_identical(demo3_es):
+    rep = pr.ghz_create(demo3_es)
     prog = pl.parse_program(rep.program_text)
     tid = int(rep.info["pops_transition"][1:])
-    rho0 = pr.pops_pair(demo3_es, tid, demo3_cat).final_state
-    states = [pl.execute(prog, demo3_es, rho0, demo3_cat, row=r)
+    rho0 = pr.pops_pair(demo3_es, tid).final_state
+    states = [pl.execute(prog, demo3_es, rho0, row=r)
               for r in range(16)]
     for s in states[1:]:
         assert np.abs(s - states[0]).max() <= 1e-12
@@ -158,9 +157,8 @@ def test_gate_identity_is_empty(compound1_es):
 
 
 def test_all_gates_truth_tables(compound1_es):
-    cat = core.transition_catalog(compound1_es)
     for g in range(1, 25):
-        rep = pr.gate_library_2spin(compound1_es, g, cat)
+        rep = pr.gate_library_2spin(compound1_es, g)
         assert rep.metrics["truth_table_ok"] == 1.0, f"gate {g}"
 
 
@@ -174,7 +172,6 @@ def test_cnot_is_single_pulse(compound1_es):
 
 
 def test_gate_composition(compound1_es):
-    cat = core.transition_catalog(compound1_es)
     rng = np.random.default_rng(4)
     perms = pr.GATE_PERMUTATIONS
     for _ in range(10):
@@ -182,28 +179,28 @@ def test_gate_composition(compound1_es):
         p1, p2 = perms[g1 - 1], perms[g2 - 1]
         composed = tuple(p2[p1[k]] for k in range(4))
         g12 = perms.index(composed) + 1
-        r1 = pr.gate_library_2spin(compound1_es, g1, cat)
-        r2 = pr.gate_library_2spin(compound1_es, g2, cat)
-        r12 = pr.gate_library_2spin(compound1_es, g12, cat)
+        r1 = pr.gate_library_2spin(compound1_es, g1)
+        r2 = pr.gate_library_2spin(compound1_es, g2)
+        r12 = pr.gate_library_2spin(compound1_es, g12)
         combined = pl.parse_program(r1.program_text + r2.program_text)
         rho0 = dyn.equilibrium_deviation(compound1_es)
-        a = pl.execute(combined, compound1_es, rho0, cat)
+        a = pl.execute(combined, compound1_es, rho0)
         b = pl.execute(pl.parse_program(r12.program_text), compound1_es,
-                       rho0, cat)
+                       rho0)
         assert np.abs(np.diag(a) - np.diag(b)).max() <= 1e-12
 
 
-def test_c3not(demo4_es, demo4_cat):
-    rep = pr.c3not_4spin(demo4_es, demo4_cat)
+def test_c3not(demo4_es):
+    rep = pr.c3not_4spin(demo4_es)
     assert rep.metrics["truth_table_ok"] == 1.0
     # applying the gate twice restores equilibrium populations
     prog = pl.parse_program(rep.program_text * 2)
     rho0 = dyn.equilibrium_deviation(demo4_es)
-    out = pl.execute(prog, demo4_es, rho0, demo4_cat)
+    out = pl.execute(prog, demo4_es, rho0)
     assert np.abs(np.real(np.diag(out)) - np.real(np.diag(rho0))).max() <= 1e-12
 
 
-def test_c2swap_eq20(demo4_es, demo4_cat):
+def test_c2swap_eq20(demo4_es):
     es = demo4_es
     i1110 = es.index_of_label("1110")
     i1101 = es.index_of_label("1101")
@@ -211,33 +208,32 @@ def test_c2swap_eq20(demo4_es, demo4_cat):
     rin = np.zeros((16, 16), dtype=complex)
     rin[i1110, i1110] = 1.0
     rin[i1010, i1010] = -1.0
-    rep = pr.c2swap_4spin(es, demo4_cat, rho0=rin)
+    rep = pr.c2swap_4spin(es, rho0=rin)
     expect = np.zeros((16, 16), dtype=complex)
     expect[i1101, i1101] = 1.0
     expect[i1010, i1010] = -1.0
     assert np.abs(rep.final_state - expect).max() <= 1e-12
 
 
-def test_c2swap_matches_pops(demo4_es, demo4_cat):
-    rep = pr.c2swap_4spin(demo4_es, demo4_cat)
+def test_c2swap_matches_pops(demo4_es):
+    rep = pr.c2swap_4spin(demo4_es)
     assert rep.metrics["pops_output_error"] <= 1e-10
     assert rep.metrics["truth_table_ok"] == 1.0
 
 
 @pytest.mark.parametrize("f", sorted(pr.DJ2_PATTERNS))
-def test_dj_two_qubit_verdicts(demo3_es, demo3_cat, f):
-    rep = pr.dj_two_qubit_2d(demo3_es, f, demo3_cat,
-                             t1_points=256, t2_points=1024)
+def test_dj_two_qubit_verdicts(demo3_es, f):
+    rep = pr.dj_two_qubit_2d(demo3_es, f, t1_points=256, t2_points=1024)
     assert rep.info["verdict"] == pr.DJ2_TRUTH[f]
     from spinsim import acquisition as acq
     dataset = acq.run_2d(pl.parse_program(rep.program_text), demo3_es,
                          dyn.equilibrium_deviation(demo3_es), 256,
-                         acq.default_tomo_dwell(demo3_es), demo3_cat)
+                         acq.default_tomo_dwell(demo3_es))
     assert dataset.data.shape == (256, 1024)
 
 
 @pytest.mark.parametrize("f", sorted(pr.DJ2_PATTERNS))
-def test_dj2_runs_its_t1_prefix_once(demo3_es, demo3_cat, monkeypatch, f):
+def test_dj2_runs_its_t1_prefix_once(demo3_es, monkeypatch, f):
     # one free evolution per call: U_f acts on the identity reference's t1
     # stack, and what the verdict reads is, bit for bit, the t1 stack of
     # the emitted program (and of f1's for the reference; f1 reads its own
@@ -256,16 +252,16 @@ def test_dj2_runs_its_t1_prefix_once(demo3_es, demo3_cat, monkeypatch, f):
 
     monkeypatch.setattr(dyn, "free_evolution", counting)
     monkeypatch.setattr(acq, "hann_peaks_2d", recording)
-    rep = pr.dj_two_qubit_2d(demo3_es, f, demo3_cat, 64, 256)
+    rep = pr.dj_two_qubit_2d(demo3_es, f, 64, 256)
     assert len(calls) == 1 and len(read) == 1
     monkeypatch.undo()
 
     def stack(text):
         return acq.t1_stack(pl.parse_program(text), demo3_es,
                             dyn.equilibrium_deviation(demo3_es), 64,
-                            acq.default_tomo_dwell(demo3_es), demo3_cat)[1]
+                            acq.default_tomo_dwell(demo3_es))[1]
 
-    f1 = pr.dj_two_qubit_2d(demo3_es, "f1", demo3_cat, 64, 256)
+    f1 = pr.dj_two_qubit_2d(demo3_es, "f1", 64, 256)
     want = stack(rep.program_text)
     if f != "f1":
         want = np.stack([stack(f1.program_text), want])
@@ -276,24 +272,21 @@ def _remapped_demo3(demo3_es):
     labels = list(demo3_es.labels)
     ia, ib = labels.index("011"), labels.index("101")
     labels[ia], labels[ib] = labels[ib], labels[ia]
-    es2 = dataclasses.replace(demo3_es, labels=tuple(labels))
-    return es2, core.transition_catalog(es2)
+    return dataclasses.replace(demo3_es, labels=tuple(labels))
 
 
-def test_dj2_label_remap_option(demo3_es, demo3_cat):
+def test_dj2_label_remap_option(demo3_es):
     # swapping two input-manifold labels is exposed as a relabeled system;
     # the algorithm still classifies correctly
-    es2, cat2 = _remapped_demo3(demo3_es)
-    rep = pr.dj_two_qubit_2d(es2, "f1", cat2, t1_points=256,
-                             t2_points=1024)
+    es2 = _remapped_demo3(demo3_es)
+    rep = pr.dj_two_qubit_2d(es2, "f1", t1_points=256, t2_points=1024)
     assert rep.info["verdict"] == "constant"
-    rep = pr.dj_two_qubit_2d(es2, "f5", cat2, t1_points=256,
-                             t2_points=1024)
+    rep = pr.dj_two_qubit_2d(es2, "f5", t1_points=256, t2_points=1024)
     assert rep.info["verdict"] == "balanced"
 
 
-def test_protocol_report_format(citrate_es, citrate_cat):
-    rep = pr.epr_create(citrate_es, citrate_cat)
+def test_protocol_report_format(citrate_es):
+    rep = pr.epr_create(citrate_es)
     text = rep.format_report()
     assert text.startswith("name=epr\n")
     assert "dq_amplitude=0.5\n" in text
@@ -305,28 +298,27 @@ def _shipped_program(name):
         "data", "programs", name).read_text(encoding="utf-8")
 
 
-def test_shipped_programs_match_emitters(citrate_es, citrate_cat,
-                                         demo3_es, demo3_cat):
-    es, cat = citrate_es, citrate_cat
-    emitted = {f"pps{t}.pp": pr.pseudopure_2spin(es, t, cat)
+def test_shipped_programs_match_emitters(citrate_es, demo3_es):
+    es = citrate_es
+    emitted = {f"pps{t}.pp": pr.pseudopure_2spin(es, t)
                for t in ("00", "01", "10", "11")}
-    emitted.update({f"dj1_{f}.pp": pr.dj_one_qubit(es, f, cat)
+    emitted.update({f"dj1_{f}.pp": pr.dj_one_qubit(es, f)
                     for f in pr.DJ1_TRUTH})
-    emitted["epr.pp"] = pr.epr_create(es, cat)
+    emitted["epr.pp"] = pr.epr_create(es)
     for name, rep in emitted.items():
         assert _shipped_program(name) == rep.program_text, name
-    ghz = pr.ghz_create(demo3_es, demo3_cat).program_text
+    ghz = pr.ghz_create(demo3_es).program_text
     assert _shipped_program("ghz.pp").endswith(ghz)
 
 
-def _fft2_dj2(es, f, catalog, t1_points, t2_points):
+def _fft2_dj2(es, f, t1_points, t2_points):
     """Reference: the DJ2 classifier on full Hann-windowed fft2 spectra.
 
     Returns (info, metrics, program_text), or the ProtocolError message."""
     from spinsim import acquisition as acq
     try:
         dwell1 = dwell2 = acq.default_tomo_dwell(es)
-        work = pr._work_transitions(es, catalog)
+        work = pr._work_transitions(es)
         for t in work:
             if abs(es.mz[t.lower] - es.mz[t.upper]) != 1:
                 raise pr.ProtocolError("work transitions must be single quantum")
@@ -339,12 +331,12 @@ def _fft2_dj2(es, f, catalog, t1_points, t2_points):
         text += f"acquire {t2_points} {dwell2:.12g}\n"
         program = pl.parse_program(text, source=f"dj2_{f}")
         rho0 = dyn.equilibrium_deviation(es)
-        dataset = acq.run_2d(program, es, rho0, t1_points, dwell1, catalog)
+        dataset = acq.run_2d(program, es, rho0, t1_points, dwell1)
         win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
         spec = np.abs(np.fft.fft2(dataset.data * win))
         ref_text = f"pulse 90 y\ndelay t1\nacquire {t2_points} {dwell2:.12g}\n"
         ref = acq.run_2d(pl.parse_program(ref_text, source="dj2_ref"),
-                         es, rho0, t1_points, dwell1, catalog)
+                         es, rho0, t1_points, dwell1)
         ref_spec = np.abs(np.fft.fft2(ref.data * win))
 
         def bin1(freq):
@@ -355,7 +347,7 @@ def _fft2_dj2(es, f, catalog, t1_points, t2_points):
 
         outcomes = {}
         ref_max = 0.0
-        lines = pr._input_lines(es, catalog)
+        lines = pr._input_lines(es)
         refs = {}
         for line, partner, _ in lines:
             r = float(ref_spec[bin1(line.freq_hz), bin2(line.freq_hz)])
@@ -395,9 +387,9 @@ def _fft2_dj2(es, f, catalog, t1_points, t2_points):
     return info, metrics, text
 
 
-def _bin_dj2(es, f, catalog, t1_points, t2_points):
+def _bin_dj2(es, f, t1_points, t2_points):
     try:
-        rep = pr.dj_two_qubit_2d(es, f, catalog, t1_points, t2_points)
+        rep = pr.dj_two_qubit_2d(es, f, t1_points, t2_points)
     except pr.ProtocolError as exc:
         return str(exc)
     return rep.info, rep.metrics, rep.program_text
@@ -420,11 +412,10 @@ def _random_3spin(seed):
     offs = rng.uniform(-250, 250, 3)
     j = np.triu(rng.uniform(-10, 10, (3, 3)), 1)
     d = np.triu(rng.uniform(-250, 250, (3, 3)), 1)
-    es = core.eigensystem(core.SpinSystem.create("r3", offs, j + j.T, d + d.T))
-    return es, core.transition_catalog(es)
+    return core.eigensystem(core.SpinSystem.create("r3", offs, j + j.T, d + d.T))
 
 
-def _check_bin_magnitudes(es, cat):
+def _check_bin_magnitudes(es):
     """The line-amplitude readout against the windowed DFT of run_2d's data
     (and that against a full fft2) at the bins DJ2 reads, for every
     function's program, within 1e-12 of the identity reference's (f1's)
@@ -433,28 +424,27 @@ def _check_bin_magnitudes(es, cat):
     from spinsim import acquisition as acq
     dwell = acq.default_tomo_dwell(es)
     rho0 = dyn.equilibrium_deviation(es)
-    lines = pr._input_lines(es, cat)
+    lines = pr._input_lines(es)
     for t1_points, t2_points in ((32, 16), (64, 256), (256, 1024)):
         rows = sorted({int(round(line.freq_hz * t1_points * dwell))
                        for line, _, _ in lines})
         cols = sorted({int(round(t.freq_hz * t2_points * dwell))
                        for line, partner, _ in lines for t in (line, partner)})
         win = np.outer(np.hanning(t1_points), np.hanning(t2_points))
-        _, reference = pr._dj2_program(es, "f1", cat, t2_points, dwell)
-        _, ref = acq.t1_stack(reference, es, rho0, t1_points, dwell, cat)
+        _, reference = pr._dj2_program(es, "f1", t2_points, dwell)
+        _, ref = acq.t1_stack(reference, es, rho0, t1_points, dwell)
         for f in sorted(pr.DJ2_PATTERNS):       # f1 first
-            _, program = pr._dj2_program(es, f, cat, t2_points, dwell)
-            data = acq.run_2d(program, es, rho0, t1_points, dwell, cat).data
+            _, program = pr._dj2_program(es, f, t2_points, dwell)
+            data = acq.run_2d(program, es, rho0, t1_points, dwell).data
             want = _data_hann_magnitudes(data, rows, cols)
             full = np.abs(np.fft.fft2(data * win))
             wrapped = np.ix_(np.mod(rows, t1_points), np.mod(cols, t2_points))
             assert np.abs(want - full[wrapped]).max() <= 1e-12 * full.max()
             if f == "f1":
                 ref_max = want.max()
-            acquire, rho = acq.t1_stack(program, es, rho0, t1_points, dwell,
-                                        cat)
+            acquire, rho = acq.t1_stack(program, es, rho0, t1_points, dwell)
             _, got = acq.hann_peaks_2d(es, np.stack([ref, rho]), acquire,
-                                       rows, cols, cat)
+                                       rows, cols)
             assert got.shape == (len(rows), len(cols))
             err = np.abs(got - want).max()
             assert err <= 1e-12 * ref_max, (f, t1_points, t2_points,
@@ -462,15 +452,14 @@ def _check_bin_magnitudes(es, cat):
 
 
 @pytest.mark.parametrize("remap", [False, True])
-def test_dj2_bin_magnitudes_match_fft2(demo3_es, demo3_cat, remap):
-    _check_bin_magnitudes(*(_remapped_demo3(demo3_es) if remap
-                            else (demo3_es, demo3_cat)))
+def test_dj2_bin_magnitudes_match_fft2(demo3_es, remap):
+    _check_bin_magnitudes(_remapped_demo3(demo3_es) if remap else demo3_es)
 
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 @pytest.mark.parametrize("seed", range(12))
 def test_dj2_bin_magnitudes_match_fft2_random(seed):
-    _check_bin_magnitudes(*_random_3spin(seed))
+    _check_bin_magnitudes(_random_3spin(seed))
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -481,39 +470,40 @@ def test_dj2_bin_magnitudes_match_fft2_random(seed):
     ((256, 2), "the 256x2 grid reads no reference signal at the "
                "input-qubit lines"),
 ])
-def test_dj2_rejects_unreadable_grids(demo3_es, demo3_cat, grid, message):
+def test_dj2_rejects_unreadable_grids(demo3_es, grid, message):
     # a 2-point Hann window is all zeros, and one t2 column cannot hold a
     # diagonal and a cross peak apart: no verdict, for every function
     for f in sorted(pr.DJ2_PATTERNS):
         with pytest.raises(pr.ProtocolError) as exc:
-            pr.dj_two_qubit_2d(demo3_es, f, demo3_cat, *grid)
+            pr.dj_two_qubit_2d(demo3_es, f, *grid)
         assert str(exc.value) == message
-        assert _fft2_dj2(demo3_es, f, demo3_cat, *grid) == message
+        assert _fft2_dj2(demo3_es, f, *grid) == message
 
 
 @pytest.mark.parametrize("grid", [(1, 1), (1, 2), (3, 16), (32, 16),
                                   (64, 256), (256, 1024)])
-def test_dj2_reports_match_fft2_classifier(demo3_es, demo3_cat, grid):
+def test_dj2_reports_match_fft2_classifier(demo3_es, grid):
     for f in sorted(pr.DJ2_PATTERNS):
-        assert (_bin_dj2(demo3_es, f, demo3_cat, *grid)
-                == _fft2_dj2(demo3_es, f, demo3_cat, *grid)), f
+        assert (_bin_dj2(demo3_es, f, *grid)
+                == _fft2_dj2(demo3_es, f, *grid)), f
 
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 @pytest.mark.parametrize("seed", range(12))
 def test_dj2_reports_match_fft2_classifier_random(seed):
-    es, cat = _random_3spin(seed)
+    es = _random_3spin(seed)
     for grid in ((256, 1024), (32, 64)):
         for f in sorted(pr.DJ2_PATTERNS):
-            assert (_bin_dj2(es, f, cat, *grid)
-                    == _fft2_dj2(es, f, cat, *grid)), (f, grid)
+            assert (_bin_dj2(es, f, *grid)
+                    == _fft2_dj2(es, f, *grid)), (f, grid)
 
 
 # ---------------------------------------------------------------------------
 # the GHZ ladder and the coherence-order metrics against per-element loops
 
-def _ladder_loop(es, catalog):
+def _ladder_loop(es):
     """The ladder search as a loop over every candidate pair of states."""
+    catalog = core.transition_catalog(es)
     i000, i111 = es.index_of_label("000"), es.index_of_label("111")
     i001 = es.index_of_label("001")
     best = None
@@ -556,9 +546,7 @@ def _random_system(rng, n, weak):
     j = np.triu(rng.uniform(-10, 10, (n, n)), 1)
     d = np.triu(rng.uniform(-250, 250, (n, n)), 1) * (not weak)
     sys_ = core.SpinSystem.create(f"r{n}", offs, j + j.T, d + d.T)
-    es = core.eigensystem(sys_, weak=weak)
-    # threshold 0: every line is observable, so every protocol runs
-    return es, core.transition_catalog(es, 0.0)
+    return core.eigensystem(sys_, weak=weak)
 
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
@@ -566,10 +554,11 @@ def test_ghz_ladder_and_metrics_match_loops():
     rng = np.random.default_rng(1400)
     for case in range(200):
         # equal intensities in the weak cases leave the choice to the indices
-        es, cat = _random_system(rng, 3, weak=case % 4 == 3)
-        ladder = tuple(t.tid for t in pr.find_ghz_ladder(es, cat))
-        assert ladder == _ladder_loop(es, cat), case
-        rep = pr.ghz_create(es, cat)
+        es = _random_system(rng, 3, weak=case % 4 == 3)
+        ladder = tuple(t.tid for t in pr.find_ghz_ladder(es))
+        assert ladder == _ladder_loop(es), case
+        # threshold 0: every line is observable, so the protocol runs
+        rep = pr.ghz_create(es, 0.0)
         assert rep.info["ladder"] == ",".join(f"t{tid}" for tid in ladder)
         got = [rep.metrics[k] for k in ("zq_offdiag_amplitude",
                                         "sq_amplitude", "dq_amplitude")]
@@ -580,8 +569,8 @@ def test_ghz_ladder_and_metrics_match_loops():
 def test_epr_sq_amplitude_matches_loop():
     rng = np.random.default_rng(1401)
     for case in range(200):
-        es, cat = _random_system(rng, 2, weak=case % 4 == 3)
-        rep = pr.epr_create(es, cat)
+        es = _random_system(rng, 2, weak=case % 4 == 3)
+        rep = pr.epr_create(es)
         rho = rep.final_state
         sq = max(abs(rho[k, l]) for k in range(4) for l in range(4)
                  if abs(es.mz[k] - es.mz[l]) == 1)

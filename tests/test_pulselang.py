@@ -81,14 +81,14 @@ def test_roundtrip_random_programs(lines):
     assert pl.parse_program(pl.format_program(prog)) == prog
 
 
-def test_unknown_transition_rejected(citrate_es, citrate_cat):
+def test_unknown_transition_rejected(citrate_es):
     prog = pl.parse_program("selpulse t9 90 x\n")
     rho = dyn.equilibrium_deviation(citrate_es)
     with pytest.raises(pl.PulseProgramError, match="unknown transition"):
-        pl.execute(prog, citrate_es, rho, citrate_cat)
+        pl.execute(prog, citrate_es, rho)
     prog = pl.parse_program("selpulse (000,001) 90 x\n")
     with pytest.raises(pl.PulseProgramError, match="unknown transition"):
-        pl.execute(prog, citrate_es, rho, citrate_cat)
+        pl.execute(prog, citrate_es, rho)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -100,51 +100,51 @@ def test_unknown_transition_rejected(citrate_es, citrate_cat):
     ("cycle P\nrow x\nrow y -\ngrad\n    delay t2\n",
      "prog.pp:5:5: unresolved symbolic delay t2"),
 ])
-def test_runtime_errors_carry_location(citrate_es, citrate_cat, text, message):
+def test_runtime_errors_carry_location(citrate_es, text, message):
     prog = pl.parse_program(text, source="prog.pp")
     rho = dyn.equilibrium_deviation(citrate_es)
     for run in (pl.execute, pl.execute_cycled):
         with pytest.raises(pl.PulseProgramError) as err:
-            run(prog, citrate_es, rho, citrate_cat)
+            run(prog, citrate_es, rho)
         assert str(err.value) == message
 
 
-def test_empty_program_is_identity(citrate_es, citrate_cat):
+def test_empty_program_is_identity(citrate_es):
     rho = dyn.equilibrium_deviation(citrate_es)
-    out = pl.execute(pl.parse_program(""), citrate_es, rho, citrate_cat)
+    out = pl.execute(pl.parse_program(""), citrate_es, rho)
     assert np.array_equal(out, rho)
 
 
-def test_execution_is_compositional(citrate_es, citrate_cat):
+def test_execution_is_compositional(citrate_es):
     text_a = "selpulse t1 70 y\ngrad\n"
     text_b = "pulse 90 -y\nselpulse t2 45 x\n"
     rho = dyn.equilibrium_deviation(citrate_es)
     combined = pl.execute(pl.parse_program(text_a + text_b),
-                          citrate_es, rho, citrate_cat)
-    step = pl.execute(pl.parse_program(text_a), citrate_es, rho, citrate_cat)
-    step = pl.execute(pl.parse_program(text_b), citrate_es, step, citrate_cat)
+                          citrate_es, rho)
+    step = pl.execute(pl.parse_program(text_a), citrate_es, rho)
+    step = pl.execute(pl.parse_program(text_b), citrate_es, step)
     assert np.abs(combined - step).max() <= 1e-14
 
 
-def test_pseudopure_program_execution(citrate_es, citrate_cat):
+def test_pseudopure_program_execution(citrate_es):
     from spinsim.protocols import THETA_THIRD_DEG
     text = (f"selpulse (10,11) {THETA_THIRD_DEG:.12g} x\ngrad\n"
             "selpulse (01,11) 90 x\ngrad\n")
     rho = pl.execute(pl.parse_program(text), citrate_es,
-                     dyn.equilibrium_deviation(citrate_es), citrate_cat)
+                     dyn.equilibrium_deviation(citrate_es))
     perm = [citrate_es.index_of_label(l) for l in ("00", "01", "10", "11")]
     pops = np.real(np.diag(rho))[perm]
     assert np.allclose(pops, [1, -1 / 3, -1 / 3, -1 / 3], atol=1e-12)
 
 
-def test_epr_program_from_pps(citrate_es, citrate_cat):
+def test_epr_program_from_pps(citrate_es):
     es = citrate_es
     prog = pl.parse_program(EPR_TEXT)
     # start from the pure |00> projector to compare with the textbook matrix
     p0 = np.zeros((4, 4), dtype=complex)
     i00 = es.index_of_label("00")
     p0[i00, i00] = 1.0
-    out = pl.execute(prog, es, p0, citrate_cat)
+    out = pl.execute(prog, es, p0)
     perm = [es.index_of_label(l) for l in ("00", "01", "10", "11")]
     eq12 = 0.5 * np.array([[1, 0, 0, 1], [0, 0, 0, 0],
                            [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex)
@@ -153,59 +153,59 @@ def test_epr_program_from_pps(citrate_es, citrate_cat):
     text = ("cycle P1 P2\nrow x -x +\n"
             "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n")
     out = pl.execute_cycled(pl.parse_program(text), es,
-                            p0, citrate_cat)
+                            p0)
     assert np.abs(out[np.ix_(perm, perm)] - eq12).max() <= 1e-12
 
 
-def test_single_row_cycle_equals_execute(citrate_es, citrate_cat):
+def test_single_row_cycle_equals_execute(citrate_es):
     text = ("cycle P\nrow y +\n"
             "selpulse t1 90 $P\npulse 45 x\n")
     prog = pl.parse_program(text)
     rho = dyn.equilibrium_deviation(citrate_es)
-    a = pl.execute(prog, citrate_es, rho, citrate_cat)
-    b = pl.execute_cycled(prog, citrate_es, rho, citrate_cat)
+    a = pl.execute(prog, citrate_es, rho)
+    b = pl.execute_cycled(prog, citrate_es, rho)
     assert np.array_equal(a, b)
 
 
-def test_identical_rows_cycle_equals_single(citrate_es, citrate_cat):
+def test_identical_rows_cycle_equals_single(citrate_es):
     text = ("cycle P\nrow y +\nrow y +\nrow y +\n"
             "selpulse t1 90 $P\n")
     prog = pl.parse_program(text)
     rho = dyn.equilibrium_deviation(citrate_es)
-    a = pl.execute(prog, citrate_es, rho, citrate_cat)
-    b = pl.execute_cycled(prog, citrate_es, rho, citrate_cat)
+    a = pl.execute(prog, citrate_es, rho)
+    b = pl.execute_cycled(prog, citrate_es, rho)
     assert np.abs(a - b).max() <= 1e-14
 
 
-def test_receiver_weights(citrate_es, citrate_cat):
+def test_receiver_weights(citrate_es):
     # +1 and -1 receivers on identical rows cancel exactly
     text = ("cycle P\nrow x +\nrow x -\n"
             "selpulse t1 90 $P\n")
     out = pl.execute_cycled(pl.parse_program(text), citrate_es,
-                            dyn.equilibrium_deviation(citrate_es), citrate_cat)
+                            dyn.equilibrium_deviation(citrate_es))
     assert np.abs(out).max() <= 1e-14
 
 
-def test_symbolic_delay_binding(citrate_es, citrate_cat):
+def test_symbolic_delay_binding(citrate_es):
     prog = pl.parse_program("delay t1\n")
     rho = dyn.equilibrium_deviation(citrate_es)
     with pytest.raises(pl.PulseProgramError, match="unresolved symbolic"):
-        pl.execute(prog, citrate_es, rho, citrate_cat)
-    out = pl.execute(prog, citrate_es, rho, citrate_cat, t1=0.01)
+        pl.execute(prog, citrate_es, rho)
+    out = pl.execute(prog, citrate_es, rho, t1=0.01)
     assert np.allclose(out, rho)  # diagonal state is invariant
 
 
-def test_acquire_not_executable(citrate_es, citrate_cat):
+def test_acquire_not_executable(citrate_es):
     prog = pl.parse_program("acquire 64 0.001\n")
     with pytest.raises(pl.PulseProgramError, match="acquire"):
         pl.execute(prog, citrate_es,
-                   dyn.equilibrium_deviation(citrate_es), citrate_cat)
+                   dyn.equilibrium_deviation(citrate_es))
 
 
 # ---------------------------------------------------------------------------
 # the branch walk of execute_cycled against running the rows one by one
 
-def reference_execute(program, es, rho0, catalog, row=0, t1=None, t2=None):
+def reference_execute(program, es, rho0, row=0, t1=None, t2=None):
     """Reference: the instructions applied one at a time to one cycle row,
     every unitary built anew."""
     rho = rho0.copy()
@@ -215,7 +215,7 @@ def reference_execute(program, es, rho0, catalog, row=0, t1=None, t2=None):
             ph = (spec.degrees if spec.slot is None
                   else program.cycle.phase_of(spec.slot, row))
         if isinstance(ins, pl.SelPulse):
-            lo, up = pl.resolve_transition(ins.ref, es, catalog)
+            lo, up = pl.resolve_transition(ins.ref, es)
             u = dyn.selective_pulse_unitary(es, lo, up, ins.angle_deg, ph)
             rho = dyn.apply_unitary(rho, u)
         elif isinstance(ins, pl.HardPulse):
@@ -230,12 +230,12 @@ def reference_execute(program, es, rho0, catalog, row=0, t1=None, t2=None):
     return rho
 
 
-def reference_cycled(program, es, rho0, catalog, t1=None, t2=None):
+def reference_cycled(program, es, rho0, t1=None, t2=None):
     """Reference: every cycle row run on its own, weighted by its receiver,
     stacked and averaged."""
     if program.cycle is None:
-        return reference_execute(program, es, rho0, catalog, t1=t1, t2=t2)
-    mats = [recv * reference_execute(program, es, rho0, catalog, row, t1, t2)
+        return reference_execute(program, es, rho0, t1=t1, t2=t2)
+    mats = [recv * reference_execute(program, es, rho0, row, t1, t2)
             for row, recv in enumerate(program.cycle.receivers)]
     return np.mean(np.stack(mats), axis=0)
 
@@ -270,11 +270,11 @@ def branches_merge(program):
                for k in range(1, len(program.instructions)))
 
 
-def assert_tree_matches_rows(program, es, rho0, catalog, t1=None):
+def assert_tree_matches_rows(program, es, rho0, t1=None):
     """Within 1e-13 * rows * max|rho0| of the rows run one by one, and the
     same bits when no two branches can merge."""
-    got = pl.execute_cycled(program, es, rho0, catalog, t1=t1)
-    want = reference_cycled(program, es, rho0, catalog, t1=t1)
+    got = pl.execute_cycled(program, es, rho0, t1=t1)
+    want = reference_cycled(program, es, rho0, t1=t1)
     if not branches_merge(program):
         assert_same_bits(got, want)
     rows = 1 if program.cycle is None else len(program.cycle.rows)
@@ -288,13 +288,13 @@ _PHASES = ("x", "y", "-x", "-y", "deg:33.25")
 
 @functools.cache
 def strongly_coupled(n):
-    """Eigensystem and catalog of a fixed strongly coupled n-spin system."""
+    """Eigensystem of a fixed strongly coupled n-spin system."""
     rng = np.random.default_rng(100 + n)
     j = np.triu(rng.uniform(-40, 40, (n, n)), 1)
     d = np.triu(rng.uniform(-150, 150, (n, n)), 1)
     es = core.eigensystem(core.SpinSystem.create(
         f"s{n}", rng.uniform(-200, 200, n), j + j.T, d + d.T))
-    return es, core.transition_catalog(es)
+    return es
 
 
 def random_state(es, seed):
@@ -338,9 +338,9 @@ def cycled_cases(draw):
 @given(cycled_cases())
 def test_prefix_tree_equals_rows_one_by_one(case):
     n, text, seed = case
-    es, cat = strongly_coupled(n)
+    es = strongly_coupled(n)
     rho0 = dyn.equilibrium_deviation(es) if seed is None else random_state(es, seed)
-    assert_tree_matches_rows(pl.parse_program(text), es, rho0, cat, t1=_T1)
+    assert_tree_matches_rows(pl.parse_program(text), es, rho0, t1=_T1)
 
 
 def _shipped_program(name):
@@ -353,7 +353,7 @@ def _shipped_program(name):
     return prog
 
 
-def test_prefix_tree_shipped_programs(citrate_es, citrate_cat, demo3_es, demo3_cat):
+def test_prefix_tree_shipped_programs(citrate_es, demo3_es):
     p0 = np.zeros((4, 4), dtype=complex)
     p0[citrate_es.index_of_label("00"), citrate_es.index_of_label("00")] = 1.0
     # EPR's rows differ in their last phase and tomo_mq has no cycle, so
@@ -361,11 +361,11 @@ def test_prefix_tree_shipped_programs(citrate_es, citrate_cat, demo3_es, demo3_c
     assert not branches_merge(_shipped_program("epr.pp"))
     assert branches_merge(_shipped_program("ghz.pp"))
     assert_tree_matches_rows(_shipped_program("epr.pp"), citrate_es,
-                             p0, citrate_cat)
+                             p0)
     assert_tree_matches_rows(_shipped_program("ghz.pp"), demo3_es,
-                             random_state(demo3_es, 3), demo3_cat)
+                             random_state(demo3_es, 3))
     assert_tree_matches_rows(_shipped_program("tomo_mq.pp"), citrate_es,
-                             random_state(citrate_es, 4), citrate_cat, t1=_T1)
+                             random_state(citrate_es, 4), t1=_T1)
 
 
 # rows 1 and 2 are identical and row 3 has the - receiver; a slot-phased
@@ -390,10 +390,10 @@ pulse 30 -x
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 def test_prefix_tree_eight_spins():
-    es, cat = strongly_coupled(8)
+    es = strongly_coupled(8)
     prog = pl.parse_program(SPIN8_CYCLED)
-    assert_tree_matches_rows(prog, es, dyn.equilibrium_deviation(es), cat)
-    assert_tree_matches_rows(prog, es, random_state(es, 8), cat)
+    assert_tree_matches_rows(prog, es, dyn.equilibrium_deviation(es))
+    assert_tree_matches_rows(prog, es, random_state(es, 8))
 
 
 # the shape of the bench's phase-cycled programs: from the crusher on
@@ -422,10 +422,10 @@ selpulse t3 45 y
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 def test_summed_branches_run_the_last_hard_pulse_once(monkeypatch):
-    es, cat = strongly_coupled(8)
+    es = strongly_coupled(8)
     prog = pl.parse_program(BIGSPIN_SHAPED)
     rho0 = random_state(es, 21)
-    want = reference_cycled(prog, es, rho0, cat)
+    want = reference_cycled(prog, es, rho0)
     angles, applied = {}, []
     build, apply = dyn.hard_pulse_unitary, dyn.apply_unitary
 
@@ -440,15 +440,14 @@ def test_summed_branches_run_the_last_hard_pulse_once(monkeypatch):
 
     monkeypatch.setattr(dyn, "hard_pulse_unitary", counted_build)
     monkeypatch.setattr(dyn, "apply_unitary", counted_apply)
-    got = pl.execute_cycled(prog, es, rho0, cat)
+    got = pl.execute_cycled(prog, es, rho0)
     # once per P1 value (x, -x, y, -y) before the crusher, once after it
     assert sorted(applied) == [73.5] * 4 + [151.25]
     assert len(angles) == 5
     assert np.abs(got - want).max() <= 1e-13 * 8 * np.abs(rho0).max()
 
 
-def test_slot_phased_hard_pulse_built_once_per_phase(citrate_es, citrate_cat,
-                                                     monkeypatch):
+def test_slot_phased_hard_pulse_built_once_per_phase(citrate_es, monkeypatch):
     built = []
     build = dyn.hard_pulse_unitary
 
@@ -463,8 +462,7 @@ def test_slot_phased_hard_pulse_built_once_per_phase(citrate_es, citrate_cat,
                             "row x y x +\nrow -x y -x -\nrow y y x +\n"
                             "selpulse t1 90 $P1\npulse 45 $P2\n"
                             "selpulse t2 90 $P3\n")
-    pl.execute_cycled(prog, citrate_es, dyn.equilibrium_deviation(citrate_es),
-                      citrate_cat)
+    pl.execute_cycled(prog, citrate_es, dyn.equilibrium_deviation(citrate_es))
     assert built == [(45.0, 90.0)]
 
 
@@ -475,11 +473,11 @@ def test_slot_phased_hard_pulse_built_once_per_phase(citrate_es, citrate_cat,
     ("cycle P\nrow x +\nrow y -\npulse 90 $P\nacquire 8 0.001\n",
      "acquire cannot be executed"),
 ])
-def test_entry_points_raise_alike(citrate_es, citrate_cat, text, message):
+def test_entry_points_raise_alike(citrate_es, text, message):
     prog = pl.parse_program(text)
     rho = dyn.equilibrium_deviation(citrate_es)
     with pytest.raises(pl.PulseProgramError, match=message) as single:
-        pl.execute(prog, citrate_es, rho, citrate_cat)
+        pl.execute(prog, citrate_es, rho)
     with pytest.raises(pl.PulseProgramError) as cycled:
-        pl.execute_cycled(prog, citrate_es, rho, citrate_cat)
+        pl.execute_cycled(prog, citrate_es, rho)
     assert str(cycled.value) == str(single.value)

@@ -42,8 +42,9 @@ def ref_to_text(ds):
 
 
 def ref_to_gnuplot_grid(ds):
-    f1, f2, spec = ds.fft2()
-    mag = np.abs(spec)
+    f1 = np.fft.fftshift(np.fft.fftfreq(ds.t1_points, ds.dwell1))
+    f2 = np.fft.fftshift(np.fft.fftfreq(ds.t2_points, ds.dwell2))
+    mag = np.abs(np.fft.fftshift(np.fft.fft2(ds.data)))
     blocks = []
     for i, x in enumerate(f1):
         rows = [f"{x:.12g} {y:.12g} {mag[i, j]:.12g}" for j, y in enumerate(f2)]
