@@ -10,8 +10,9 @@ source location), so two checkouts that behave the same print the same
 lines.  Inputs that are not shipped with the package (6- and 8-spin
 systems, a 90-degree-pulse FID program, a phase-cycled program, a full
 5-spin and a thresholded 4-spin connectivity matrix, a program naming a
-missing transition, a file that is not UTF-8, and a 1-spin system with a
-program of selective pulses) are written from
+missing transition, a file that is not UTF-8, a 1-spin system with a
+program of selective pulses, and a 2-spin system whose eigenstate labels
+conflict) are written from
 the literals below into an ``inputs`` directory of the temporary directory
 first; ``{in}`` in an argv names it.  A case may read what an earlier case
 wrote, through ``{out}/../<earlier case>``.  BLAS runs on one thread, so
@@ -177,6 +178,15 @@ delay 0.0007
 selpulse t1 -90 y
 """
 
+# equal offsets: the two M_z = 0 eigenstates overlap 01 and 10 alike, so
+# labeling resolves one conflict and warns
+CONFLICT2 = """\
+name conflict2
+nspins 2
+offset_hz 50 50
+j_hz 1 2 10
+"""
+
 
 INPUTS = {
     "spin6.spin": SPIN6,
@@ -187,6 +197,7 @@ INPUTS = {
     "unknown_t9.pp": UNKNOWN_T9,
     "spin1.spin": SPIN1,
     "selpulse1.pp": SELPULSE1,
+    "conflict2.spin": CONFLICT2,
     # all 210 single-quantum pairs of 5 spins (manifolds of 1, 5, 10, 10, 5, 1)
     "full5.cm": full_connectivity((1, 5, 10, 10, 5, 1), 97),
     # a UTF-16 byte-order mark: the CLI must reject it with one error line
@@ -256,6 +267,19 @@ CASES = [
     ("protocol_epr", ["protocol", "epr", "citrate.spin", "--out", "{out}"]),
     ("protocol_c3not", ["protocol", "c3not", "demo4.spin", "--out", "{out}"]),
     ("protocol_c2swap", ["protocol", "c2swap", "demo4.spin", "--out", "{out}"]),
+    # one process, many Hamiltonians: weak right after strong coupling on
+    # one system, a label conflict warned on each run, and a case repeated
+    # after more than eight other Hamiltonians were diagonalized
+    ("eigen_demo3_again", ["eigen", "demo3.spin"]),
+    ("eigen_demo3_weak", ["eigen", "demo3.spin", "--weak"]),
+    ("eigen_conflict2", ["eigen", "{in}/conflict2.spin"]),
+    ("eigen_conflict2_again", ["eigen", "{in}/conflict2.spin"]),
+    ("eigen_compound1_weak", ["eigen", "compound1.spin", "--weak"]),
+    ("eigen_demo4_weak", ["eigen", "demo4.spin", "--weak"]),
+    ("eigen_spin1_weak", ["eigen", "{in}/spin1.spin", "--weak"]),
+    ("eigen_spin6_weak", ["eigen", "{in}/spin6.spin", "--weak"]),
+    ("eigen_spin8_weak", ["eigen", "{in}/spin8.spin", "--weak"]),
+    ("protocol_epr_again", ["protocol", "epr", "citrate.spin", "--out", "{out}"]),
 ]
 
 

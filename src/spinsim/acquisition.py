@@ -42,6 +42,16 @@ class AcquisitionError(ValueError):
 # floor; after ROADMAP item 1 step 1 the constant can drop to the crossover.
 _FACTORED_LINES = 4
 
+# the table path builds and applies its K x points exponentials in slices
+# of a power-of-two count of points, at least _TABLE_SLICE, and the largest
+# with at most _TABLE_ENTRIES exponentials: one slice for every system of 4
+# or fewer spins at up to 1024 points, 64-point slices (12 MB) in place of
+# a 187 MB table for all 11440 lines of 8 spins.  Power-of-two slices give
+# the bits of the whole table; OpenBLAS rounds a remainder of columns
+# differently.
+_TABLE_SLICE = 64
+_TABLE_ENTRIES = 1 << 16
+
 
 @dataclass
 class StickSpectrum:
@@ -108,8 +118,8 @@ def acquire_fid(es: EigenSystem, rho: np.ndarray,
 
     A stack of states gives one FID per state, shaped (..., points).
     Below ``_FACTORED_LINES`` lines per state and level the FID is a sum
-    over a table of one exponential per line and point; above, a sum over
-    per-level phases.
+    over a table of one exponential per line and point, built a slice of
+    points at a time; above, a sum over per-level phases.
     """
     _check_points(points)
     fplus = es.lowering_operator().conj().T
@@ -132,9 +142,16 @@ def acquire_fid(es: EigenSystem, rho: np.ndarray,
             fid += (p[r].conj() * wp).sum(axis=-2)
         return fid
     freqs = (es.energies[l] - es.energies[k]) / (2 * math.pi)
-    table = 2j * math.pi * freqs[:, None] * t
-    np.exp(table, out=table)            # in place: K x points is the peak memory
-    return w[..., k, l] @ table
+    amps = w[..., k, l]
+    step = _TABLE_SLICE
+    while step < points and 2 * step * k.size <= _TABLE_ENTRIES:
+        step *= 2
+    parts = []
+    for start in range(0, points, step):
+        table = 2j * math.pi * freqs[:, None] * t[start:start + step]
+        np.exp(table, out=table)        # in place: K x step is the peak memory
+        parts.append(amps @ table)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _level_phases(energies: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -597,6 +614,18 @@ def reconstruct_density(diag: np.ndarray,
 # ---------------------------------------------------------------------------
 # Z-COSY connectivity
 
+def _own_catalog(es: EigenSystem,
+                 catalog: TransitionCatalog | None) -> TransitionCatalog:
+    """The catalog of ``es``; a given ``catalog`` must have the same lines."""
+    own = transition_catalog(es)
+    if catalog is not None and catalog is not own and not all(
+            np.array_equal(getattr(catalog, c), getattr(own, c))
+            for c in ("lower", "upper", "freq_hz", "intensity")):
+        raise AcquisitionError("catalog is not the transition catalog of "
+                               "this eigensystem")
+    return own
+
+
 def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
                        catalog: TransitionCatalog | None = None
                        ) -> ConnectivityMatrix:
@@ -607,10 +636,9 @@ def zcosy_connectivity(es: EigenSystem, threshold: float = 0.05,
     a common top or bottom (regressive), 0 otherwise.  Observable
     transitions without any connection to the rest are dropped from the
     matrix and listed separately, the way an experimental table would omit
-    them.
+    them.  A ``catalog`` passed in must have the lines of ``es``'s own.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = _own_catalog(es, catalog)
     obs = np.flatnonzero(catalog.observable_at(threshold))
     tids = (obs + 1).tolist()
     m = connectivity(catalog.lower[obs], catalog.upper[obs])
@@ -641,10 +669,10 @@ def zcosy_time_domain(es: EigenSystem, beta_deg: float = 10.0,
     the diagonal peaks (which behave like regressive ones) so the result
     uses the progressive = +1 convention of the analytic matrix.  Requires
     no two transitions at exactly opposite frequencies (place the carrier
-    off the spectral center).
+    off the spectral center).  A ``catalog`` passed in must have the lines
+    of ``es``'s own.
     """
-    if catalog is None:
-        catalog = transition_catalog(es)
+    catalog = _own_catalog(es, catalog)
     opposite = np.abs(catalog.freq_hz[:, None] + catalog.freq_hz) < 1e-9
     np.fill_diagonal(opposite, False)
     if opposite.any():

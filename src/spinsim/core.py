@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +166,8 @@ class EigenSystem:
     largest-magnitude component is real positive.  ``labels[k]`` is the
     n-bit string assigned to eigenstate k by maximum overlap with product
     states; ``mz[k]`` is the total magnetic quantum number of its manifold.
+    ``energies``, ``vectors`` and ``mz`` are read-only: ``eigensystem``
+    hands one object to every caller with the same Hamiltonian.
     """
 
     n: int
@@ -333,17 +336,51 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
         labels.extend(names[r] for r in row_of.tolist())
         conflicts += clashes
 
-    if conflicts:
-        warnings.warn(f"{conflicts} eigenstate(s) resolved by best-overlap "
-                      "labeling after a degenerate-label conflict")
+    _warn_label_conflicts(conflicts)
+    for arr in (energies, vectors, mz_out):
+        arr.flags.writeable = False
     es = EigenSystem(n, energies, vectors, tuple(labels), mz_out, conflicts)
     es._blocks = tuple(blocks)      # manifold_vectors() without a gather
     return es
 
 
+def _warn_label_conflicts(conflicts: int) -> None:
+    """The one line that warns of label conflicts, for a fresh and for a
+    cached eigensystem alike."""
+    if conflicts:
+        warnings.warn(f"{conflicts} eigenstate(s) resolved by best-overlap "
+                      "labeling after a degenerate-label conflict")
+
+
+# the eigensystems of the last few Hamiltonians, least recently used first
+_EIGEN_CACHE: OrderedDict[tuple, EigenSystem] = OrderedDict()
+_EIGEN_CACHE_SIZE = 8
+
+
 def eigensystem(sys: SpinSystem, weak: bool = False) -> EigenSystem:
-    """Convenience: build the Hamiltonian and diagonalize it."""
-    return diagonalize(build_hamiltonian(sys, weak=weak), sys)
+    """Build the Hamiltonian and diagonalize it, once per Hamiltonian.
+
+    The last ``_EIGEN_CACHE_SIZE`` eigensystems are kept, keyed on the data
+    that fix H (n, weak and the float64 bytes of the offsets and coupling
+    matrices, not the name), and the same read-only object is returned for
+    the same key.  A call that finds one still validates ``sys`` and warns
+    of its label conflicts again.  ``diagonalize`` builds a fresh one.
+    """
+    sys.validate()
+    key = (sys.n, bool(weak)) + tuple(
+        np.ascontiguousarray(a, dtype=np.float64).tobytes()
+        for a in (sys.offset_hz, sys.j_hz, sys.d_hz))
+    # taken out and put back last: each step is one dict operation, so
+    # threads sharing the map at worst diagonalize a Hamiltonian twice
+    es = _EIGEN_CACHE.pop(key, None)
+    if es is None:
+        es = diagonalize(build_hamiltonian(sys, weak=weak), sys)
+    else:
+        _warn_label_conflicts(es.label_conflicts)
+    _EIGEN_CACHE[key] = es
+    while len(_EIGEN_CACHE) > _EIGEN_CACHE_SIZE:
+        _EIGEN_CACHE.popitem(last=False)
+    return es
 
 
 @dataclass(frozen=True)

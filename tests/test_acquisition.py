@@ -616,6 +616,27 @@ def test_zcosy_time_domain_shipped(system, request):
         assert not signs[u - 1, obs].any()
 
 
+def test_zcosy_rejects_a_foreign_catalog(demo3, demo3_es):
+    other = core.eigensystem(random_system(np.random.default_rng(3), 3))
+    foreign = core.transition_catalog(other)
+    with pytest.raises(acq.AcquisitionError, match="not the transition catalog"):
+        acq.zcosy_time_domain(demo3_es, 10.0, 256, catalog=foreign)
+    with pytest.raises(acq.AcquisitionError, match="not the transition catalog"):
+        acq.zcosy_connectivity(demo3_es, 0.05, foreign)
+    own = core.transition_catalog(demo3_es)
+    # an equal catalog of another object, from an uncached eigensystem
+    equal = core.transition_catalog(
+        core.diagonalize(core.build_hamiltonian(demo3), demo3))
+    want = acq.zcosy_time_domain(demo3_es, 10.0, 256)
+    for cat in (own, equal):
+        assert np.array_equal(acq.zcosy_time_domain(demo3_es, 10.0, 256,
+                                                    catalog=cat), want)
+        got = acq.zcosy_connectivity(demo3_es, 0.05, cat)
+        ref = acq.zcosy_connectivity(demo3_es, 0.05)
+        assert np.array_equal(got.m, ref.m)
+        assert (got.ids, got.unconnected) == (ref.ids, ref.unconnected)
+
+
 def scalar_zcosy_basis(freqs):
     """Reference: 0 Hz, then +f and -f of each line in turn, each kept
     unless within 1e-9 of an entry kept before it."""
@@ -968,6 +989,39 @@ def test_acquire_fid_shipped_systems_keep_the_table(system, request):
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+def test_acquire_fid_table_memory_is_bounded():
+    import tracemalloc
+    es = core.eigensystem(random_system(np.random.default_rng(8), 8))
+    rho = random_states(es, 12, 12)
+    # 12 states, all 11440 lines: below the factored threshold
+    assert not factored(es, rho)
+    es.lowering_operator()
+    tracemalloc.start()
+    try:
+        fid = acq.acquire_fid(es, rho, 1024, 2e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 11440 x 1024 table alone is 187 MB; 64-point slices 12 MB
+    assert fid.shape == (12, 1024)
+    assert peak < 64e6
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("n, rows, points", [(5, 2, 1024), (6, 5, 512),
+                                             (8, 12, 256)])
+def test_acquire_fid_slices_match_the_whole_table(n, rows, points):
+    es = core.eigensystem(random_system(np.random.default_rng(n), n))
+    rho = random_states(es, rows, n)
+    lines = np.count_nonzero((np.abs(rho * es.lowering_operator()) > 1e-16)
+                             .any(axis=0))
+    # 256-, 64- and 64-point slices
+    assert not factored(es, rho) and lines * points > acq._TABLE_ENTRIES
+    assert np.array_equal(bits(acq.acquire_fid(es, rho, points, 2e-4)),
+                          bits(table_fid(es, rho, points, 2e-4)))
 
 
 def assert_lines_match_scalar_loops(es, rho, stack):

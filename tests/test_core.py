@@ -595,6 +595,97 @@ def test_lowering_operator_built_once_and_read_only(demo3):
         fme[0, 0] = 1.0
 
 
+# ---------------------------------------------------------------------------
+# eigensystem: one shared, read-only object per Hamiltonian
+
+def copy_system(sys_, name="copy"):
+    return core.SpinSystem.create(name, sys_.offset_hz.copy(),
+                                  sys_.j_hz.copy(), sys_.d_hz.copy())
+
+
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@settings(max_examples=30, deadline=None)
+@given(reference_systems(nmax=8), st.booleans())
+def test_cached_eigensystem_matches_diagonalize(sys_, weak):
+    es = core.eigensystem(sys_, weak=weak)
+    # a hit: the same object, whatever the name
+    assert core.eigensystem(copy_system(sys_), weak=weak) is es
+    fresh = core.diagonalize(core.build_hamiltonian(sys_, weak=weak), sys_)
+    assert fresh is not es
+    for got, want in ((es.energies, fresh.energies), (es.vectors, fresh.vectors),
+                      (es.mz, fresh.mz)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (es.labels, es.label_conflicts) == (fresh.labels,
+                                               fresh.label_conflicts)
+    cat, fresh_cat = core.transition_catalog(es), core.transition_catalog(fresh)
+    for col in ("lower", "upper", "freq_hz", "intensity", "pair_tid"):
+        assert np.array_equal(getattr(cat, col), getattr(fresh_cat, col))
+
+
+def test_weak_and_strong_eigensystems_are_distinct(citrate):
+    strong = core.eigensystem(citrate)
+    weak = core.eigensystem(citrate, weak=True)
+    assert strong is not weak
+    assert core.eigensystem(citrate) is strong
+    assert core.eigensystem(citrate, weak=True) is weak
+    assert not np.array_equal(strong.energies, weak.energies)
+
+
+@pytest.mark.parametrize("field, entry", [("offset_hz", (0,)),
+                                          ("j_hz", (0, 1)), ("d_hz", (0, 1))])
+def test_changed_system_gets_a_fresh_eigensystem(demo3, field, entry):
+    sys_ = copy_system(demo3)
+    es = core.eigensystem(sys_)
+    arr = getattr(sys_, field)
+    arr[entry] += 7.5
+    arr[entry[::-1]] = arr[entry]
+    changed = core.eigensystem(sys_)
+    assert changed is not es
+    want = core.diagonalize(core.build_hamiltonian(sys_), sys_)
+    assert np.array_equal(changed.energies, want.energies)
+    assert not np.array_equal(changed.energies, es.energies)
+    # validated on every call: a broken system raises
+    if field != "offset_hz":
+        arr[entry] += 1.0
+        with pytest.raises(core.SpinSystemError, match="symmetric"):
+            core.eigensystem(sys_)
+
+
+def test_label_conflict_warns_on_every_call():
+    sys_ = core.SpinSystem.create("equal", [50.0, 50.0], [[0, 10], [10, 0]])
+    sites = []
+    for _ in range(3):
+        with pytest.warns(UserWarning, match="1 eigenstate.*best-overlap") as rec:
+            es = core.eigensystem(sys_)
+        sites.append([(w.filename, w.lineno) for w in rec])
+    # the same line as the uncached reference
+    with pytest.warns(UserWarning, match="best-overlap") as rec:
+        core.diagonalize(core.build_hamiltonian(sys_), sys_)
+    sites.append([(w.filename, w.lineno) for w in rec])
+    assert es.label_conflicts == 1
+    assert all(s == sites[0] and len(s) == 1 for s in sites)
+
+
+def test_eigensystem_arrays_read_only(demo4_es):
+    for arr in (demo4_es.energies, demo4_es.vectors, demo4_es.mz):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_eigensystem_cache_is_bounded():
+    systems = [core.SpinSystem.create(f"s{k}", [100.0 + k, -37.0 - k],
+                                      [[0, 12.5], [12.5, 0]])
+               for k in range(core._EIGEN_CACHE_SIZE + 3)]
+    first = []
+    for s in systems:
+        first.append(core.eigensystem(s))
+        assert len(core._EIGEN_CACHE) <= core._EIGEN_CACHE_SIZE
+    # the most recent ones are kept, the oldest ones are rebuilt
+    assert core.eigensystem(systems[-1]) is first[-1]
+    assert core.eigensystem(systems[0]) is not first[0]
+    assert len(core._EIGEN_CACHE) == core._EIGEN_CACHE_SIZE
+
+
 
 @pytest.mark.parametrize("entries, message", [
     (None, "Hamiltonian dimension does not match system"),
