@@ -12,7 +12,7 @@ from .dynamics import (DynamicsError, equilibrium_deviation,
                        selective_population_update, apply_unitary, pure_part,
                        format_state, parse_state)
 from .pulselang import (PulseProgram, PulseProgramError, parse_program,
-                        format_program, execute, execute_cycled)
+                        format_program, execute)
 from .assignment import (ConnectivityMatrix, LevelDiagram, AssignmentError,
                          reconstruct_levels, verify_diagram,
                          parse_connectivity, diagram_from_catalog,

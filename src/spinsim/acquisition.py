@@ -246,8 +246,7 @@ def t1_stack(program: pl.PulseProgram, es: EigenSystem,
     acq = program.instructions[-1]
     _check_points(acq.points)
     prefix = replace(program, instructions=program.instructions[:-1])
-    return acq, pl.execute_cycled(prefix, es, rho0,
-                                  t1=np.arange(t1_points) * dwell1)
+    return acq, pl.execute(prefix, es, rho0, t1=np.arange(t1_points) * dwell1)
 
 
 def run_2d(program: pl.PulseProgram, es: EigenSystem,
@@ -462,8 +461,9 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
 
     # transfer weights: coherence element (a, c) -> diagonal after (pi/2)_y,
     # then line amplitudes after (pi/4)_-y
-    u90 = dyn.hard_pulse_unitary(es, 90.0, 90.0)
-    u45 = dyn.hard_pulse_unitary(es, 45.0, 270.0)
+    u90, u45 = (dyn.hard_pulse_unitary(es, ins.angle_deg, ins.phase.degrees)
+                for ins in program.instructions
+                if isinstance(ins, pl.HardPulse))
     fplus = es.lowering_operator().conj().T
     # scalar products, in this order: see _cmul
     hmat = np.array([[u45[up, m] * np.conj(u45[lo, m]) * fplus[lo, up]
@@ -566,10 +566,8 @@ def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray) -> float:
     """
     # under this package's rotation convention the summing quadrature is
     # phase 0 and the differencing one phase 90
-    a3 = line_amplitudes(
-        es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 0.0)))
-    a4 = line_amplitudes(
-        es, dyn.apply_unitary(rho, dyn.hard_pulse_unitary(es, 45.0, 90.0)))
+    a3, a4 = (line_amplitudes(es, pl.execute(pl.parse_program(text), es, rho))
+              for text in ("pulse 45 x\n", "pulse 45 y\n"))
     n3 = math.sqrt(sum(abs(v) ** 2 for v in a3))
     n4 = math.sqrt(sum(abs(v) ** 2 for v in a4))
     return n4 / n3 if n3 > 0 else math.inf

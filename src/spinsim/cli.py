@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
     if instructions and isinstance(instructions[-1], pl.Acquire):
         acquire = instructions[-1]
         program = dataclasses.replace(program, instructions=instructions[:-1])
-    final = pl.execute_cycled(program, es, rho0, t1=args.t1, t2=args.t2)
+    final = pl.execute(program, es, rho0, t1=args.t1, t2=args.t2)
 
     out_dir = Path(args.out)
     stem = Path(name).stem

@@ -156,7 +156,7 @@ def mixing_angle_ab(sys: SpinSystem) -> float:
     return theta
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Diagonalized spin system with qubit-labeled eigenstates.
 
@@ -166,8 +166,9 @@ class EigenSystem:
     largest-magnitude component is real positive.  ``labels[k]`` is the
     n-bit string assigned to eigenstate k by maximum overlap with product
     states; ``mz[k]`` is the total magnetic quantum number of its manifold.
-    ``energies``, ``vectors`` and ``mz`` are read-only: ``eigensystem``
-    hands one object to every caller with the same Hamiltonian.
+    ``energies``, ``vectors`` and ``mz`` are read-only and no field can be
+    reassigned: ``eigensystem`` hands one object to every caller with the
+    same Hamiltonian.
     """
 
     n: int
@@ -205,7 +206,7 @@ class EigenSystem:
                 v = self.vectors[idx, cols]
                 v.flags.writeable = False
                 blocks.append((cols, v))
-            self._blocks = tuple(blocks)
+            object.__setattr__(self, "_blocks", tuple(blocks))
         return self._blocks
 
     def lowering_operator(self) -> np.ndarray:
@@ -222,8 +223,8 @@ class EigenSystem:
             for (cols, v), (rows, w), f in zip(blocks, blocks[1:],
                                                _lowering_blocks(self.n)):
                 fm[rows, cols] = w.conj().T @ (f @ v)
-            self._lowering = fm
-            self._lowering.flags.writeable = False
+            fm.flags.writeable = False
+            object.__setattr__(self, "_lowering", fm)
         return self._lowering
 
 
@@ -340,7 +341,7 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
     for arr in (energies, vectors, mz_out):
         arr.flags.writeable = False
     es = EigenSystem(n, energies, vectors, tuple(labels), mz_out, conflicts)
-    es._blocks = tuple(blocks)      # manifold_vectors() without a gather
+    object.__setattr__(es, "_blocks", tuple(blocks))  # no gather needed
     return es
 
 
@@ -474,8 +475,8 @@ def transition_catalog(es: EigenSystem) -> TransitionCatalog:
     lo, up, freq, inten = lo[order], up[order], freq[order], inten[order]
     pair_tid = np.zeros((es.dim, es.dim), dtype=np.int32)
     pair_tid[lo, up] = np.arange(1, lo.size + 1)
-    es._catalog = TransitionCatalog(lower=lo, upper=up, freq_hz=freq,
-                                    intensity=inten, pair_tid=pair_tid)
+    object.__setattr__(es, "_catalog", TransitionCatalog(
+        lower=lo, upper=up, freq_hz=freq, intensity=inten, pair_tid=pair_tid))
     return es._catalog
 
 

@@ -51,7 +51,7 @@ class ProtocolReport:
 def _run(name: str, text: str, es: EigenSystem,
          rho0: np.ndarray) -> ProtocolReport:
     program = pl.parse_program(text, source=name)
-    final = pl.execute_cycled(program, es, rho0)
+    final = pl.execute(program, es, rho0)
     return ProtocolReport(name=name, program_text=text, final_state=final)
 
 
@@ -201,7 +201,10 @@ def dj_one_qubit(es: EigenSystem, f: str) -> ProtocolReport:
 
 _EPR_ROWS = ["x -x", "-x x", "y y", "-y -y"] * 2
 _EPR_CYCLE = "cycle P1 P2\n" + "".join(f"row {row} +\n" for row in _EPR_ROWS)
-_EPR_PULSES = "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n"
+
+
+def _epr_pulses(p1: str, p2: str) -> str:
+    return f"selpulse (00,10) 90 {p1}\nselpulse (10,11) 180 {p2}\n"
 
 
 def epr_create(es: EigenSystem) -> ProtocolReport:
@@ -212,7 +215,7 @@ def epr_create(es: EigenSystem) -> ProtocolReport:
     same state for ideal pulses, so the cycle is an identity safeguard.
     """
     _checked(es, 2, "epr_create")
-    text = _EPR_CYCLE + _pps_program("00") + _EPR_PULSES
+    text = _EPR_CYCLE + _pps_program("00") + _epr_pulses("$P1", "$P2")
     rep = _run("epr", text, es, dyn.equilibrium_deviation(es))
 
     i00, i01 = es.index_of_label("00"), es.index_of_label("01")
@@ -235,7 +238,7 @@ def epr_create(es: EigenSystem) -> ProtocolReport:
 def epr_pure_projector(es: EigenSystem) -> np.ndarray:
     """U_epr |00><00| U_epr^dagger in eigenstate-index order: the EPR
     pulses of ``epr_create`` under the first row of its phase cycle."""
-    program = pl.parse_program(_EPR_CYCLE + _EPR_PULSES, source="epr")
+    program = pl.parse_program(_epr_pulses(*_EPR_ROWS[0].split()), source="epr")
     i00 = es.index_of_label("00")
     p0 = np.zeros((4, 4), dtype=complex)
     p0[i00, i00] = 1.0

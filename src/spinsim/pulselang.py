@@ -10,10 +10,12 @@ Grammar, one instruction per line ('#' starts a comment):
     cycle <SLOT...>
     row <phase...> [+|-]
 
-A phase is one of x, y, -x, -y, deg:<float> or $SLOT; slots must be
-declared by a single ``cycle`` line whose ``row`` lines each assign a phase
-per slot (optionally ending with a receiver sign, default +).  Programs are
-written in the order pulses are applied: the first line acts first.
+Nothing but a comment may follow an instruction's arguments.  A phase is
+one of x, y, -x, -y, deg:<float> or $SLOT; slots must be declared, each
+name once, by a single ``cycle`` line whose ``row`` lines each assign a
+phase per slot (optionally ending with a receiver sign, default +).
+Programs are written in the order pulses are applied: the first line acts
+first, and ``execute`` runs every row of the cycle.
 A ``selpulse`` reference resolves against the eigensystem's transition
 catalog when its instruction runs.  Diagnostics use the conventional
 ``file:line:col: message`` format.
@@ -22,6 +24,7 @@ catalog when its instruction runs.  Diagnostics use the conventional
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,22 +152,6 @@ class PulseProgram:
     source: str = field(default="<string>", compare=False)
 
 
-def _token_columns(raw: str) -> list[tuple[str, int]]:
-    toks = []
-    col = 0
-    i = 0
-    while i < len(raw):
-        if raw[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(raw) and not raw[j].isspace():
-            j += 1
-        toks.append((raw[i:j], i + 1))
-        i = j
-    return toks
-
-
 def _parse_phase(tok: str, source, line, col) -> PhaseSpec:
     if tok.startswith("$"):
         if len(tok) < 2:
@@ -206,6 +193,10 @@ def _parse_transition(tok: str, source, line, col) -> TransitionRef:
                             source, line, col)
 
 
+# argument count of each instruction; only a comment may follow them
+_ARITY = {"selpulse": 3, "pulse": 2, "grad": 0, "delay": 1, "acquire": 2}
+
+
 def parse_program(text: str, source: str = "<string>") -> PulseProgram:
     instructions: list[Instruction] = []
     slots: tuple[str, ...] | None = None
@@ -214,8 +205,8 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
     cycle_line = 0
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = _token_columns(body)
+        toks = [(m.group(), m.start() + 1)
+                for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
         if not toks:
             continue
         (kw, col0) = toks[0]
@@ -270,6 +261,10 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
                 raise PulseProgramError("cycle needs at least one slot",
                                         source, ln, col0)
             slots = tuple(t for t, _ in toks[1:])
+            for k, (tok, col) in enumerate(toks[1:]):
+                if tok in slots[:k]:
+                    raise PulseProgramError(f"duplicate phase slot {tok!r}",
+                                            source, ln, col)
             cycle_line = ln
         elif kw == "row":
             if slots is None:
@@ -289,6 +284,10 @@ def parse_program(text: str, source: str = "<string>") -> PulseProgram:
             receivers.append(recv)
         else:
             raise PulseProgramError(f"unknown instruction {kw!r}", source, ln, col0)
+        if kw in _ARITY and len(toks) > _ARITY[kw] + 1:
+            tok, col = toks[_ARITY[kw] + 1]
+            raise PulseProgramError(f"unexpected {tok!r} after the arguments "
+                                    f"of {kw}", source, ln, col)
 
     cycle = None
     if slots is not None:
@@ -344,88 +343,53 @@ def resolve_transition(ref: TransitionRef, es: EigenSystem) -> tuple[int, int]:
     return t.lower, t.upper
 
 
-def _resolved_phase(spec: PhaseSpec, cycle: PhaseCycle | None, row: int) -> float:
-    if spec.slot is None:
-        return spec.degrees
-    return cycle.phase_of(spec.slot, row)
+def _step(program: PulseProgram, k: int, phase: float | None,
+          rho: np.ndarray, es: EigenSystem, delays: dict,
+          hard: dict[tuple[int, float], np.ndarray]) -> np.ndarray:
+    """Apply instruction k of ``program`` at ``phase`` (None for one
+    without a phase) to a state.  ``delays`` binds t1 and t2; ``hard``
+    keeps each hard pulse built, by instruction and phase."""
+    ins = program.instructions[k]
 
+    def error(message: str) -> PulseProgramError:
+        return PulseProgramError(message, program.source, ins.line, ins.col)
 
-class _Executor:
-    """The instruction dispatch of ``execute`` and ``execute_cycled``.
-
-    ``step`` applies one instruction of ``program`` to a state.  A hard
-    pulse is built once per instruction and phase, and kept.
-    """
-
-    def __init__(self, program: PulseProgram, es: EigenSystem,
-                 t1: float | np.ndarray | None, t2: float | None):
-        self.program, self.es = program, es
-        self.delays = {"t1": t1, "t2": t2}
-        self.hard: dict[tuple[int, float], np.ndarray] = {}
-
-    def phase(self, k: int, row: int) -> float | None:
-        """Phase of instruction k in cycle row ``row``; None without one."""
-        spec = getattr(self.program.instructions[k], "phase", None)
-        return None if spec is None else _resolved_phase(
-            spec, self.program.cycle, row)
-
-    def error(self, ins: Instruction, message: str) -> PulseProgramError:
-        return PulseProgramError(message, self.program.source, ins.line, ins.col)
-
-    def step(self, k: int, rho: np.ndarray, row: int) -> np.ndarray:
-        ins, es = self.program.instructions[k], self.es
-        if isinstance(ins, SelPulse):
-            try:
-                lo, up = resolve_transition(ins.ref, es)
-            except PulseProgramError as exc:
-                raise self.error(ins, exc.reason) from None
-            return dyn.apply_selective_pulse(es, rho, lo, up, ins.angle_deg,
-                                             self.phase(k, row))
-        if isinstance(ins, HardPulse):
-            key = (k, self.phase(k, row))
-            if key not in self.hard:
-                self.hard[key] = dyn.hard_pulse_unitary(es, ins.angle_deg, key[1])
-            return dyn.apply_unitary(rho, self.hard[key])
-        if isinstance(ins, Grad):
-            return dyn.crush_gradient(rho)
-        if isinstance(ins, Delay):
-            if ins.symbol is None:
-                return dyn.free_evolution(es, rho, ins.seconds)
-            if self.delays[ins.symbol] is None:
-                raise self.error(ins, f"unresolved symbolic delay {ins.symbol}")
-            return dyn.free_evolution(es, rho, self.delays[ins.symbol])
-        raise self.error(ins, "acquire cannot be executed directly; "
-                              "use an acquisition runner")
+    if isinstance(ins, SelPulse):
+        try:
+            lo, up = resolve_transition(ins.ref, es)
+        except PulseProgramError as exc:
+            raise error(exc.reason) from None
+        return dyn.apply_selective_pulse(es, rho, lo, up, ins.angle_deg, phase)
+    if isinstance(ins, HardPulse):
+        if (k, phase) not in hard:
+            hard[k, phase] = dyn.hard_pulse_unitary(es, ins.angle_deg, phase)
+        return dyn.apply_unitary(rho, hard[k, phase])
+    if isinstance(ins, Grad):
+        return dyn.crush_gradient(rho)
+    if isinstance(ins, Delay):
+        if ins.symbol is None:
+            return dyn.free_evolution(es, rho, ins.seconds)
+        if delays[ins.symbol] is None:
+            raise error(f"unresolved symbolic delay {ins.symbol}")
+        return dyn.free_evolution(es, rho, delays[ins.symbol])
+    raise error("acquire cannot be executed directly; use an acquisition runner")
 
 
 def execute(program: PulseProgram, es: EigenSystem,
-            rho0: np.ndarray, *, row: int = 0,
+            rho0: np.ndarray, *,
             t1: float | np.ndarray | None = None,
             t2: float | None = None) -> np.ndarray:
-    """Apply the instructions left to right to rho0 and return the result.
+    """Run a program on rho0: the instructions left to right, and under a
+    phase cycle the receiver-weighted average of the per-row results.
 
     Symbolic delays must be bound through t1/t2; acquire instructions are
-    not executable here (use the acquisition module's runners).  When the
-    program has a phase cycle, ``row`` selects which row resolves the slots.
-    Binding t1 to a 1-D array of times runs every t1 value at once: the
-    result is a stack of states with the t1 axis leading.
-    """
-    run = _Executor(program, es, t1, t2)
-    rho = rho0.copy()
-    for k in range(len(program.instructions)):
-        rho = run.step(k, rho, row)
-    return rho
+    not executable here (use the acquisition module's runners).  Binding
+    t1 to a 1-D array of times runs every t1 value at once: the result is
+    a stack of states with the t1 axis leading.
 
-
-def execute_cycled(program: PulseProgram, es: EigenSystem,
-                   rho0: np.ndarray, *,
-                   t1: float | np.ndarray | None = None,
-                   t2: float | None = None) -> np.ndarray:
-    """Receiver-weighted average of the per-row results of the phase cycle.
-
-    The rows run as branches, one instruction at a time, and each
-    instruction is applied once per branch.  A branch is shared (every
-    row of it holds its state) or summed (its state is the sum of
+    Under a cycle the rows run as branches, one instruction at a time,
+    and each instruction is applied once per branch.  A branch is shared
+    (every row of it holds its state) or summed (its state is the sum of
     receiver times state over its rows).  Before each instruction, a
     shared branch splits into the groups of its rows that resolve the
     same phase there, as a prefix tree would.  Then the branches whose
@@ -444,13 +408,21 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
     sum plus 0.0 (which turns -0.0 into 0.0, as adding the empty slots
     does) divided by the row count is that average, without the array.
     """
-    if program.cycle is None:
-        return execute(program, es, rho0, t1=t1, t2=t2)
-    run = _Executor(program, es, t1, t2)
-    receivers = program.cycle.receivers
-    count = len(program.instructions)
-    phases = [[run.phase(k, r) for r in range(len(receivers))]
-              for k in range(count)]
+    cycle = program.cycle
+    receivers = (1,) if cycle is None else cycle.receivers
+    # phases[k][r]: the phase instruction k resolves in row r, None for one
+    # without a phase
+    phases = [[None if spec is None else spec.degrees if spec.slot is None
+               else cycle.phase_of(spec.slot, r) for r in range(len(receivers))]
+              for spec in (getattr(ins, "phase", None)
+                           for ins in program.instructions)]
+    delays, hard = {"t1": t1, "t2": t2}, {}
+    if cycle is None:
+        rho = rho0.copy()
+        for k, (phase,) in enumerate(phases):
+            rho = _step(program, k, phase, rho, es, delays, hard)
+        return rho
+    count = len(phases)
     # future[k][r]: the class of the phases row r resolves from instruction
     # k to the end; the rows of one class see the same instructions from k on
     future = [[0] * len(receivers)]
@@ -476,7 +448,8 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
                 total = sum(rho if summed else sum(receivers[r] for r in rows) * rho
                             for rows, rho, summed in group)
                 group = [(sorted(r for rows, _, _ in group for r in rows), total, True)]
-            branches += [(rows, run.step(k, rho, rows[0]), summed)
+            branches += [(rows, _step(program, k, phases[k][rows[0]], rho, es,
+                                      delays, hard), summed)
                          for rows, rho, summed in group]
     if len(branches) == 1 and branches[0][2]:
         return (branches[0][1] + 0.0) / len(receivers)
@@ -490,3 +463,8 @@ def execute_cycled(program: PulseProgram, es: EigenSystem,
             for r in rows:
                 out[r] = receivers[r] * rho
     return np.mean(out, axis=0)
+
+
+# the former name of the cycled runner, kept while bench/tracing.py wraps
+# it by name
+execute_cycled = execute

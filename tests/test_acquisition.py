@@ -846,7 +846,7 @@ def test_run_2d_stack_matches_row_by_row(case):
     fplus = es.lowering_operator().conj().T
     t2 = np.arange(16) * 0.001
     for m in range(t1_points):
-        rho = pl.execute_cycled(prefix, es, rho0, t1=m * dwell1)
+        rho = pl.execute(prefix, es, rho0, t1=m * dwell1)
         ref = acq.acquire_fid(es, rho, 16, 0.001)
         scale = max(1.0, float(np.abs(ref).max()))
         assert np.abs(ds.data[m] - ref).max() <= 1e-12 * scale

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -670,6 +671,16 @@ def test_eigensystem_arrays_read_only(demo4_es):
     for arr in (demo4_es.energies, demo4_es.vectors, demo4_es.mz):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_eigensystem_fields_cannot_be_reassigned(citrate):
+    es = core.eigensystem(citrate)
+    for name, value in (("labels", ("11", "10", "01", "00")), ("n", 3),
+                        ("energies", -es.energies), ("_catalog", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(es, name, value)
+    assert core.eigensystem(citrate) is es
+    assert es.index_of_label("00") == 0
 
 
 def test_eigensystem_cache_is_bounded():

@@ -32,8 +32,7 @@ def test_pseudopure_targets(citrate_es, target):
 def test_pseudopure_program_reruns_bit_exact(citrate_es):
     rep = pr.pseudopure_2spin(citrate_es, "00")
     prog = pl.parse_program(rep.program_text)
-    again = pl.execute_cycled(prog, citrate_es,
-                              dyn.equilibrium_deviation(citrate_es))
+    again = pl.execute(prog, citrate_es, dyn.equilibrium_deviation(citrate_es))
     assert np.array_equal(again, rep.final_state)
 
 
@@ -109,15 +108,21 @@ def test_epr_state(citrate_es):
     assert rep.metrics["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
 
+def row_programs(prog):
+    """Each row of the program's phase cycle as a one-row program."""
+    cycle = prog.cycle
+    return [dataclasses.replace(prog, cycle=pl.PhaseCycle(cycle.slots, (row,), (1,)))
+            for row in cycle.rows]
+
+
 def test_epr_cycle_rows_identical(citrate_es):
     rep = pr.epr_create(citrate_es)
     prog = pl.parse_program(rep.program_text)
     rho0 = dyn.equilibrium_deviation(citrate_es)
-    states = [pl.execute(prog, citrate_es, rho0, row=r)
-              for r in range(len(prog.cycle.rows))]
+    states = [pl.execute(one, citrate_es, rho0) for one in row_programs(prog)]
     for s in states[1:]:
         assert np.abs(s - states[0]).max() <= 1e-12
-    cycled = pl.execute_cycled(prog, citrate_es, rho0)
+    cycled = pl.execute(prog, citrate_es, rho0)
     assert np.abs(cycled - states[0]).max() <= 1e-12
 
 
@@ -144,8 +149,8 @@ def test_ghz_cycle_rows_identical(demo3_es):
     prog = pl.parse_program(rep.program_text)
     tid = int(rep.info["pops_transition"][1:])
     rho0 = pr.pops_pair(demo3_es, tid).final_state
-    states = [pl.execute(prog, demo3_es, rho0, row=r)
-              for r in range(16)]
+    states = [pl.execute(one, demo3_es, rho0) for one in row_programs(prog)]
+    assert len(states) == 16
     for s in states[1:]:
         assert np.abs(s - states[0]).max() <= 1e-12
 

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -60,6 +61,32 @@ def test_parse_errors_carry_location():
         assert str(err.value).startswith("prog.pp:2:12:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("delay 1 ms\n", "prog.pp:1:9: unexpected 'ms' after the arguments of delay"),
+    ("grad x\n", "prog.pp:1:6: unexpected 'x' after the arguments of grad"),
+    ("  pulse 90 x 45\n",
+     "prog.pp:1:14: unexpected '45' after the arguments of pulse"),
+    ("selpulse t1 90 x y # z\n",
+     "prog.pp:1:18: unexpected 'y' after the arguments of selpulse"),
+    ("grad\nacquire 8 0.001 16\n",
+     "prog.pp:2:17: unexpected '16' after the arguments of acquire"),
+    ("cycle P P\nrow x y\n", "prog.pp:1:9: duplicate phase slot 'P'"),
+    ("cycle P1 P2\tP1\n", "prog.pp:1:13: duplicate phase slot 'P1'"),
+    # U+3000 and U+00A0 separate tokens: str.isspace holds for both
+    ("pulse\u3000ninety\u00a0x\n", "prog.pp:1:7: malformed angle 'ninety'"),
+])
+def test_malformed_lines_rejected_at_the_token(text, message):
+    with pytest.raises(pl.PulseProgramError) as err:
+        pl.parse_program(text, source="prog.pp")
+    assert str(err.value) == message
+
+
+def test_comment_may_follow_the_arguments():
+    prog = pl.parse_program("delay 1 # ms\ngrad# x\ncycle P Q #P\nrow x y\n")
+    assert prog.instructions == (pl.Delay(seconds=1.0), pl.Grad())
+    assert prog.cycle.slots == ("P", "Q")
+
+
 def test_roundtrip_programs():
     for text in (
         EPR_TEXT,
@@ -99,14 +126,21 @@ def test_unknown_transition_rejected(citrate_es):
     ("pulse 90 x\ndelay t1\n", "prog.pp:2:1: unresolved symbolic delay t1"),
     ("cycle P\nrow x\nrow y -\ngrad\n    delay t2\n",
      "prog.pp:5:5: unresolved symbolic delay t2"),
+    ("cycle P\nrow x +\nrow y -\npulse 90 $P\nacquire 8 0.001\n",
+     "prog.pp:5:1: acquire cannot be executed directly; use an acquisition "
+     "runner"),
 ])
 def test_runtime_errors_carry_location(citrate_es, text, message):
     prog = pl.parse_program(text, source="prog.pp")
     rho = dyn.equilibrium_deviation(citrate_es)
-    for run in (pl.execute, pl.execute_cycled):
-        with pytest.raises(pl.PulseProgramError) as err:
-            run(prog, citrate_es, rho)
-        assert str(err.value) == message
+    with pytest.raises(pl.PulseProgramError) as err:
+        pl.execute(prog, citrate_es, rho)
+    assert str(err.value) == message
+
+
+def test_one_runner():
+    assert pl.execute_cycled is pl.execute
+    assert "row" not in inspect.signature(pl.execute).parameters
 
 
 def test_empty_program_is_identity(citrate_es):
@@ -152,19 +186,8 @@ def test_epr_program_from_pps(citrate_es):
     # instead through the label syntax for the real assertion
     text = ("cycle P1 P2\nrow x -x +\n"
             "selpulse (00,10) 90 $P1\nselpulse (10,11) 180 $P2\n")
-    out = pl.execute_cycled(pl.parse_program(text), es,
-                            p0)
+    out = pl.execute(pl.parse_program(text), es, p0)
     assert np.abs(out[np.ix_(perm, perm)] - eq12).max() <= 1e-12
-
-
-def test_single_row_cycle_equals_execute(citrate_es):
-    text = ("cycle P\nrow y +\n"
-            "selpulse t1 90 $P\npulse 45 x\n")
-    prog = pl.parse_program(text)
-    rho = dyn.equilibrium_deviation(citrate_es)
-    a = pl.execute(prog, citrate_es, rho)
-    b = pl.execute_cycled(prog, citrate_es, rho)
-    assert np.array_equal(a, b)
 
 
 def test_identical_rows_cycle_equals_single(citrate_es):
@@ -172,8 +195,8 @@ def test_identical_rows_cycle_equals_single(citrate_es):
             "selpulse t1 90 $P\n")
     prog = pl.parse_program(text)
     rho = dyn.equilibrium_deviation(citrate_es)
-    a = pl.execute(prog, citrate_es, rho)
-    b = pl.execute_cycled(prog, citrate_es, rho)
+    a = pl.execute(pl.parse_program("selpulse t1 90 y\n"), citrate_es, rho)
+    b = pl.execute(prog, citrate_es, rho)
     assert np.abs(a - b).max() <= 1e-14
 
 
@@ -181,8 +204,8 @@ def test_receiver_weights(citrate_es):
     # +1 and -1 receivers on identical rows cancel exactly
     text = ("cycle P\nrow x +\nrow x -\n"
             "selpulse t1 90 $P\n")
-    out = pl.execute_cycled(pl.parse_program(text), citrate_es,
-                            dyn.equilibrium_deviation(citrate_es))
+    out = pl.execute(pl.parse_program(text), citrate_es,
+                     dyn.equilibrium_deviation(citrate_es))
     assert np.abs(out).max() <= 1e-14
 
 
@@ -203,7 +226,7 @@ def test_acquire_not_executable(citrate_es):
 
 
 # ---------------------------------------------------------------------------
-# the branch walk of execute_cycled against running the rows one by one
+# the branch walk of execute against running the rows one by one
 
 def reference_execute(program, es, rho0, row=0, t1=None, t2=None):
     """Reference: the instructions applied one at a time to one cycle row,
@@ -261,7 +284,7 @@ def resolved_phases(program, row):
 def branches_merge(program):
     """Whether a suffix class is not a prefix class: two rows resolve the
     same phases from some instruction k on but not before it, so
-    execute_cycled may sum their states ahead of k."""
+    execute may sum their states ahead of k."""
     if program.cycle is None:
         return False
     seqs = {resolved_phases(program, r) for r in range(len(program.cycle.rows))}
@@ -273,7 +296,7 @@ def branches_merge(program):
 def assert_tree_matches_rows(program, es, rho0, t1=None):
     """Within 1e-13 * rows * max|rho0| of the rows run one by one, and the
     same bits when no two branches can merge."""
-    got = pl.execute_cycled(program, es, rho0, t1=t1)
+    got = pl.execute(program, es, rho0, t1=t1)
     want = reference_cycled(program, es, rho0, t1=t1)
     if not branches_merge(program):
         assert_same_bits(got, want)
@@ -440,7 +463,7 @@ def test_summed_branches_run_the_last_hard_pulse_once(monkeypatch):
 
     monkeypatch.setattr(dyn, "hard_pulse_unitary", counted_build)
     monkeypatch.setattr(dyn, "apply_unitary", counted_apply)
-    got = pl.execute_cycled(prog, es, rho0)
+    got = pl.execute(prog, es, rho0)
     # once per P1 value (x, -x, y, -y) before the crusher, once after it
     assert sorted(applied) == [73.5] * 4 + [151.25]
     assert len(angles) == 5
@@ -462,22 +485,5 @@ def test_slot_phased_hard_pulse_built_once_per_phase(citrate_es, monkeypatch):
                             "row x y x +\nrow -x y -x -\nrow y y x +\n"
                             "selpulse t1 90 $P1\npulse 45 $P2\n"
                             "selpulse t2 90 $P3\n")
-    pl.execute_cycled(prog, citrate_es, dyn.equilibrium_deviation(citrate_es))
+    pl.execute(prog, citrate_es, dyn.equilibrium_deviation(citrate_es))
     assert built == [(45.0, 90.0)]
-
-
-@pytest.mark.parametrize("text,message", [
-    ("delay t1\n", "unresolved symbolic delay t1"),
-    ("cycle P\nrow x +\nrow y -\npulse 90 $P\ndelay t1\n",
-     "unresolved symbolic delay t1"),
-    ("cycle P\nrow x +\nrow y -\npulse 90 $P\nacquire 8 0.001\n",
-     "acquire cannot be executed"),
-])
-def test_entry_points_raise_alike(citrate_es, text, message):
-    prog = pl.parse_program(text)
-    rho = dyn.equilibrium_deviation(citrate_es)
-    with pytest.raises(pl.PulseProgramError, match=message) as single:
-        pl.execute(prog, citrate_es, rho)
-    with pytest.raises(pl.PulseProgramError) as cycled:
-        pl.execute_cycled(prog, citrate_es, rho)
-    assert str(cycled.value) == str(single.value)
