@@ -14,8 +14,11 @@ The placed transitions are the bits of integer masks, so a placement is
 checked against all of them, required zeros included, by comparing two
 masks.
 Fresh levels inside one manifold are interchangeable, which quotients the
-within-manifold permutation symmetry; the global top-bottom inversion is
-quotiented by pinning the first transition's layer and canonicalizing.
+within-manifold permutation symmetry.  The global top-bottom inversion maps
+layer p to n - 1 - p; it is quotiented by placing the first transition in
+one layer of each mirror pair and, for an odd spin count, when that is the
+middle layer (its own mirror), by trying one placement of each mirror pair
+for the second transition too, and then by canonicalizing each solution.
 Solutions are reported in a canonical (lexicographically smallest) form.
 """
 
@@ -98,6 +101,20 @@ def _canonical_matrix(text: str) -> np.ndarray | None:
     if (np.any(digit[:-1] & ~blank[1:]) or np.any(minus[1:] & ~blank[:-1])
             or np.any(minus & np.append(c[1:] != ord("1"), True))):
         return None
+    # lines of one length, each ending in its only line break, with their
+    # digits in the same columns (a fixed-width spelling): the entries are
+    # columns of the grid of the bytes, one line to a row
+    width = raw.find(b"\n") + 1
+    rows = len(raw) // width if width else 0
+    if rows and rows * width == len(raw) and b"\r" not in raw:
+        grid = c.reshape(rows, width)
+        ends = np.flatnonzero(digit[:width])    # the digit ending each token
+        if (ends.size == rows and (grid[:, -1] == ord("\n")).all()
+                and np.count_nonzero(c == ord("\n")) == rows
+                and (digit.reshape(rows, width) == digit[:width]).all()):
+            values = (grid[:, ends] == ord("1")).astype(int)
+            values[grid[:, ends - 1] == ord("-")] = -1    # column -1 is "\n"
+            return values
     breaks = (c[:-1] == ord("\n")) | (c[:-1] == ord("\r"))
     lengths = np.add.reduceat(digit, np.append(0, np.flatnonzero(breaks) + 1),
                               dtype=np.intp)
@@ -172,8 +189,12 @@ class LevelDiagram:
     ambiguous: tuple[int, ...] = ()
 
     def __post_init__(self):
+        bases = manifold_bases(self.n)
         for tid, (lo, up) in self.edges.items():
-            if self.manifold_of(up) != self.manifold_of(lo) + 1:
+            k = bisect.bisect_right(bases, up) - 1
+            if not (0 < k <= self.n and bases[k - 1] <= lo < bases[k]):
+                self.manifold_of(up)        # the error of a level out of range
+                self.manifold_of(lo)
                 raise AssignmentError(
                     f"edge {tid} does not cross adjacent manifolds")
 
@@ -182,9 +203,6 @@ class LevelDiagram:
         if not 0 <= level < bases[-1]:
             raise AssignmentError(f"level index {level} out of range")
         return bisect.bisect_right(bases, level) - 1
-
-    def mz_of(self, level: int) -> float:
-        return self.n / 2 - self.manifold_of(level)
 
     def derived_connectivity(self, ids: tuple[int, ...]) -> np.ndarray:
         lower, upper = np.array([self.edges[tid] for tid in ids],
@@ -205,12 +223,14 @@ class LevelDiagram:
 
 
 def format_diagram(ld: LevelDiagram) -> str:
+    bases = manifold_bases(ld.n)
     out = []
-    for level in range(2**ld.n):
-        out.append(f"level {level + 1} mz {ld.mz_of(level):.12g}")
-    for tid in sorted(ld.edges):
-        lo, up = ld.edges[tid]
-        out.append(f"edge {tid} {lo + 1} {up + 1}")
+    for k in range(ld.n + 1):
+        mz = f"{ld.n / 2 - k:.12g}"
+        out += [f"level {level + 1} mz {mz}"
+                for level in range(bases[k], bases[k + 1])]
+    out += [f"edge {tid} {lo + 1} {up + 1}"
+            for tid, (lo, up) in sorted(ld.edges.items())]
     return "\n".join(out) + "\n"
 
 
@@ -227,21 +247,18 @@ class AssignmentResult:
 
 def _canonical_signature(n: int, edges: list[tuple[int, int, int]]):
     """Rename levels by first use (per manifold) over both orientations."""
-    def rename(seq):
-        names: dict[tuple[int, int], int] = {}
-        counters: dict[int, int] = {}
-        out = []
-        for (p, u, v) in seq:
-            for man, lvl in ((p, u), (p + 1, v)):
-                if (man, lvl) not in names:
-                    names[(man, lvl)] = counters.get(man, 0)
-                    counters[man] = counters.get(man, 0) + 1
-            out.append((p, names[(p, u)], names[(p + 1, v)]))
-        return tuple(out)
-
-    direct = rename(edges)
-    inverted = rename([(n - 1 - p, v, u) for (p, u, v) in edges])
-    return min(direct, inverted)
+    names = [{} for _ in range(n + 1)]      # per manifold, level -> name
+    mirror = [{} for _ in range(n + 1)]     # the same for the inversion
+    direct, inverted = [], []
+    for p, u, v in edges:
+        lower, upper = names[p], names[p + 1]
+        direct.append((p, lower.setdefault(u, len(lower)),
+                       upper.setdefault(v, len(upper))))
+        q = n - 1 - p
+        lower, upper = mirror[q], mirror[q + 1]
+        inverted.append((q, lower.setdefault(v, len(lower)),
+                         upper.setdefault(u, len(upper))))
+    return tuple(min(direct, inverted))
 
 
 def reconstruct_levels(cm: ConnectivityMatrix, n: int,
@@ -259,6 +276,8 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     entries, and those having u as lower or v as upper level its placed -1
     entries.  That one test covers every pairwise relation, required zeros
     included, so a complete assignment is consistent by construction.
+    The search skips a subtree whose diagrams are the mirror images of
+    those of a subtree searched before it (see the module docstring).
     Solutions are deduplicated modulo within-manifold level permutation and
     global inversion, canonicalized, and capped at ``max_solutions`` (the
     ``truncated`` flag reports a hit cap).  If no diagram exists the result
@@ -299,8 +318,13 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
     def candidates(depth: int, want_plus: int, linked: int):
         """(layer, u, v) placements meeting the first placed neighbor, None
         for a fresh level, in the order the search tries them."""
+        # the inversion maps layer p to n - 1 - p: the first transition
+        # takes one layer of each mirror pair, and when it takes the middle
+        # layer, its own mirror, the second takes one placement of each pair
+        mirrored = depth == 0 or (depth == 1
+                                  and 2 * edge_of[order[0]][0] == n - 1)
         if not linked:
-            layers = range(n if depth else (n + 1) // 2)   # inversion quotient
+            layers = range((n + 1) // 2 if mirrored else n)
             return [(p, None, None) for p in layers]
         d0 = (linked & -linked).bit_length() - 1
         p0, u0, v0 = edge_of[order[d0]]
@@ -308,6 +332,8 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
             seeds = ((p0 + 1, v0, None), (p0 - 1, None, u0))
         else:
             seeds = ((p0, u0, None), (p0, None, v0))
+        if mirrored:
+            seeds = seeds[:1]
         cands = []
         for p, u, v in seeds:
             if not 0 <= p < n:
@@ -395,10 +421,10 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
 def _bit_rows(bits: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an integer, column i as bit i."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in packed.tolist()]
-
-
-_PICKED = np.iinfo(np.int64).min    # the search-order key of a picked transition
+    rows, width = packed.shape
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[k * width:(k + 1) * width], "little")
+            for k in range(rows)]
 
 
 def _search_order(m: np.ndarray) -> list[int]:
@@ -408,17 +434,18 @@ def _search_order(m: np.ndarray) -> list[int]:
     t_count = m.shape[0]
     nonzero = m != 0
     # (links, degree, -t) packed into one integer: links * T^2 + degree * T
-    # + (T - 1 - t); a picked transition's key is pushed far below zero
+    # + (T - 1 - t)
     key = (nonzero.sum(axis=1) * t_count
            + (t_count - 1 - np.arange(t_count))).astype(np.int64)
-    # row s: the key increment of every transition linked to s
+    # row s: the key increment of every transition linked to s, and on the
+    # diagonal one that pushes s, once picked, far below every other key
     increments = nonzero.T * np.int64(t_count * t_count)
+    np.fill_diagonal(increments, np.iinfo(np.int64).min // 2)
     order: list[int] = []
     for _ in range(t_count):
         best = int(key.argmax())
         order.append(best)
         key += increments[best]
-        key[best] = _PICKED
     return order
 
 

@@ -365,8 +365,10 @@ def gate_library_2spin(es: EigenSystem, gate: int) -> ProtocolReport:
         a, b = _GATE_GENERATORS[gi]
         text += f"selpulse ({_GATE_LABELS[a]},{_GATE_LABELS[b]}) 180 x\n"
     text = text or "# identity\n"
-    rho0 = dyn.equilibrium_deviation(es)
-    rep = _run(f"gate{gate:02d}", text, es, rho0)
+    name = f"gate{gate:02d}"
+    program = pl.parse_program(text, source=name)
+    rep = ProtocolReport(name=name, program_text=text, final_state=pl.execute(
+        program, es, dyn.equilibrium_deviation(es)))
 
     # the truth table: the program maps projector k onto projector perm[k]
     src = [es.index_of_label(_GATE_LABELS[k]) for k in range(4)]
@@ -375,7 +377,6 @@ def gate_library_2spin(es: EigenSystem, gate: int) -> ProtocolReport:
     projectors[np.arange(4), src, src] = 1.0
     expect = np.zeros_like(projectors)
     expect[np.arange(4), dst, dst] = 1.0
-    program = pl.parse_program(text, source=rep.name)
     out = pl.execute(program, es, projectors)
     ok = np.abs(out - expect).max() <= 1e-12
     rep.metrics["truth_table_ok"] = 1.0 if ok else 0.0

@@ -164,16 +164,15 @@ def _parse_phase_value(tok: str, source, line, col) -> float:
     if tok in _AXIS_TO_DEG:
         return _AXIS_TO_DEG[tok]
     if tok.startswith("deg:"):
-        try:
-            return float(tok[4:]) % 360.0
-        except ValueError:
-            raise PulseProgramError(f"malformed phase {tok!r}", source, line, col) from None
+        return _parse_float(tok, "phase", source, line, col, start=4) % 360.0
     raise PulseProgramError(f"malformed phase {tok!r}", source, line, col)
 
 
-def _parse_float(tok: str, what: str, source, line, col) -> float:
+def _parse_float(tok: str, what: str, source, line, col,
+                 start: int = 0) -> float:
+    """The finite number tok[start:], or an error that quotes all of tok."""
     try:
-        val = float(tok)
+        val = float(tok[start:])
     except ValueError:
         raise PulseProgramError(f"malformed {what} {tok!r}", source, line, col) from None
     if not math.isfinite(val):

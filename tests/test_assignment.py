@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -76,7 +77,8 @@ _CM_TOKENS = ("-1", "0", "1", "+1", "-0", "+0", "01", "00", "-01", "1_0", "2",
 @st.composite
 def connectivity_texts(draw):
     """Square symmetric matrices in canonical spelling, some entries
-    respelled, some rows cut or comments and blank lines added."""
+    respelled, some spelled in fixed width, some rows cut or comments and
+    blank lines added."""
     t = draw(st.integers(1, 5))
     m = np.zeros((t, t), dtype=int)
     for i, j in zip(*np.triu_indices(t, 1)):
@@ -85,6 +87,9 @@ def connectivity_texts(draw):
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))
         rows[i][j] = draw(st.sampled_from(_CM_TOKENS))
+    if draw(st.booleans()):
+        width = max(len(tok) for row in rows for tok in row)
+        rows = [[tok.rjust(width) for tok in row] for row in rows]
     if draw(st.booleans()):
         i = draw(st.integers(0, t - 1))
         rows[i] = rows[i][:draw(st.integers(0, t))]
@@ -110,6 +115,12 @@ def test_parse_connectivity_matches_int_loop(text):
     "0\t1\r\n1 0\r\n", "0 -1\r-1 0", "0 -1\n-1 0\n", "0 - 1\n1 0\n", "0 1-1\n1 0\n",
     "0 -\n1 0\n", "0 -10\n1 0\n", "0 10\n10 0\n", "0 1\n\n1 0\n\n0 1\n",
     "-1 0\n0 0\n", "0 1\n-1 0\n",
+    # fixed width, and texts that are almost: a line break inside a line, no
+    # final line break, a carriage return, a blank line or an extra line
+    " 0 -1\n-1  0\n", "0\n", "-1  0\n 0  0\n", "0 1\n1\n0\n", "0 1\n1\n0 ",
+    " 0  1\n 1  0", " 0  1\r\n 1  0\r\n", "0\r1\n1\r0\n", " 0  1\n\n 1  0\n",
+    "0 1 \n 1 0\n",
+    "0 0\n0 0\n0 0\n",
 ])
 def test_parse_connectivity_edge_texts_match_int_loop(text):
     assert (parse_outcome(asg.parse_connectivity, text)
@@ -449,9 +460,9 @@ def full_scan_reconstruct(cm, n, max_solutions=64, analyze_conflict=True):
 @st.composite
 def thresholded_matrices(draw):
     """The Z-COSY connectivity of the lines above a threshold in a random
-    3- or 4-spin system, at most 14 of them, with up to two entries
+    3-, 4- or 5-spin system, at most 14 of them, with up to two entries
     negated or zeroed (which can make it unsatisfiable)."""
-    n = draw(st.sampled_from([3, 4]))
+    n = draw(st.sampled_from([3, 4, 5]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     es = core.eigensystem(random_system(rng, n))
     cm = acq.zcosy_connectivity(es, draw(st.sampled_from([0.05, 0.2, 0.5])))
@@ -467,17 +478,46 @@ def thresholded_matrices(draw):
     return n, asg.ConnectivityMatrix(m=m, ids=ids), draw(st.sampled_from([1, 3, 64]))
 
 
+def assert_same_result(got, ref):
+    assert [ld.edges for ld in got.diagrams] == [ld.edges for ld in ref.diagrams]
+    assert [ld.ambiguous for ld in got.diagrams] == [
+        ld.ambiguous for ld in ref.diagrams]
+    assert (got.truncated, got.conflict) == (ref.truncated, ref.conflict)
+
+
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 @settings(max_examples=60, deadline=None)
 @given(thresholded_matrices())
 def test_reconstruct_matches_full_scan_reference(case):
     n, cm, cap = case
-    got = asg.reconstruct_levels(cm, n, max_solutions=cap)
-    ref = full_scan_reconstruct(cm, n, max_solutions=cap)
-    assert [ld.edges for ld in got.diagrams] == [ld.edges for ld in ref.diagrams]
-    assert [ld.ambiguous for ld in got.diagrams] == [
-        ld.ambiguous for ld in ref.diagrams]
-    assert (got.truncated, got.conflict) == (ref.truncated, ref.conflict)
+    assert_same_result(asg.reconstruct_levels(cm, n, max_solutions=cap),
+                       full_scan_reconstruct(cm, n, max_solutions=cap))
+
+
+# the lines above a threshold in six random 5-spin systems, 8 to 68 of
+# them: an odd spin count between the sizes of the cases above and the full
+# matrices below
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("seed", range(6))
+def test_reconstruct_matches_full_scan_for_five_spins(seed):
+    es = core.eigensystem(random_system(np.random.default_rng(seed), 5))
+    for threshold in (0.2, 0.5):
+        cm = acq.zcosy_connectivity(es, threshold)
+        for cap in (1, 3, 64):
+            assert_same_result(
+                asg.reconstruct_levels(cm, 5, max_solutions=cap),
+                full_scan_reconstruct(cm, 5, max_solutions=cap))
+
+
+# with no entry set, the first transition is linked to none, so the second
+# is placed unlinked to it: for n = 3 it takes layers 0 and 1 below a first
+# transition in layer 1, where a first in layer 0 takes all three
+@pytest.mark.parametrize("n, t_count", [(3, 2), (3, 3), (3, 4), (5, 3)])
+def test_reconstruct_matches_full_scan_without_links(n, t_count):
+    cm = asg.ConnectivityMatrix(m=np.zeros((t_count, t_count), dtype=int))
+    for cap in (1, 3, 64):
+        assert_same_result(asg.reconstruct_levels(cm, n, max_solutions=cap),
+                           full_scan_reconstruct(cm, n, max_solutions=cap))
 
 
 def changed_full_matrix(n, changes):
@@ -508,11 +548,7 @@ def test_reconstruct_matches_full_scan_at_benchmark_sizes(n, changes):
         got = asg.reconstruct_levels(cm, n, max_solutions=cap)
         ref = full_scan_reconstruct(cm, n, max_solutions=cap,
                                     analyze_conflict=False)
-        assert [ld.edges for ld in got.diagrams] == [
-            ld.edges for ld in ref.diagrams]
-        assert [ld.ambiguous for ld in got.diagrams] == [
-            ld.ambiguous for ld in ref.diagrams]
-        assert (got.truncated, got.conflict) == (ref.truncated, conflict)
+        assert_same_result(got, dataclasses.replace(ref, conflict=conflict))
         assert bool(got.diagrams) == (not changes)
 
 
@@ -533,6 +569,25 @@ def test_conflict_analysis_searches_each_sign_pattern_once(n, changes, first,
     monkeypatch.setattr(asg, "reconstruct_levels", counting)
     assert search(cm, n).conflict == first
     assert len(calls) <= 27
+
+
+# each full matrix has one diagram up to symmetry; for an odd spin count
+# its mirror image starts in the middle layer too, and the search reaches
+# it only when it descends both placements of a mirror pair below it
+@pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_full_matrix_search_reaches_one_leaf(n, monkeypatch):
+    cm = changed_full_matrix(n, ())
+    signature = asg._canonical_signature
+    leaves = []
+
+    def counting(*args):
+        leaves.append(args)
+        return signature(*args)
+
+    monkeypatch.setattr(asg, "_canonical_signature", counting)
+    assert len(asg.reconstruct_levels(cm, n).diagrams) == 1
+    assert len(leaves) == 1
 
 
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")

@@ -522,7 +522,8 @@ _FUZZ_SNIPPETS = st.sampled_from([
     " ", "\n", "#", "-", ".", "0", "1", "7", "e", "e400", "nan", "inf", "-0",
     "1e-300", "99999999999999999999", "x", "y", "(", ")", ",", "t1", "t9",
     "nspins", "offset_hz", "j_hz", "d_hz", "dim", "pulse", "selpulse",
-    "delay", "acquire", "cycle", "grad", "\t", "\u00e9", "\x00", "\u00b2"])
+    "delay", "acquire", "cycle", "grad", "deg:", "\t", "\u00e9", "\x00",
+    "\u00b2"])
 
 _FUZZ_EDITS = st.lists(st.tuples(
     st.sampled_from(["insert", "delete", "replace", "dup_line", "truncate"]),

@@ -74,6 +74,15 @@ def test_parse_errors_carry_location():
     ("cycle P1 P2\tP1\n", "prog.pp:1:13: duplicate phase slot 'P1'"),
     # U+3000 and U+00A0 separate tokens: str.isspace holds for both
     ("pulse\u3000ninety\u00a0x\n", "prog.pp:1:7: malformed angle 'ninety'"),
+    # an explicit phase is a finite number of degrees, on a pulse line and
+    # in a cycle row alike
+    ("pulse 90 deg:nan\n", "prog.pp:1:10: non-finite phase 'deg:nan'"),
+    ("selpulse t1 90 deg:inf\n", "prog.pp:1:16: non-finite phase 'deg:inf'"),
+    ("cycle P Q\nrow x deg:-inf\npulse 90 P\npulse 90 Q\n",
+     "prog.pp:2:7: non-finite phase 'deg:-inf'"),
+    ("cycle P\nrow deg:NaN -\npulse 90 P\n",
+     "prog.pp:2:5: non-finite phase 'deg:NaN'"),
+    ("pulse 90 deg:ninety\n", "prog.pp:1:10: malformed phase 'deg:ninety'"),
 ])
 def test_malformed_lines_rejected_at_the_token(text, message):
     with pytest.raises(pl.PulseProgramError) as err:
