@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,12 @@ _FACTORED_LINES = 4
 # differently.
 _TABLE_SLICE = 64
 _TABLE_ENTRIES = 1 << 16
+
+# the t2 pass of the tomography inversion transforms blocks of whole rows
+# of at most this many points (16 rows at 1024 points, 256 kB).  In a
+# process that tomographs state after state, 64-row blocks left the heap
+# about 0.9 MB larger than blocks of 4 to 32 rows.
+_TOMO_FFT_BLOCK = 1 << 14
 
 
 @dataclass
@@ -110,6 +117,11 @@ def line_amplitudes(es: EigenSystem, rho: np.ndarray) -> np.ndarray:
 def _check_points(points: int) -> None:
     if points < 1 or (points & (points - 1)) != 0:
         raise AcquisitionError(f"points must be a power of two, got {points}")
+
+
+def _check_t1_points(t1_points: int) -> None:
+    if t1_points < 1:
+        raise AcquisitionError(f"t1 points must be at least 1, got {t1_points}")
 
 
 def acquire_fid(es: EigenSystem, rho: np.ndarray,
@@ -238,8 +250,7 @@ def t1_stack(program: pl.PulseProgram, es: EigenSystem,
     the states."""
     if not program.instructions or not isinstance(program.instructions[-1], pl.Acquire):
         raise AcquisitionError("2D program must end with an acquire instruction")
-    if t1_points < 1:
-        raise AcquisitionError(f"t1 points must be at least 1, got {t1_points}")
+    _check_t1_points(t1_points)
     if np.shape(rho0) != (es.dim, es.dim):
         raise AcquisitionError(f"a 2D run starts from one {es.dim} x {es.dim} "
                                f"state, got shape {np.shape(rho0)}")
@@ -362,8 +373,10 @@ def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
 # products), and its zero terms are +-0, which leave every sum's bits
 # unchanged: each sum starts at +0.0 and can never become -0.0.  Such lines
 # skip the cut.  The inversion reads the spectrum only at the peak bins, so
-# of fft2's two passes (t2, then t1) the t1 pass runs only on the peak
-# columns, which gives fft2's bits.
+# of fft2's two passes (t2, then t1) the t2 pass runs on blocks of rows and
+# keeps only the peak columns, and the t1 pass runs only on those columns.
+# Each row and column is transformed on its own, so this gives fft2's bits
+# without the t1 x t2 spectrum.
 
 def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
@@ -436,18 +449,34 @@ def default_tomo_dwell(es: EigenSystem) -> float:
     return 1.0 / (4.0 * emax / (2 * math.pi))
 
 
-def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
-                        t1_points: int = 256, t2_points: int = 512
-                        ) -> tuple[Dataset2D, tuple[CoherenceEstimate, ...]]:
-    """Two-dimensional multiple-quantum measurement of all off-diagonals.
+@dataclass(frozen=True)
+class _TomoModel:
+    """The state-independent half of ``tomo_offdiagonal_2d`` for one
+    eigensystem and (t1, t2) grid: the readout program, the peak bins
+    read along each axis, the real design matrix of the inversion (rows
+    (j1, j2) at those bins, Re rows over Im rows) and, per upper-triangle
+    element, its (k, l, coherence order, omega_1 frequency).  Read-only."""
 
-    Runs [t1 - (pi/2)_y - G_z - (pi/4)_-y - t2] on the ``default_tomo_dwell``
-    grid in both dimensions, Fourier transforms, and inverts the exact
-    linear model of the sequence at the predicted peak bins, estimating
-    every element's complex value.  Returns the dataset and one row per
-    upper-triangle element (k < l) with its magnitude and coherence order
-    (from its omega_1 coordinate).
-    """
+    grid: tuple[int, int]
+    program: pl.PulseProgram
+    bins1: np.ndarray
+    bins2: np.ndarray
+    a_real: np.ndarray
+    rows: tuple[tuple[int, int, int, float], ...]
+
+
+# the last model built per eigensystem, dropped with its eigensystem, so
+# core.eigensystem's map of 8 bounds how many stay alive through it
+_TOMO_MODELS: weakref.WeakKeyDictionary[EigenSystem, _TomoModel] = \
+    weakref.WeakKeyDictionary()
+
+
+def _tomo_model(es: EigenSystem, t1_points: int, t2_points: int) -> _TomoModel:
+    """The measurement model of ``es`` on the grid, built on the first call
+    for that pair; a call on another grid replaces it."""
+    model = _TOMO_MODELS.get(es)
+    if model is not None and model.grid == (t1_points, t2_points):
+        return model
     catalog = transition_catalog(es)
     dwell = default_tomo_dwell(es)
     dim = es.dim
@@ -457,7 +486,6 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
 
     program = pl.parse_program(
         f"delay t1\npulse 90 y\ngrad\npulse 45 -y\nacquire {t2_points} {dwell:.12g}\n")
-    dataset = run_2d(program, es, rho0=rho, t1_points=t1_points, dwell1=dwell)
 
     # transfer weights: coherence element (a, c) -> diagonal after (pi/2)_y,
     # then line amplitudes after (pi/4)_-y
@@ -473,7 +501,8 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
     gten = np.einsum("ma,mc->mac", u90, np.conj(u90))   # [m, a, c]
     kten = np.einsum("bm,mac->bac", hmat, gten)         # [b, a, c]
 
-    # element (a, c) sits at f1[a * dim + c] = (E_c - E_a)/2pi in omega_1
+    # element (a, c) sits at f1[a * dim + c] = (E_c - E_a)/2pi in omega_1;
+    # the model uses the dwell as computed, not the acquire line's 12 digits
     bins1 = np.unique(np.round(f1 * t1_points * dwell).astype(int) % t1_points)
     bins2 = np.unique(np.round(f2 * t2_points * dwell).astype(int) % t2_points)
     d1 = _dirichlet(f1[:, None], bins1, t1_points, dwell)       # [ac, j1]
@@ -487,8 +516,7 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
     # observation (j1, j2) sums kten[line, a, c] * d1 * d2
     s_plus, s_minus, s_diag = _design_sums(kten, d1, d2, dim)
     upper_k, upper_l = np.triu_indices(dim, 1)
-    kl = upper_k * dim + upper_l
-    n_up = len(kl)
+    n_up = len(upper_k)
     n1, n2 = len(bins1), len(bins2)
 
     # rows (j1, j2) with j2 fastest; columns Re/Im of each element, then the
@@ -500,19 +528,56 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
     a_real[1, ..., 1:2 * n_up:2] = s_minus[0].transpose(2, 0, 1)
     a_real[..., 2 * n_up:] = s_diag.transpose(0, 3, 1, 2)
     a_real = a_real.reshape(2 * n1 * n2, -1)
-    # the fft2 spectrum at the peak bins (see the note above _cabs)
-    spec = np.fft.fft(np.fft.fft(dataset.data, axis=1)[:, bins2], axis=0)
-    b_vec = spec[bins1].ravel()
-    b_real = np.concatenate([b_vec.real, b_vec.imag])
-    sol, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
+    for arr in (bins1, bins2, a_real):
+        arr.flags.writeable = False
+    rows = tuple((k, l, int(round(es.mz[k] - es.mz[l])), float(f1[k * dim + l]))
+                 for k, l in zip(upper_k.tolist(), upper_l.tolist()))
+    model = _TomoModel((t1_points, t2_points), program, bins1, bins2, a_real, rows)
+    _TOMO_MODELS[es] = model
+    return model
 
-    rows = []
-    for e, (k, l) in enumerate(zip(upper_k.tolist(), upper_l.tolist())):
+
+def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
+                        t1_points: int = 256, t2_points: int = 512
+                        ) -> tuple[Dataset2D, tuple[CoherenceEstimate, ...]]:
+    """Two-dimensional multiple-quantum measurement of all off-diagonals.
+
+    Runs [t1 - (pi/2)_y - G_z - (pi/4)_-y - t2] on the ``default_tomo_dwell``
+    grid in both dimensions, Fourier transforms, and inverts the exact
+    linear model of the sequence at the predicted peak bins, estimating
+    every element's complex value.  Returns the dataset and one row per
+    upper-triangle element (k < l) with its magnitude and coherence order
+    (from its omega_1 coordinate).
+
+    The model depends on the eigensystem and the grid only, never on the
+    state, so it is built once per such pair (``_tomo_model``) and every
+    later state on it only runs the sequence, transforms at the peak bins
+    and solves.
+    """
+    _check_t1_points(t1_points)
+    _check_points(t2_points)
+    model = _tomo_model(es, t1_points, t2_points)
+    dataset = run_2d(model.program, es, rho0=rho, t1_points=t1_points,
+                     dwell1=default_tomo_dwell(es))
+    # the fft2 spectrum at the peak bins (see the note above _cabs): the t2
+    # pass in blocks of rows, keeping the bins2 columns, then the t1 pass on
+    # those columns
+    step = max(1, _TOMO_FFT_BLOCK // t2_points)
+    peak_cols = np.empty((t1_points, model.bins2.size), dtype=complex)
+    for start in range(0, t1_points, step):
+        block = np.fft.fft(dataset.data[start:start + step], axis=1)
+        peak_cols[start:start + step] = block[:, model.bins2]
+    b_vec = np.fft.fft(peak_cols, axis=0)[model.bins1].ravel()
+    b_real = np.concatenate([b_vec.real, b_vec.imag])
+    sol, *_ = np.linalg.lstsq(model.a_real, b_real, rcond=None)
+
+    coherences = []
+    for e, (k, l, order, freq_hz) in enumerate(model.rows):
         val = complex(sol[2 * e], sol[2 * e + 1])
-        rows.append(CoherenceEstimate(
-            k=k, l=l, order=int(round(es.mz[k] - es.mz[l])),
-            freq_hz=float(f1[kl[e]]), value=val, magnitude=abs(val)))
-    return dataset, tuple(rows)
+        coherences.append(CoherenceEstimate(k=k, l=l, order=order,
+                                            freq_hz=freq_hz, value=val,
+                                            magnitude=abs(val)))
+    return dataset, tuple(coherences)
 
 
 def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:

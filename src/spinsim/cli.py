@@ -239,14 +239,17 @@ def cmd_assign(args) -> int:
         raise CliError(f"unsatisfiable connectivity matrix;{detail}")
     print(f"solutions {len(result.diagrams)} "
           f"truncated {1 if result.truncated else 0}")
+    # a diagram is formatted only to be written or printed: each one into
+    # its file with --out, else the first on stdout
     out_dir = Path(args.out) if args.out else None
-    for i, ld in enumerate(result.diagrams, start=1):
+    shown = result.diagrams if out_dir is not None else result.diagrams[:1]
+    for i, ld in enumerate(shown, start=1):
         text = asg.format_diagram(ld)
         if ld.ambiguous:
             text += "ambiguous " + " ".join(str(t) for t in ld.ambiguous) + "\n"
         if out_dir is not None:
             _write(out_dir / f"diagram_{i:03d}.levels", text)
-        elif i == 1:
+        else:
             print(text, end="")
     return 0
 

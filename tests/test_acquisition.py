@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -401,10 +404,12 @@ def bits(x):
 
 
 # 256 x 1024 are the CLI defaults; t1 counts of 48 and 1 check the peak-bin
-# spectrum against fft2 off powers of two and on a single row
+# spectrum against fft2 off powers of two and on a single row, and one row
+# more than a block of the t2 pass at 1024 points leaves a partial last block
 @pytest.mark.parametrize("system, t1_points, t2_points", [
     ("citrate", 64, 32), ("demo3", 32, 16), ("demo4", 16, 8),
-    ("citrate", 256, 1024), ("demo3", 48, 16), ("citrate", 1, 32)])
+    ("citrate", 256, 1024), ("demo3", 48, 16), ("citrate", 1, 32),
+    ("citrate", acq._TOMO_FFT_BLOCK // 1024 + 1, 1024)])
 def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
                                                 request, monkeypatch):
     es = request.getfixturevalue(f"{system}_es")
@@ -434,6 +439,91 @@ def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
         assert np.array_equal(bits(a_new), bits(a_ref))
         assert np.array_equal(bits(b_new),
                               bits(np.concatenate([b_ref.real, b_ref.imag])))
+
+
+def fresh_eigensystem(name):
+    """A new eigensystem of a shipped system, outside core.eigensystem's map,
+    so no tomography model of another test belongs to it."""
+    from importlib import resources
+    text = resources.files("spinsim").joinpath(
+        "data", "systems", name).read_text(encoding="utf-8")
+    sys_ = core.parse_spin_system(text, source=name)
+    return core.diagonalize(core.build_hamiltonian(sys_), sys_)
+
+
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
+
+
+def coherence_bits(coherences):
+    return [(r.k, r.l, r.order, float.hex(r.freq_hz), float.hex(r.value.real),
+             float.hex(r.value.imag), float.hex(r.magnitude))
+            for r in coherences]
+
+
+@pytest.mark.parametrize("t1_points, t2_points, message", [
+    (0, 16, "t1 points must be at least 1, got 0"),
+    (-4, 16, "t1 points must be at least 1, got -4"),
+    (8, 0, "points must be a power of two, got 0"),
+    (8, 3, "points must be a power of two, got 3")])
+def test_tomo_grid_checked_before_the_model(t1_points, t2_points, message):
+    # the model divides by the point counts; a bad grid must end in the
+    # grid's error before any of that arithmetic warns
+    es = fresh_eigensystem("citrate.spin")
+    rho = dyn.equilibrium_deviation(es)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(acq.AcquisitionError, match=f"^{message}$"):
+            acq.tomo_offdiagonal_2d(es, rho, t1_points=t1_points,
+                                    t2_points=t2_points)
+    assert es not in acq._TOMO_MODELS
+
+
+def test_tomo_model_is_built_once_per_eigensystem_and_grid(monkeypatch):
+    calls = []
+    design_sums = acq._design_sums
+
+    def counting(*args):
+        calls.append(args)
+        return design_sums(*args)
+
+    monkeypatch.setattr(acq, "_design_sums", counting)
+    es = fresh_eigensystem("demo3.spin")
+    rng = np.random.default_rng(5)
+    first, second = random_hermitian(rng, 8), random_hermitian(rng, 8)
+    acq.tomo_offdiagonal_2d(es, first, t1_points=32, t2_points=16)
+    assert len(calls) == 1
+    model = acq._TOMO_MODELS[es]
+    assert model.grid == (32, 16)
+    for arr in (model.bins1, model.bins2, model.a_real):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # a second state on the model: no new build, and the bits of a cold
+    # build on a new eigensystem of the same system
+    _, warm = acq.tomo_offdiagonal_2d(es, second, t1_points=32, t2_points=16)
+    assert len(calls) == 1
+    assert acq._TOMO_MODELS[es] is model
+    _, cold = acq.tomo_offdiagonal_2d(fresh_eigensystem("demo3.spin"), second,
+                                      t1_points=32, t2_points=16)
+    assert len(calls) == 2
+    assert coherence_bits(warm) == coherence_bits(cold)
+    # another grid replaces the model
+    acq.tomo_offdiagonal_2d(es, second, t1_points=16, t2_points=16)
+    assert len(calls) == 3
+    assert acq._TOMO_MODELS[es].grid == (16, 16)
+
+
+def test_tomo_model_is_freed_with_its_eigensystem(monkeypatch):
+    monkeypatch.setattr(acq, "_TOMO_MODELS", weakref.WeakKeyDictionary())
+    es = fresh_eigensystem("citrate.spin")
+    acq.tomo_offdiagonal_2d(es, dyn.equilibrium_deviation(es),
+                            t1_points=16, t2_points=16)
+    assert len(acq._TOMO_MODELS) == 1
+    del es
+    gc.collect()
+    assert len(acq._TOMO_MODELS) == 0
 
 
 def per_line_design_sums(kten, d1, d2, dim):

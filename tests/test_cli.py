@@ -142,6 +142,41 @@ def test_assign_eq13(tmp_path, capsys):
     assert "edge 1 " in files[0].read_text()
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_assign_formats_only_the_diagrams_it_shows(tmp_path, capsys,
+                                                   monkeypatch, out):
+    # eq13.cm read as 5 spins has 3 diagrams: without --out only the first is
+    # printed, so only it is formatted; with --out each is, once, for its file
+    from importlib import resources
+    from spinsim import assignment as asg
+    text = resources.files("spinsim").joinpath("data", "eq13.cm").read_text()
+    diagrams = asg.reconstruct_levels(asg.parse_connectivity(text), 5).diagrams
+    assert len(diagrams) == 3
+    want = [asg.format_diagram(ld) for ld in diagrams]
+    calls = []
+    format_diagram = asg.format_diagram
+
+    def counting(ld):
+        calls.append(ld)
+        return format_diagram(ld)
+
+    monkeypatch.setattr(asg, "format_diagram", counting)
+    argv = ("assign", "eq13.cm", "5") + (("--out", str(tmp_path)) if out else ())
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header = "solutions 3 truncated 0\n"
+    if out:
+        assert len(calls) == 3
+        assert stdout == header
+        files = sorted(tmp_path.glob("diagram_*.levels"))
+        assert [f.name for f in files] == [f"diagram_{i:03d}.levels"
+                                           for i in (1, 2, 3)]
+        assert [f.read_text(encoding="utf-8") for f in files] == want
+    else:
+        assert len(calls) == 1
+        assert stdout == header + want[0]
+
+
 def test_assign_unsatisfiable(tmp_path, capsys):
     cm = tmp_path / "bad.cm"
     cm.write_text("0 1 1\n1 0 1\n1 1 0\n", encoding="utf-8")
