@@ -59,6 +59,14 @@ _TABLE_ENTRIES = 1 << 16
 # about 0.9 MB larger than blocks of 4 to 32 rows.
 _TOMO_FFT_BLOCK = 1 << 14
 
+# _design_sums adds the lines' terms in blocks of whole t2 bins of at most
+# this many (element, t1 bin) terms, so a block's terms (512 kB) and sums
+# stay in cache while every line is added to them: one bin a block for
+# demo4 at 256 x 1024 (256 elements x 149 t1 bins), where the design sums
+# took 0.45 s against 0.92 s for all bins at once (one core of a 2-vCPU
+# VM).  Larger blocks there, or blocks along t1, were slower.
+_DESIGN_BLOCK = 1 << 15
+
 
 @dataclass
 class StickSpectrum:
@@ -359,24 +367,29 @@ def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
 
 
 # The tomography design matrix must come out bit for bit as the sum of
-# scalar complex products it models (the CLI sorts coherences by magnitude,
-# and at the 1e-16 noise floor their order follows the rounding).  numpy's
+# scalar complex products it models.  The kept pseudo-inverse is computed
+# from it, so its bits and those of every solved coherence follow the
+# design matrix's; the CLI sorts coherences by magnitude, so at the 1e-16
+# noise floor their order follows the rounding, and bench/reference.json
+# pins that order for the citrate EPR and demo3 GHZ rows.  numpy's
 # vectorized complex multiply and absolute value may use fused or SIMD
 # kernels that round differently from the scalar ones, so both are written
 # out in real arithmetic.
 #
 # _design_sums permutes the element axis once into [(k, l) for k < l, then
 # (l, k), then (a, a)], so each sum adds a slice of a line's terms instead
-# of a gather.  The model drops terms below 1e-14.  A line whose smallest
-# nonzero |kd| times smallest nonzero |d2| is at least 2e-14 has no nonzero
-# term below the cut (the factor 2 covers the few ulps of rounding in the
-# products), and its zero terms are +-0, which leave every sum's bits
-# unchanged: each sum starts at +0.0 and can never become -0.0.  Such lines
-# skip the cut.  The inversion reads the spectrum only at the peak bins, so
-# of fft2's two passes (t2, then t1) the t2 pass runs on blocks of rows and
-# keeps only the peak columns, and the t1 pass runs only on those columns.
-# Each row and column is transformed on its own, so this gives fft2's bits
-# without the t1 x t2 spectrum.
+# of a gather.  Each sum belongs to one t2 bin, so adding every line to one
+# block of bins at a time, in catalog order, gives the bits of adding each
+# line to all bins at once.  The model drops terms below 1e-14.  A line
+# whose smallest nonzero |kd| times smallest nonzero |d2| is at least 2e-14
+# has no nonzero term below the cut (the factor 2 covers the few ulps of
+# rounding in the products), and its zero terms are +-0, which leave every
+# sum's bits unchanged: each sum starts at +0.0 and can never become -0.0.
+# Such lines skip the cut.  The inversion reads the spectrum only at the
+# peak bins, so of fft2's two passes (t2, then t1) the t2 pass runs on
+# blocks of rows and keeps only the peak columns, and the t1 pass runs only
+# on those columns.  Each row and column is transformed on its own, so this
+# gives fft2's bits without the t1 x t2 spectrum.
 
 def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
@@ -410,35 +423,45 @@ def _design_sums(kten: np.ndarray, d1: np.ndarray, d2: np.ndarray, dim: int
                             np.arange(dim) * (dim + 1)])
     kten = kten.reshape(len(kten), dim * dim)[:, order]
     d1 = d1[order]
-    n1, n2 = d1.shape[1], d2.shape[1]
+    n_lines, n1, n2 = len(kten), d1.shape[1], d2.shape[1]
     d2_abs = _cabs(d2)
     d2_min = np.min(d2_abs, axis=1, initial=np.inf, where=d2_abs != 0.0)
+    kd = np.empty((n_lines, 2, dim * dim, n1))
+    kd_tmp = np.empty((dim * dim, n1))
+    near_cut = np.empty(n_lines, dtype=bool)
+    for t_idx in range(n_lines):
+        k = kten[t_idx, :, None]
+        _cmul(k.real, k.imag, d1.real, d1.imag, kd[t_idx], kd_tmp)
+        kd_abs = np.hypot(kd[t_idx, 0], kd[t_idx, 1])
+        kd_min = np.min(kd_abs, initial=np.inf, where=kd_abs != 0.0)
+        # a term of the line may fall below the cut
+        near_cut[t_idx] = kd_min * d2_min[t_idx] < 2e-14
     s_plus = np.zeros((2, n2, n_up, n1))        # Re(rho_kl) column
     s_minus = np.zeros((2, n2, n_up, n1))       # Im(rho_kl) column / 1j
     s_diag = np.zeros((2, n2, dim, n1))
-    kd = np.empty((2, dim * dim, n1))
-    kd_tmp = np.empty((dim * dim, n1))
-    term = np.empty((2, n2, dim * dim, n1))
-    tmp = np.empty((n2, dim * dim, n1))
-    for t_idx in range(len(kten)):
-        k = kten[t_idx, :, None]
-        _cmul(k.real, k.imag, d1.real, d1.imag, kd, kd_tmp)
-        y = d2[t_idx, :, None, None]
-        _cmul(kd[0], kd[1], y.real, y.imag, term, tmp)
-        kd_abs = np.hypot(kd[0], kd[1])
-        kd_min = np.min(kd_abs, initial=np.inf, where=kd_abs != 0.0)
-        if kd_min * d2_min[t_idx] < 2e-14:      # a term may fall below the cut
-            # |z| >= max(|Re z|, |Im z|): only terms with both parts below
-            # the cut can fall below it
-            small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
-            small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
-            np.copyto(term, 0.0, where=small)
-        kl, lk = term[:, :, :n_up], term[:, :, n_up:2 * n_up]
-        s_plus += kl
-        s_plus += lk
-        s_minus += kl
-        s_minus -= lk
-        s_diag += term[:, :, 2 * n_up:]
+    step = max(1, _DESIGN_BLOCK // (dim * dim * n1))
+    term_buf = np.empty((2, step, dim * dim, n1))
+    tmp_buf = np.empty((step, dim * dim, n1))
+    for start in range(0, n2, step):
+        bins = slice(start, min(start + step, n2))
+        term = term_buf[:, :bins.stop - start]
+        tmp = tmp_buf[:bins.stop - start]
+        plus, minus, diag = s_plus[:, bins], s_minus[:, bins], s_diag[:, bins]
+        for t_idx in range(n_lines):
+            y = d2[t_idx, bins, None, None]
+            _cmul(kd[t_idx, 0], kd[t_idx, 1], y.real, y.imag, term, tmp)
+            if near_cut[t_idx]:
+                # |z| >= max(|Re z|, |Im z|): only terms with both parts
+                # below the cut can fall below it
+                small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
+                small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
+                np.copyto(term, 0.0, where=small)
+            kl, lk = term[:, :, :n_up], term[:, :, n_up:2 * n_up]
+            plus += kl
+            plus += lk
+            minus += kl
+            minus -= lk
+            diag += term[:, :, 2 * n_up:]
     return s_plus, s_minus, s_diag
 
 
@@ -453,15 +476,16 @@ def default_tomo_dwell(es: EigenSystem) -> float:
 class _TomoModel:
     """The state-independent half of ``tomo_offdiagonal_2d`` for one
     eigensystem and (t1, t2) grid: the readout program, the peak bins
-    read along each axis, the real design matrix of the inversion (rows
-    (j1, j2) at those bins, Re rows over Im rows) and, per upper-triangle
-    element, its (k, l, coherence order, omega_1 frequency).  Read-only."""
+    read along each axis, the pseudo-inverse of the real design matrix
+    (``_tomo_design``), which maps the peak data to the unknowns, and, per
+    upper-triangle element, its (k, l, coherence order, omega_1 frequency).
+    Read-only; the design matrix itself is not kept."""
 
     grid: tuple[int, int]
     program: pl.PulseProgram
     bins1: np.ndarray
     bins2: np.ndarray
-    a_real: np.ndarray
+    pinv: np.ndarray
     rows: tuple[tuple[int, int, int, float], ...]
 
 
@@ -471,12 +495,14 @@ _TOMO_MODELS: weakref.WeakKeyDictionary[EigenSystem, _TomoModel] = \
     weakref.WeakKeyDictionary()
 
 
-def _tomo_model(es: EigenSystem, t1_points: int, t2_points: int) -> _TomoModel:
-    """The measurement model of ``es`` on the grid, built on the first call
-    for that pair; a call on another grid replaces it."""
-    model = _TOMO_MODELS.get(es)
-    if model is not None and model.grid == (t1_points, t2_points):
-        return model
+def _tomo_design(es: EigenSystem, t1_points: int, t2_points: int
+                 ) -> tuple[pl.PulseProgram, np.ndarray, np.ndarray, np.ndarray,
+                            tuple[tuple[int, int, int, float], ...]]:
+    """The linear model of the MQ readout of ``es`` on the grid: the
+    readout program, the peak bins read along each axis, the real design
+    matrix (rows (j1, j2) at those bins, Re rows over Im rows; columns Re
+    and Im of each upper-triangle element, then the diagonal) and the row
+    of each upper-triangle element, as ``_TomoModel`` keeps them."""
     catalog = transition_catalog(es)
     dwell = default_tomo_dwell(es)
     dim = es.dim
@@ -527,14 +553,46 @@ def _tomo_model(es: EigenSystem, t1_points: int, t2_points: int) -> _TomoModel:
     a_real[0, ..., 1:2 * n_up:2] = 0.0 - s_minus[1].transpose(2, 0, 1)
     a_real[1, ..., 1:2 * n_up:2] = s_minus[0].transpose(2, 0, 1)
     a_real[..., 2 * n_up:] = s_diag.transpose(0, 3, 1, 2)
-    a_real = a_real.reshape(2 * n1 * n2, -1)
-    for arr in (bins1, bins2, a_real):
-        arr.flags.writeable = False
     rows = tuple((k, l, int(round(es.mz[k] - es.mz[l])), float(f1[k * dim + l]))
                  for k, l in zip(upper_k.tolist(), upper_l.tolist()))
-    model = _TomoModel((t1_points, t2_points), program, bins1, bins2, a_real, rows)
+    return program, bins1, bins2, a_real.reshape(2 * n1 * n2, -1), rows
+
+
+def _tomo_model(es: EigenSystem, t1_points: int, t2_points: int) -> _TomoModel:
+    """The measurement model of ``es`` on the grid, built on the first call
+    for that pair; a call on another grid replaces it."""
+    model = _TOMO_MODELS.get(es)
+    if model is not None and model.grid == (t1_points, t2_points):
+        return model
+    program, bins1, bins2, a_real, rows = _tomo_design(es, t1_points, t2_points)
+    # V S+ U^T with the cut of lstsq(rcond=None): singular values at or
+    # below max(m, n) eps s_1 count as zero, so the rank is lstsq's.  The
+    # design matrix is dropped before the product is formed.
+    u, s, vt = np.linalg.svd(a_real, full_matrices=False)
+    cut = max(a_real.shape) * np.finfo(float).eps * np.max(s, initial=0.0)
+    del a_real
+    u *= np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    pinv = vt.T @ u.T
+    for arr in (bins1, bins2, pinv):
+        arr.flags.writeable = False
+    model = _TomoModel((t1_points, t2_points), program, bins1, bins2, pinv, rows)
     _TOMO_MODELS[es] = model
     return model
+
+
+def _peak_data(dataset: Dataset2D, model: _TomoModel) -> np.ndarray:
+    """The fft2 spectrum of ``dataset`` at the model's peak bins, Re over
+    Im as the design matrix's rows (see the note above _cabs): the t2 pass
+    in blocks of rows, keeping the bins2 columns, then the t1 pass on those
+    columns."""
+    t1_points, t2_points = dataset.data.shape
+    step = max(1, _TOMO_FFT_BLOCK // t2_points)
+    peak_cols = np.empty((t1_points, model.bins2.size), dtype=complex)
+    for start in range(0, t1_points, step):
+        block = np.fft.fft(dataset.data[start:start + step], axis=1)
+        peak_cols[start:start + step] = block[:, model.bins2]
+    b_vec = np.fft.fft(peak_cols, axis=0)[model.bins1].ravel()
+    return np.concatenate([b_vec.real, b_vec.imag])
 
 
 def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
@@ -550,26 +608,18 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
     (from its omega_1 coordinate).
 
     The model depends on the eigensystem and the grid only, never on the
-    state, so it is built once per such pair (``_tomo_model``) and every
-    later state on it only runs the sequence, transforms at the peak bins
-    and solves.
+    state, so it is built and factored once per such pair (``_tomo_model``
+    keeps the pseudo-inverse of its design matrix), and every later state
+    on it only runs the sequence, transforms at the peak bins and takes one
+    matrix-vector product: the minimum-norm least-squares solution that
+    ``lstsq`` would give.
     """
     _check_t1_points(t1_points)
     _check_points(t2_points)
     model = _tomo_model(es, t1_points, t2_points)
     dataset = run_2d(model.program, es, rho0=rho, t1_points=t1_points,
                      dwell1=default_tomo_dwell(es))
-    # the fft2 spectrum at the peak bins (see the note above _cabs): the t2
-    # pass in blocks of rows, keeping the bins2 columns, then the t1 pass on
-    # those columns
-    step = max(1, _TOMO_FFT_BLOCK // t2_points)
-    peak_cols = np.empty((t1_points, model.bins2.size), dtype=complex)
-    for start in range(0, t1_points, step):
-        block = np.fft.fft(dataset.data[start:start + step], axis=1)
-        peak_cols[start:start + step] = block[:, model.bins2]
-    b_vec = np.fft.fft(peak_cols, axis=0)[model.bins1].ravel()
-    b_real = np.concatenate([b_vec.real, b_vec.imag])
-    sol, *_ = np.linalg.lstsq(model.a_real, b_real, rcond=None)
+    sol = model.pinv @ _peak_data(dataset, model)
 
     coherences = []
     for e, (k, l, order, freq_hz) in enumerate(model.rows):

@@ -308,8 +308,11 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
         raise SpinSystemError("Hamiltonian dimension does not match system")
     if not np.all(np.isfinite(h)):
         raise SpinSystemError("Hamiltonian has a non-finite entry")
-    hnorm = np.linalg.norm(h)
-    if hnorm > 0 and np.linalg.norm(h - h.conj().T) > 1e-10 * hnorm:
+    # the checks run on H scaled by its largest part when that exceeds 1,
+    # so that entries near the float range cannot overflow the norms
+    hs = h / max(1.0, np.max(np.abs(h.real)), np.max(np.abs(h.imag)))
+    hnorm = np.linalg.norm(hs)
+    if hnorm > 0 and np.linalg.norm(hs - hs.conj().T) > 1e-10 * hnorm:
         raise SpinSystemError("Hamiltonian is not Hermitian")
 
     energies = np.zeros(dim)
@@ -320,7 +323,7 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
     conflicts = 0
     for m, idx, block, cols, names in _manifold_layout(n):
         # off-manifold leakage would mean [H, F_z] != 0
-        off = h[idx, :]
+        off = hs[idx, :]
         off[:, idx] = 0.0
         leak = np.linalg.norm(off)
         if hnorm > 0 and leak > 1e-10 * hnorm:

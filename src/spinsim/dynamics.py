@@ -328,7 +328,12 @@ def parse_state(text: str, es: EigenSystem,
         if not (1 <= k <= dim and 1 <= l <= dim):
             raise DynamicsError(f"{source}:{ln}: index ({k}, {l}) outside 1..{dim}")
         mat[k - 1, l - 1] = z
-    if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_TOL * max(
-            1.0, np.linalg.norm(mat)):
+    # the Frobenius test on the matrix scaled by its largest part when that
+    # exceeds 1, so that entries near the float range cannot overflow the
+    # norms
+    scale = max(1.0, np.max(np.abs(mat.real)), np.max(np.abs(mat.imag)))
+    unit = mat / scale
+    if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_TOL * max(
+            1.0 / scale, np.linalg.norm(unit)):
         raise DynamicsError(f"{source}: density matrix is not Hermitian")
     return mat

@@ -403,6 +403,24 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def spy_tomo_halves(monkeypatch):
+    """Record what acq._tomo_design returns (one entry per model built) and
+    what acq._peak_data returns (one entry per state), with a fresh model
+    map, so each eigensystem's model is built in the test that spies."""
+    designs, peaks = [], []
+
+    def spy(fn, out):
+        def wrapped(*args):
+            out.append(fn(*args))
+            return out[-1]
+        return wrapped
+
+    monkeypatch.setattr(acq, "_TOMO_MODELS", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(acq, "_tomo_design", spy(acq._tomo_design, designs))
+    monkeypatch.setattr(acq, "_peak_data", spy(acq._peak_data, peaks))
+    return designs, peaks
+
+
 # 256 x 1024 are the CLI defaults; t1 counts of 48 and 1 check the peak-bin
 # spectrum against fft2 off powers of two and on a single row, and one row
 # more than a block of the t2 pass at 1024 points leaves a partial last block
@@ -414,14 +432,7 @@ def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
                                                 request, monkeypatch):
     es = request.getfixturevalue(f"{system}_es")
     cat = core.transition_catalog(es)
-    captured = []
-    lstsq = np.linalg.lstsq
-
-    def spy(a, b, rcond=None):
-        captured.append((a, b))
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    designs, peaks = spy_tomo_halves(monkeypatch)
     # the model uses the default dwells as computed, not dataset.dwell2,
     # which the acquire line rounds to 12 digits
     dwell = acq.default_tomo_dwell(es)
@@ -430,14 +441,13 @@ def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
     for _ in range(2):
         a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
         rho = (a + a.conj().T) / 2
-        captured.clear()
+        peaks.clear()
         dataset, _ = acq.tomo_offdiagonal_2d(es, rho, t1_points=t1_points,
                                              t2_points=t2_points)
         b_ref = np.fft.fft2(dataset.data)[bins]
-        assert len(captured) == 1
-        a_new, b_new = captured[0]
-        assert np.array_equal(bits(a_new), bits(a_ref))
-        assert np.array_equal(bits(b_new),
+        assert len(designs) == 1 and len(peaks) == 1
+        assert np.array_equal(bits(designs[0][3]), bits(a_ref))
+        assert np.array_equal(bits(peaks[0]),
                               bits(np.concatenate([b_ref.real, b_ref.imag])))
 
 
@@ -496,7 +506,7 @@ def test_tomo_model_is_built_once_per_eigensystem_and_grid(monkeypatch):
     assert len(calls) == 1
     model = acq._TOMO_MODELS[es]
     assert model.grid == (32, 16)
-    for arr in (model.bins1, model.bins2, model.a_real):
+    for arr in (model.bins1, model.bins2, model.pinv):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -524,6 +534,29 @@ def test_tomo_model_is_freed_with_its_eigensystem(monkeypatch):
     del es
     gc.collect()
     assert len(acq._TOMO_MODELS) == 0
+
+
+# small grids on which the design matrix is well conditioned (condition
+# number on its range 11, 405 and 2.2e3); citrate's 4 unobservable columns
+# leave lstsq's minimum-norm solution
+@pytest.mark.parametrize("system, t1_points, t2_points, rank", [
+    ("citrate", 16, 16, 12), ("demo3", 32, 16, 61), ("demo4", 32, 16, 253)])
+def test_tomo_kept_solve_matches_dense_lstsq(system, t1_points, t2_points, rank,
+                                             request, monkeypatch):
+    es = request.getfixturevalue(f"{system}_es")
+    designs, peaks = spy_tomo_halves(monkeypatch)
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        _, coherences = acq.tomo_offdiagonal_2d(
+            es, random_hermitian(rng, es.dim), t1_points=t1_points,
+            t2_points=t2_points)
+        a_real = designs[0][3]
+        want, _, want_rank, _ = np.linalg.lstsq(a_real, peaks[-1], rcond=None)
+        assert want_rank == rank
+        got = [part for c in coherences for part in (c.value.real, c.value.imag)]
+        assert np.max(np.abs(np.array(got) - want[:len(got)])) <= 1e-12
+    assert len(designs) == 1
+    assert np.linalg.matrix_rank(acq._TOMO_MODELS[es].pinv) == rank
 
 
 def per_line_design_sums(kten, d1, d2, dim):
@@ -558,7 +591,7 @@ def per_line_design_sums(kten, d1, d2, dim):
     return s_plus, s_minus, s_diag
 
 
-def test_design_sums_match_per_line_loop_at_the_cut():
+def test_design_sums_match_per_line_loop_at_the_cut(monkeypatch):
     rng = np.random.default_rng(12)
     dim, n1, n2 = 3, 5, 4
 
@@ -589,10 +622,14 @@ def test_design_sums_match_per_line_loop_at_the_cut():
     terms = np.abs(kten.reshape(6, -1, 1, 1) * d1[:, None, :] * d2[:, None, :, None])
     assert np.any((terms > 0) & (terms < 1e-14))
     assert np.any((terms >= 1e-14) & (terms < 2e-14))
-    got = acq._design_sums(kten, d1, d2, dim)
     want = per_line_design_sums(kten, d1, d2, dim)
-    for g, w in zip(got, want):
-        assert np.array_equal(bits(g), bits(w))
+    # one block of all 4 t2 bins, blocks of 1 bin, and blocks of 3 bins,
+    # the last of them partial
+    for block_bins in (4, 1, 3):
+        monkeypatch.setattr(acq, "_DESIGN_BLOCK", block_bins * dim * dim * n1)
+        got = acq._design_sums(kten, d1, d2, dim)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
 
 
 @pytest.mark.parametrize("build", [pr.c2swap_4spin, pr.c3not_4spin])

@@ -227,6 +227,8 @@ def assert_one_line_error(code, err):
     ("1 1 1\n", ":2: malformed entry"),
     ("1 1 nan 0\n", ":2: malformed entry"),
     ("1 2 1 0\n", ": density matrix is not Hermitian"),
+    # the norms of this state overflow unless it is scaled first
+    ("1 2 1e300 0\n", ": density matrix is not Hermitian"),
 ])
 def test_tomo_malformed_state_file(tmp_path, capsys, body, message):
     state = tmp_path / "f.state"

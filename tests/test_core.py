@@ -704,7 +704,11 @@ def test_eigensystem_cache_is_bounded():
     ({(1, 2): 1.0}, "Hamiltonian is not Hermitian"),
     # |00> (M_z = 1) coupled to |01> (M_z = 0)
     ({(0, 1): 1.0, (1, 0): 1.0}, "Hamiltonian mixes M_z manifolds"),
+    # norms that overflow unless H is scaled first
+    ({(1, 2): 1e300}, "Hamiltonian is not Hermitian"),
+    ({(0, 1): 1e300, (1, 0): 1e300}, "Hamiltonian mixes M_z manifolds"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_diagonalize_rejects(entries, message):
     sys_ = core.SpinSystem.create("ab", [67.75, 12.25], [[0, 15], [15, 0]])
     h = core.build_hamiltonian(sys_)
