@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EigenSystem, TransitionCatalog, transition_catalog
+from .core import EigenSystem, TransitionCatalog, _norm_scale, transition_catalog
 from . import dynamics as dyn
 from . import pulselang as pl
 from .assignment import ConnectivityMatrix, connectivity
@@ -100,8 +100,10 @@ def detect_small_angle(es: EigenSystem, rho: np.ndarray,
         raise AcquisitionError("the detection pulse must be finite and not a "
                                f"multiple of 180 degrees, got {beta_deg:g}")
     catalog = transition_catalog(es)
-    off = rho - np.diag(np.diag(rho))
-    if np.linalg.norm(off) > 1e-10 * max(1.0, np.linalg.norm(rho)):
+    scale = _norm_scale(rho)    # the test on rho / scale cannot overflow
+    unit = rho / scale
+    off = unit - np.diag(np.diag(unit))
+    if np.linalg.norm(off) > 1e-10 * max(1.0 / scale, np.linalg.norm(unit)):
         warnings.warn("small-angle detection ignores off-diagonal elements")
     pops = np.real(np.diag(rho))
     s = math.sin(math.radians(beta_deg))
@@ -336,11 +338,12 @@ def tomo_diagonal(es: EigenSystem, rho: np.ndarray,
     a[np.arange(seen.size), catalog.upper[seen]] = -1.0
     a[-1] = 1.0                     # trace-free gauge
     b = np.append(spec.amplitude[seen] / (s * catalog.intensity[seen]), 0.0)
-    underdetermined = np.linalg.matrix_rank(a, tol=1e-9) < es.dim
+    sol, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
+    # the rank as matrix_rank(a, tol=1e-9) counts it
+    underdetermined = np.count_nonzero(sv > 1e-9) < es.dim
     if underdetermined:
         warnings.warn("diagonal tomography underdetermined; "
                       "returning pseudo-inverse solution")
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     return sol, underdetermined
 
 
@@ -380,12 +383,7 @@ def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
 # (l, k), then (a, a)], so each sum adds a slice of a line's terms instead
 # of a gather.  Each sum belongs to one t2 bin, so adding every line to one
 # block of bins at a time, in catalog order, gives the bits of adding each
-# line to all bins at once.  The model drops terms below 1e-14.  A line
-# whose smallest nonzero |kd| times smallest nonzero |d2| is at least 2e-14
-# has no nonzero term below the cut (the factor 2 covers the few ulps of
-# rounding in the products), and its zero terms are +-0, which leave every
-# sum's bits unchanged: each sum starts at +0.0 and can never become -0.0.
-# Such lines skip the cut.  The inversion reads the spectrum only at the
+# line to all bins at once.  The inversion reads the spectrum only at the
 # peak bins, so of fft2's two passes (t2, then t1) the t2 pass runs on
 # blocks of rows and keeps only the peak columns, and the t1 pass runs only
 # on those columns.  Each row and column is transformed on its own, so this
@@ -413,29 +411,18 @@ def _design_sums(kten: np.ndarray, d1: np.ndarray, d2: np.ndarray, dim: int
     """Sums of kten[line, a, c] * d1[ac, j1] * d2[line, j2] per peak bin.
 
     Lines are added in catalog order and, within a line, element (k, l)
-    before (l, k); terms below 1e-14 are dropped.  Returns s_plus
-    (kl + lk terms), s_minus (kl - lk terms), each [re/im, j2, k<l, j1],
-    and s_diag [re/im, j2, a, j1].
+    before (l, k).  Returns s_plus (kl + lk terms), s_minus (kl - lk
+    terms), each [re/im, j2, k<l, j1], and s_diag [re/im, j2, a, j1].
     """
     upper_k, upper_l = np.triu_indices(dim, 1)
     n_up = len(upper_k)
     order = np.concatenate([upper_k * dim + upper_l, upper_l * dim + upper_k,
                             np.arange(dim) * (dim + 1)])
-    kten = kten.reshape(len(kten), dim * dim)[:, order]
+    kten = kten.reshape(len(kten), dim * dim)[:, order, None]
     d1 = d1[order]
     n_lines, n1, n2 = len(kten), d1.shape[1], d2.shape[1]
-    d2_abs = _cabs(d2)
-    d2_min = np.min(d2_abs, axis=1, initial=np.inf, where=d2_abs != 0.0)
-    kd = np.empty((n_lines, 2, dim * dim, n1))
-    kd_tmp = np.empty((dim * dim, n1))
-    near_cut = np.empty(n_lines, dtype=bool)
-    for t_idx in range(n_lines):
-        k = kten[t_idx, :, None]
-        _cmul(k.real, k.imag, d1.real, d1.imag, kd[t_idx], kd_tmp)
-        kd_abs = np.hypot(kd[t_idx, 0], kd[t_idx, 1])
-        kd_min = np.min(kd_abs, initial=np.inf, where=kd_abs != 0.0)
-        # a term of the line may fall below the cut
-        near_cut[t_idx] = kd_min * d2_min[t_idx] < 2e-14
+    kd = np.empty((2, n_lines, dim * dim, n1))
+    _cmul(kten.real, kten.imag, d1.real, d1.imag, kd, np.empty(kd.shape[1:]))
     s_plus = np.zeros((2, n2, n_up, n1))        # Re(rho_kl) column
     s_minus = np.zeros((2, n2, n_up, n1))       # Im(rho_kl) column / 1j
     s_diag = np.zeros((2, n2, dim, n1))
@@ -449,13 +436,7 @@ def _design_sums(kten: np.ndarray, d1: np.ndarray, d2: np.ndarray, dim: int
         plus, minus, diag = s_plus[:, bins], s_minus[:, bins], s_diag[:, bins]
         for t_idx in range(n_lines):
             y = d2[t_idx, bins, None, None]
-            _cmul(kd[t_idx, 0], kd[t_idx, 1], y.real, y.imag, term, tmp)
-            if near_cut[t_idx]:
-                # |z| >= max(|Re z|, |Im z|): only terms with both parts
-                # below the cut can fall below it
-                small = (np.abs(term[0]) < 1e-14) & (np.abs(term[1]) < 1e-14)
-                small[small] = np.hypot(term[0][small], term[1][small]) < 1e-14
-                np.copyto(term, 0.0, where=small)
+            _cmul(kd[0, t_idx], kd[1, t_idx], y.real, y.imag, term, tmp)
             kl, lk = term[:, :, :n_up], term[:, :, n_up:2 * n_up]
             plus += kl
             plus += lk
@@ -617,9 +598,14 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
     _check_t1_points(t1_points)
     _check_points(t2_points)
     model = _tomo_model(es, t1_points, t2_points)
-    dataset = run_2d(model.program, es, rho0=rho, t1_points=t1_points,
+    # a state near the float range runs as rho / scale, whose peak sums
+    # stay finite, and its data and solution are scaled back
+    scale = _norm_scale(rho)
+    dataset = run_2d(model.program, es, rho0=rho / scale, t1_points=t1_points,
                      dwell1=default_tomo_dwell(es))
-    sol = model.pinv @ _peak_data(dataset, model)
+    sol = model.pinv @ _peak_data(dataset, model) * scale
+    if scale != 1.0:
+        dataset = replace(dataset, data=dataset.data * scale)
 
     coherences = []
     for e, (k, l, order, freq_hz) in enumerate(model.rows):
@@ -644,8 +630,7 @@ def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:
     n1, n2 = dataset.data.shape
     win = np.outer(np.hanning(n1), np.hanning(n2))
     spec = np.fft.fftshift(np.fft.fft2(dataset.data * win))
-    f1ax = np.fft.fftshift(np.fft.fftfreq(n1, dataset.dwell1))
-    f2ax = np.fft.fftshift(np.fft.fftfreq(n2, dataset.dwell2))
+    f1ax, f2ax = dataset._axes()
     mag = np.abs(spec)
     mmax = mag.max()
     if mmax == 0.0:
@@ -681,6 +666,7 @@ def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray) -> float:
     """
     # under this package's rotation convention the summing quadrature is
     # phase 0 and the differencing one phase 90
+    rho = rho / _norm_scale(rho)    # the ratio stays; the squares stay finite
     a3, a4 = (line_amplitudes(es, pl.execute(pl.parse_program(text), es, rho))
               for text in ("pulse 45 x\n", "pulse 45 y\n"))
     n3 = math.sqrt(sum(abs(v) ** 2 for v in a3))
@@ -691,6 +677,7 @@ def tomo_scale_calibration(es: EigenSystem, rho: np.ndarray) -> float:
 def traceless_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """Normalized Frobenius overlap of the traceless parts of two matrices."""
     dim = a.shape[0]
+    a, b = a / _norm_scale(a), b / _norm_scale(b)   # same overlap, finite norms
     a0 = a - np.trace(a) / dim * np.eye(dim)
     b0 = b - np.trace(b) / dim * np.eye(dim)
     na, nb = np.linalg.norm(a0), np.linalg.norm(b0)
@@ -714,10 +701,12 @@ def reconstruct_density(diag: np.ndarray,
     for r in coherences:
         mat[r.k, r.l] += r.value
         mat[r.l, r.k] += np.conj(r.value)
-    herm_defect = np.linalg.norm(mat - mat.conj().T)
-    if herm_defect > 1e-9 * max(1.0, np.linalg.norm(mat)):
+    scale = _norm_scale(mat)    # the test and sum on mat / scale cannot overflow
+    unit = mat / scale
+    if np.linalg.norm(unit - unit.conj().T) > 1e-9 * max(
+            1.0 / scale, np.linalg.norm(unit)):
         warnings.warn("inconsistent tomography inputs; symmetrizing")
-    mat = 0.5 * (mat + mat.conj().T)
+    mat = 0.5 * (unit + unit.conj().T) * scale
     fidelity = None
     if reference is not None:
         fidelity = traceless_overlap(mat, reference)

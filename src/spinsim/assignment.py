@@ -262,8 +262,7 @@ def _canonical_signature(n: int, edges: list[tuple[int, int, int]]):
 
 
 def reconstruct_levels(cm: ConnectivityMatrix, n: int,
-                       max_solutions: int = 64,
-                       analyze_conflict: bool = True) -> AssignmentResult:
+                       max_solutions: int = 64) -> AssignmentResult:
     """Backtracking search for all diagrams consistent with cm, up to symmetry.
 
     Transitions are placed most-constrained-first; each endpoint is either
@@ -408,9 +407,8 @@ def reconstruct_levels(cm: ConnectivityMatrix, n: int,
             f"{sys.getrecursionlimit()})") from None
 
     if not solutions:
-        conflict = _first_conflict(cm, n) if analyze_conflict else None
         return AssignmentResult(diagrams=[], truncated=False,
-                                conflict=conflict)
+                                conflict=_first_conflict(cm, n))
 
     solutions.sort()
     diagrams = [_diagram_from_signature(n, cm.ids, sig, ambiguous)
@@ -456,19 +454,29 @@ def _diagram_from_signature(n, ids, sig, ambiguous) -> LevelDiagram:
     return LevelDiagram(n=n, edges=edges, ambiguous=ambiguous)
 
 
-def _first_conflict(cm: ConnectivityMatrix, n: int) -> tuple[int, ...] | None:
-    """The first transition triple, in lexicographic order, that no diagram
-    of n spins realizes.  Whether one does depends only on the triple's
-    three entries, so each of the 27 patterns is searched once."""
-    t = cm.size
-    if t < 3:       # no triple, and n may be too small to hold one
-        return None
+@functools.cache
+def _realizable(n: int) -> np.ndarray:
+    """Read-only [a + 1, b + 1, c + 1]: whether n spins realize a triple with
+    entries a (first, second), b (first, third) and c (second, third)."""
     realizable = np.zeros((3, 3, 3), dtype=bool)
     for a, b, c in itertools.product((-1, 0, 1), repeat=3):
         sub = np.array([[0, a, b], [a, 0, c], [b, c, 0]])
         realizable[a + 1, b + 1, c + 1] = bool(reconstruct_levels(
-            ConnectivityMatrix(m=sub), n, max_solutions=1,
-            analyze_conflict=False).diagrams)
+            ConnectivityMatrix(m=sub), n, max_solutions=1).diagrams)
+    realizable.flags.writeable = False
+    return realizable
+
+
+def _first_conflict(cm: ConnectivityMatrix, n: int) -> tuple[int, ...] | None:
+    """The first transition triple, in lexicographic order, that no diagram
+    of n spins realizes in a matrix without one.  That depends only on the
+    triple's entries, so ``_realizable`` searches each of the 27 patterns."""
+    t = cm.size
+    if t < 3:       # no triple, and n may be too small to hold one
+        return None
+    if t == 3:      # the matrix is its own triple
+        return cm.ids
+    realizable = _realizable(n)
     cell = cm.m + 1
     for i in range(t - 2):
         rest = cell[i, i + 1:]

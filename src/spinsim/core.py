@@ -293,6 +293,13 @@ def _greedy_match(overlaps: np.ndarray) -> tuple[np.ndarray, int]:
     return row_of, int(np.count_nonzero((chosen >= 0) & (chosen != cols)))
 
 
+def _norm_scale(a: np.ndarray) -> float:
+    """1.0, or, when a part of ``a`` reaches 2**480 and its squared norms
+    could overflow, the power of two taking its largest part to [1, 2)."""
+    big = max(max(p.max(), -p.min()) for p in (a.real, a.imag))
+    return 1.0 if big < 2.0 ** 480 else math.ldexp(1.0, math.frexp(big)[1] - 1)
+
+
 def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
     """Blockwise Hermitian eigensolve over M_z manifolds.
 
@@ -308,9 +315,9 @@ def diagonalize(h: np.ndarray, sys: SpinSystem) -> EigenSystem:
         raise SpinSystemError("Hamiltonian dimension does not match system")
     if not np.all(np.isfinite(h)):
         raise SpinSystemError("Hamiltonian has a non-finite entry")
-    # the checks run on H scaled by its largest part when that exceeds 1,
-    # so that entries near the float range cannot overflow the norms
-    hs = h / max(1.0, np.max(np.abs(h.real)), np.max(np.abs(h.imag)))
+    # the checks run on H scaled so that entries near the float range
+    # cannot overflow the norms
+    hs = h / _norm_scale(h)
     hnorm = np.linalg.norm(hs)
     if hnorm > 0 and np.linalg.norm(hs - hs.conj().T) > 1e-10 * hnorm:
         raise SpinSystemError("Hamiltonian is not Hermitian")

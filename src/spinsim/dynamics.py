@@ -27,7 +27,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .core import EigenSystem, _manifold_layout
+from .core import EigenSystem, _manifold_layout, _norm_scale
 
 HERMITICITY_TOL = 1e-12
 
@@ -230,9 +230,9 @@ _SPARSE_SMALL = 64          # up to this many elements, one Python loop
 
 
 def sparse_chunks(header: str, mat: np.ndarray) -> Iterator[str]:
-    """The text of ``format_sparse`` in chunks: the header line, then the
-    rows of one ``_SPARSE_SLICE`` slice of the kept elements per chunk, so
-    a writer holds one slice of text at a time.
+    """``header``, then a ``k l re im`` row (1-based, row-major) per element
+    of the 2-D ``mat`` of magnitude at least 1e-14, in chunks of one
+    ``_SPARSE_SLICE`` slice of rows, so a writer holds one slice at a time.
 
     Only the floats go through ``%``, one call per slice of rows, as
     Python floats: ``"%.12g" % x`` is the text of ``format(x, ".12g")``.
@@ -268,14 +268,8 @@ def sparse_chunks(header: str, mat: np.ndarray) -> Iterator[str]:
         yield pattern % tuple(values)
 
 
-def format_sparse(header: str, mat: np.ndarray) -> str:
-    """``header``, then one ``k l re im`` row (1-based, row-major) per
-    element of the 2-D array ``mat`` with magnitude at least 1e-14."""
-    return "".join(sparse_chunks(header, mat))
-
-
 def _format_sparse_loop(header: str, mat: np.ndarray) -> str:
-    """``format_sparse`` element by element on Python complex numbers.
+    """The text of ``sparse_chunks``, element by element on Python complexes.
 
     ``abs`` of a Python complex is the C ``hypot``, as for a numpy
     complex scalar, but raises ``OverflowError`` where numpy returns inf.
@@ -328,10 +322,9 @@ def parse_state(text: str, es: EigenSystem,
         if not (1 <= k <= dim and 1 <= l <= dim):
             raise DynamicsError(f"{source}:{ln}: index ({k}, {l}) outside 1..{dim}")
         mat[k - 1, l - 1] = z
-    # the Frobenius test on the matrix scaled by its largest part when that
-    # exceeds 1, so that entries near the float range cannot overflow the
-    # norms
-    scale = max(1.0, np.max(np.abs(mat.real)), np.max(np.abs(mat.imag)))
+    # the Frobenius test on the matrix scaled so that entries near the float
+    # range cannot overflow the norms
+    scale = _norm_scale(mat)
     unit = mat / scale
     if np.linalg.norm(unit - unit.conj().T) > HERMITICITY_TOL * max(
             1.0 / scale, np.linalg.norm(unit)):

@@ -444,9 +444,16 @@ def full_scan_reconstruct(cm, n, max_solutions=64, analyze_conflict=True):
     if not solutions:
         conflict = None
         if analyze_conflict:
+            # a triple's search sees only its 3 x 3 matrix, so one search
+            # per distinct matrix answers for every triple that has it
+            realizable = {}
             for tri in itertools.combinations(range(t_count), 3):
-                sub = asg.ConnectivityMatrix(m=cm.m[np.ix_(tri, tri)])
-                if not full_scan_reconstruct(sub, n, 1, False).diagrams:
+                sub = cm.m[np.ix_(tri, tri)]
+                key = sub.tobytes()
+                if key not in realizable:
+                    realizable[key] = bool(full_scan_reconstruct(
+                        asg.ConnectivityMatrix(m=sub), n, 1, False).diagrams)
+                if not realizable[key]:
                     conflict = tuple(cm.ids[k] for k in tri)
                     break
         return asg.AssignmentResult(diagrams=[], conflict=conflict)
@@ -552,13 +559,15 @@ def test_reconstruct_matches_full_scan_at_benchmark_sizes(n, changes):
         assert bool(got.diagrams) == (not changes)
 
 
-# the first unsatisfiable triples, as a scan over all triples in order finds them
+# the first unsatisfiable triples, as a scan over all triples in order finds
+# them, of one or two changed full matrices per spin count: each entry of
+# changes is one matrix's, and first holds their triples in the same order
 @pytest.mark.filterwarnings("ignore:.*best-overlap labeling")
 @pytest.mark.parametrize("n, changes, first", [
-    (4, ((54, 55, -1),), (4, 55, 56)), (5, ((208, 209, 1),), (160, 209, 210))])
+    (4, (((54, 55, -1),), ((10, 20, 1),)), ((4, 55, 56), (11, 21, 51))),
+    (5, (((208, 209, 1),),), ((160, 209, 210),))])
 def test_conflict_analysis_searches_each_sign_pattern_once(n, changes, first,
                                                            monkeypatch):
-    cm = changed_full_matrix(n, changes)
     search = asg.reconstruct_levels
     calls = []
 
@@ -567,8 +576,21 @@ def test_conflict_analysis_searches_each_sign_pattern_once(n, changes, first,
         return search(*args, **kwargs)
 
     monkeypatch.setattr(asg, "reconstruct_levels", counting)
-    assert search(cm, n).conflict == first
+    asg._realizable.cache_clear()
+    for matrix_changes, matrix_first in zip(changes, first, strict=True):
+        cm = changed_full_matrix(n, matrix_changes)
+        assert search(cm, n).conflict == matrix_first
+    # the table of the 27 patterns is built once per spin count
     assert len(calls) <= 27
+
+
+# a 3-line matrix without a diagram is its own conflict
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_three_line_patterns_match_full_scan(n):
+    for a, b, c in itertools.product((-1, 0, 1), repeat=3):
+        cm = asg.ConnectivityMatrix(m=[[0, a, b], [a, 0, c], [b, c, 0]])
+        assert_same_result(asg.reconstruct_levels(cm, n),
+                           full_scan_reconstruct(cm, n))
 
 
 # each full matrix has one diagram up to symmetry; for an odd spin count

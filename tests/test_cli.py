@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,7 @@ def assert_one_line_error(code, err):
     ("1 2 1 0\n", ": density matrix is not Hermitian"),
     # the norms of this state overflow unless it is scaled first
     ("1 2 1e300 0\n", ": density matrix is not Hermitian"),
+    ("1 2 1e308 0\n", ": density matrix is not Hermitian"),
 ])
 def test_tomo_malformed_state_file(tmp_path, capsys, body, message):
     state = tmp_path / "f.state"
@@ -237,6 +239,32 @@ def test_tomo_malformed_state_file(tmp_path, capsys, body, message):
                            "--out", str(tmp_path))
     assert_one_line_error(code, err)
     assert f"{state}{message}" in err
+
+
+# Hermitian states whose norms overflow unless they are scaled first, with
+# and without diagonal entries, and one near the largest float, whose
+# peak-bin spectrum and symmetrized sum overflow too: each reports as its
+# twin of unit scale
+@pytest.mark.parametrize("body, big", [
+    ("1 2 {x} 0\n2 1 {x} 0\n", "1e300"),
+    ("1 1 {x} 0\n1 2 {x} 0\n2 1 {x} 0\n4 4 -{x} 0\n", "1e300"),
+    ("1 2 {x} 0\n2 1 {x} 0\n", "1.7e308")],
+    ids=["coherence", "with-populations", "coherence-near-max"])
+def test_tomo_state_near_the_float_range(tmp_path, capsys, body, big):
+    reports = []
+    for x in (big, "1"):
+        state = tmp_path / f"s{x}.state"
+        state.write_text("dim 4\n" + body.format(x=x), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "tomo", "citrate.spin", "--state",
+                                   str(state), "--out", str(tmp_path))
+        assert code == 0
+        reports.append(dict(line.split("=") for line in out.splitlines()[1:]))
+    big, unit = reports
+    assert float(big["fidelity"]) == pytest.approx(1.0, abs=1e-12)
+    for key in unit:
+        assert float(big[key]) == pytest.approx(float(unit[key]), abs=1e-12)
 
 
 @pytest.mark.parametrize("dwell", ["0", "-0.001"])

@@ -707,6 +707,8 @@ def test_eigensystem_cache_is_bounded():
     # norms that overflow unless H is scaled first
     ({(1, 2): 1e300}, "Hamiltonian is not Hermitian"),
     ({(0, 1): 1e300, (1, 0): 1e300}, "Hamiltonian mixes M_z manifolds"),
+    ({(1, 2): 1e308}, "Hamiltonian is not Hermitian"),
+    ({(0, 1): 1e308, (1, 0): 1e308}, "Hamiltonian mixes M_z manifolds"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_diagonalize_rejects(entries, message):
@@ -718,3 +720,15 @@ def test_diagonalize_rejects(entries, message):
         h[kl] = value
     with pytest.raises(core.SpinSystemError, match=message):
         core.diagonalize(h, sys_)
+
+
+@pytest.mark.parametrize("big", [2.0 ** 480, 1e300, 1e308,
+                                 np.finfo(float).max])
+@pytest.mark.filterwarnings("error")
+def test_norm_scale_is_a_power_of_two_into_one_to_two(big):
+    assert core._norm_scale(np.array([[0.5, 2.0 ** 479], [-3.0, 1j]])) == 1.0
+    for a in (np.array([[1.0, -big], [0.0, 2.0]]),
+              np.array([0.0, 1j * big, -1e-300])):
+        scale = core._norm_scale(a)
+        assert math.frexp(scale)[0] == 0.5
+        assert 1.0 <= np.max(np.abs(a / scale)) < 2.0

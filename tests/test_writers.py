@@ -97,7 +97,7 @@ def dataset(data, dwell1=1e-3, dwell2=2.5e-4):
 @pytest.fixture(params=["loop", "batched"])
 def sparse_path(request, monkeypatch):
     """Run a test once with every matrix on the element loop of
-    ``format_sparse`` and once with every matrix on its batched path."""
+    ``dyn.sparse_chunks`` and once with every matrix on its batched path."""
     monkeypatch.setattr(dyn, "_SPARSE_SMALL", 10**9 if request.param == "loop" else 0)
     return request.param
 
