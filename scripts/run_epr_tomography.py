@@ -36,8 +36,8 @@ def main() -> None:
     diag, under = acq.tomo_diagonal(es, rho)
     print(f"  diagonal estimate (gauge-fixed): {np.round(diag, 6).tolist()}"
           f"{' [underdetermined]' if under else ''}")
-    dataset, coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
-                                                  t2_points=256)
+    coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
+                                         t2_points=256)
     top = max(coherences, key=lambda r: r.magnitude)
     print(f"  dominant coherence: ({es.labels[top.k]},{es.labels[top.l]}) "
           f"order {top.order} at {top.freq_hz:.2f} Hz, "

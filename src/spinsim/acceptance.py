@@ -138,8 +138,8 @@ def criterion_5_epr() -> CriterionResult:
     es_s = eigensystem(shifted)
     rho_s = pr.epr_create(es_s).final_state
     diag, _ = acq.tomo_diagonal(es_s, rho_s)
-    _, coherences = acq.tomo_offdiagonal_2d(es_s, rho_s, t1_points=128,
-                                            t2_points=256)
+    coherences = acq.tomo_offdiagonal_2d(es_s, rho_s, t1_points=128,
+                                         t2_points=256)
     _, fidelity = acq.reconstruct_density(diag, coherences, reference=rho_s)
     ok = (d_eq11 <= 1e-12 and d_eq12 <= 1e-12
           and rep.metrics["sq_amplitude"] <= 1e-12
@@ -163,8 +163,7 @@ def criterion_6_ghz() -> CriterionResult:
 
     t1_points, t2_points = 256, 512
     dwell1 = acq.default_tomo_dwell(es)
-    dataset, _ = acq.tomo_offdiagonal_2d(
-        es, rep.final_state, t1_points=t1_points, t2_points=t2_points)
+    dataset = acq.tomo_dataset(es, rep.final_state, t1_points, t2_points)
     bin1 = 1.0 / (t1_points * dwell1)
     peaks = [p for p in acq.peak_pick_2d(dataset) if abs(p[0]) > bin1]
     peak_ok = bool(peaks) and abs(abs(peaks[0][0]) - abs(fsum)) <= bin1

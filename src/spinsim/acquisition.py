@@ -38,9 +38,9 @@ class AcquisitionError(ValueError):
 # one line per state and level (5 spins, 256 states, 1024 points: 23 ms on
 # the table, 160 ms factored; 8 spins, one state: 480 ms, 26 ms).  The
 # margin above it keeps every call on 4 or fewer spins (K <= C(2n, n-1)
-# < 4d) on the table, only because bench/reference.json pins the order of
-# `spinsim tomo` coherence rows, which follows rounding at the 1e-16 noise
-# floor; after ROADMAP item 1 step 1 the constant can drop to the crossover.
+# < 4d) on the table, only so that the bits of the `.fid` files of `run`
+# and the `.2d` files of `--write-2d` on those systems stay as they are.
+# The tomography reads line amplitudes and calls no acquire_fid.
 _FACTORED_LINES = 4
 
 # the table path builds and applies its K x points exponentials in slices
@@ -52,12 +52,6 @@ _FACTORED_LINES = 4
 # differently.
 _TABLE_SLICE = 64
 _TABLE_ENTRIES = 1 << 16
-
-# the t2 pass of the tomography inversion transforms blocks of whole rows
-# of at most this many points (16 rows at 1024 points, 256 kB).  In a
-# process that tomographs state after state, 64-row blocks left the heap
-# about 0.9 MB larger than blocks of 4 to 32 rows.
-_TOMO_FFT_BLOCK = 1 << 14
 
 # _design_sums adds the lines' terms in blocks of whole t2 bins of at most
 # this many (element, t1 bin) terms, so a block's terms (512 kB) and sums
@@ -284,12 +278,17 @@ def run_2d(program: pl.PulseProgram, es: EigenSystem,
     return Dataset2D(dwell1, acq.dwell_s, data)
 
 
-def _hann_dft(n: int, bins) -> np.ndarray:
-    """Rows of the n-point DFT at ``bins`` with the Hann window folded in.
-    The phase index bin * j is reduced mod n and picks one of the n roots
-    exp(-2 pi i k / n), so every phase is below 2 pi."""
+def _dft(n: int, bins) -> np.ndarray:
+    """Rows of the n-point DFT at ``bins``.  The phase index bin * j is
+    reduced mod n and picks one of the n roots exp(-2 pi i k / n), so every
+    phase is below 2 pi."""
     roots = np.exp(-2j * np.pi / n * np.arange(n))
-    return np.hanning(n) * roots[np.outer(bins, np.arange(n)) % n]
+    return roots[np.outer(bins, np.arange(n)) % n]
+
+
+def _hann_dft(n: int, bins) -> np.ndarray:
+    """Rows of the n-point DFT at ``bins`` with the Hann window folded in."""
+    return np.hanning(n) * _dft(n, bins)
 
 
 def hann_peaks_2d(es: EigenSystem, rho: np.ndarray,
@@ -383,11 +382,7 @@ def _dirichlet(freq_hz, bin_index, points: int, dwell: float) -> np.ndarray:
 # (l, k), then (a, a)], so each sum adds a slice of a line's terms instead
 # of a gather.  Each sum belongs to one t2 bin, so adding every line to one
 # block of bins at a time, in catalog order, gives the bits of adding each
-# line to all bins at once.  The inversion reads the spectrum only at the
-# peak bins, so of fft2's two passes (t2, then t1) the t2 pass runs on
-# blocks of rows and keeps only the peak columns, and the t1 pass runs only
-# on those columns.  Each row and column is transformed on its own, so this
-# gives fft2's bits without the t1 x t2 spectrum.
+# line to all bins at once.
 
 def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
@@ -476,6 +471,14 @@ _TOMO_MODELS: weakref.WeakKeyDictionary[EigenSystem, _TomoModel] = \
     weakref.WeakKeyDictionary()
 
 
+def _tomo_program(es: EigenSystem, t2_points: int) -> pl.PulseProgram:
+    """The MQ readout [t1 - (pi/2)_y - G_z - (pi/4)_-y - t2] of ``es``,
+    acquiring at the ``default_tomo_dwell``."""
+    return pl.parse_program(
+        "delay t1\npulse 90 y\ngrad\npulse 45 -y\n"
+        f"acquire {t2_points} {default_tomo_dwell(es):.12g}\n")
+
+
 def _tomo_design(es: EigenSystem, t1_points: int, t2_points: int
                  ) -> tuple[pl.PulseProgram, np.ndarray, np.ndarray, np.ndarray,
                             tuple[tuple[int, int, int, float], ...]]:
@@ -491,8 +494,7 @@ def _tomo_design(es: EigenSystem, t1_points: int, t2_points: int
     f1 = ((energies[None, :] - energies[:, None]) / (2 * math.pi)).ravel()
     f2 = catalog.freq_hz
 
-    program = pl.parse_program(
-        f"delay t1\npulse 90 y\ngrad\npulse 45 -y\nacquire {t2_points} {dwell:.12g}\n")
+    program = _tomo_program(es, t2_points)
 
     # transfer weights: coherence element (a, c) -> diagonal after (pi/2)_y,
     # then line amplitudes after (pi/4)_-y
@@ -561,51 +563,53 @@ def _tomo_model(es: EigenSystem, t1_points: int, t2_points: int) -> _TomoModel:
     return model
 
 
-def _peak_data(dataset: Dataset2D, model: _TomoModel) -> np.ndarray:
-    """The fft2 spectrum of ``dataset`` at the model's peak bins, Re over
-    Im as the design matrix's rows (see the note above _cabs): the t2 pass
-    in blocks of rows, keeping the bins2 columns, then the t1 pass on those
-    columns."""
-    t1_points, t2_points = dataset.data.shape
-    step = max(1, _TOMO_FFT_BLOCK // t2_points)
-    peak_cols = np.empty((t1_points, model.bins2.size), dtype=complex)
-    for start in range(0, t1_points, step):
-        block = np.fft.fft(dataset.data[start:start + step], axis=1)
-        peak_cols[start:start + step] = block[:, model.bins2]
+def _peak_data(es: EigenSystem, rho: np.ndarray, acquire: pl.Acquire,
+               model: _TomoModel) -> np.ndarray:
+    """The fft2 spectrum at the model's peak bins of the FIDs ``acquire``
+    records from each state of the t1 stack ``rho``, Re over Im as the
+    design matrix's rows, without synthesizing them (as ``hann_peaks_2d``
+    reads its bins).  Each line's sampled DFT at bins2 is its exponentials
+    at the acquire instruction's dwell times the DFT columns; the stack's
+    line amplitudes weight it, and the t1 FFT runs on those columns."""
+    t2 = np.arange(acquire.points) * acquire.dwell_s
+    freqs = transition_catalog(es).freq_hz
+    lines_t2 = np.exp(2j * math.pi * freqs[:, None] * t2)
+    response = lines_t2 @ _dft(acquire.points, model.bins2).T   # [line, j2]
+    peak_cols = line_amplitudes(es, rho) @ response             # [t1, j2]
     b_vec = np.fft.fft(peak_cols, axis=0)[model.bins1].ravel()
     return np.concatenate([b_vec.real, b_vec.imag])
 
 
 def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
                         t1_points: int = 256, t2_points: int = 512
-                        ) -> tuple[Dataset2D, tuple[CoherenceEstimate, ...]]:
+                        ) -> tuple[CoherenceEstimate, ...]:
     """Two-dimensional multiple-quantum measurement of all off-diagonals.
 
     Runs [t1 - (pi/2)_y - G_z - (pi/4)_-y - t2] on the ``default_tomo_dwell``
-    grid in both dimensions, Fourier transforms, and inverts the exact
-    linear model of the sequence at the predicted peak bins, estimating
-    every element's complex value.  Returns the dataset and one row per
+    grid in both dimensions, reads the 2D spectrum at the predicted peak
+    bins, and inverts the exact linear model of the sequence there,
+    estimating every element's complex value.  Returns one row per
     upper-triangle element (k < l) with its magnitude and coherence order
-    (from its omega_1 coordinate).
+    (from its omega_1 coordinate); ``tomo_dataset`` gives the time-domain
+    data of the same readout.
 
     The model depends on the eigensystem and the grid only, never on the
     state, so it is built and factored once per such pair (``_tomo_model``
     keeps the pseudo-inverse of its design matrix), and every later state
-    on it only runs the sequence, transforms at the peak bins and takes one
-    matrix-vector product: the minimum-norm least-squares solution that
-    ``lstsq`` would give.
+    on it only runs the sequence up to the acquisition, reads the peak bins
+    from its line amplitudes (``_peak_data``) and takes one matrix-vector
+    product: the minimum-norm least-squares solution that ``lstsq`` would
+    give.
     """
     _check_t1_points(t1_points)
     _check_points(t2_points)
     model = _tomo_model(es, t1_points, t2_points)
     # a state near the float range runs as rho / scale, whose peak sums
-    # stay finite, and its data and solution are scaled back
+    # stay finite, and its solution is scaled back
     scale = _norm_scale(rho)
-    dataset = run_2d(model.program, es, rho0=rho / scale, t1_points=t1_points,
-                     dwell1=default_tomo_dwell(es))
-    sol = model.pinv @ _peak_data(dataset, model) * scale
-    if scale != 1.0:
-        dataset = replace(dataset, data=dataset.data * scale)
+    acquire, stack = t1_stack(model.program, es, rho / scale, t1_points,
+                              default_tomo_dwell(es))
+    sol = model.pinv @ _peak_data(es, stack, acquire, model) * scale
 
     coherences = []
     for e, (k, l, order, freq_hz) in enumerate(model.rows):
@@ -613,7 +617,16 @@ def tomo_offdiagonal_2d(es: EigenSystem, rho: np.ndarray,
         coherences.append(CoherenceEstimate(k=k, l=l, order=order,
                                             freq_hz=freq_hz, value=val,
                                             magnitude=abs(val)))
-    return dataset, tuple(coherences)
+    return tuple(coherences)
+
+
+def tomo_dataset(es: EigenSystem, rho: np.ndarray,
+                 t1_points: int, t2_points: int) -> Dataset2D:
+    """The 2D time-domain data of the readout ``tomo_offdiagonal_2d``
+    inverts, from running its program with ``run_2d``; no model is built."""
+    _check_points(t2_points)        # before the acquire line is parsed
+    return run_2d(_tomo_program(es, t2_points), es, rho, t1_points,
+                  default_tomo_dwell(es))
 
 
 def peak_pick_2d(dataset: Dataset2D) -> list[tuple[float, float, float]]:

@@ -266,7 +266,7 @@ def cmd_tomo(args) -> int:
         rho = dyn.parse_state(text, es, source=name)
         label = Path(args.state).stem
     diag, under = acq.tomo_diagonal(es, rho, args.beta)
-    _, coherences = acq.tomo_offdiagonal_2d(
+    coherences = acq.tomo_offdiagonal_2d(
         es, rho, t1_points=args.t1_points, t2_points=args.t2_points)
     ratio = acq.tomo_scale_calibration(es, rho)
     recon, fidelity = acq.reconstruct_density(diag, coherences, reference=rho)

@@ -154,8 +154,8 @@ def test_tomo_diagonal_underdetermined_flag():
 def test_tomo_offdiagonal_epr(shifted_citrate_es):
     es = shifted_citrate_es
     rho = pr.epr_create(es).final_state
-    dataset, coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
-                                                  t2_points=256)
+    coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
+                                         t2_points=256)
     i00, i11 = es.index_of_label("00"), es.index_of_label("11")
     top = max(coherences, key=lambda r: r.magnitude)
     assert {top.k, top.l} == {i00, i11}
@@ -165,6 +165,7 @@ def test_tomo_offdiagonal_epr(shifted_citrate_es):
     assert max(others) <= 1e-6
     # the dominant non-axial omega_1 peak sits at the DQ frequency
     f_dq = (es.energies[i11] - es.energies[i00]) / (2 * math.pi)
+    dataset = acq.tomo_dataset(es, rho, 128, 256)
     bin1 = 1.0 / (128 * dataset.dwell1)
     peaks = [p for p in acq.peak_pick_2d(dataset) if abs(p[0]) > bin1]
     assert peaks
@@ -175,9 +176,10 @@ def test_tomo_offdiagonal_diagonal_state(citrate_es):
     # a diagonal state has no evolving coherence; with ideal pulses even
     # the axial response vanishes, so nothing rises above numerical noise
     rho = dyn.equilibrium_deviation(citrate_es)
-    dataset, coherences = acq.tomo_offdiagonal_2d(
-        citrate_es, rho, t1_points=64, t2_points=128)
+    coherences = acq.tomo_offdiagonal_2d(citrate_es, rho, t1_points=64,
+                                         t2_points=128)
     assert max(r.magnitude for r in coherences) <= 1e-8
+    dataset = acq.tomo_dataset(citrate_es, rho, 64, 128)
     bin1 = 1.0 / (64 * dataset.dwell1)
     for f1, _, mag in acq.peak_pick_2d(dataset):
         assert mag <= 1e-10 or abs(f1) <= bin1
@@ -198,8 +200,7 @@ def test_coherence_order_assignment(shifted_citrate_es):
         mat[k, l] = 0.7
         mat[l, k] = 0.7
         rho = mat
-        dataset, _ = acq.tomo_offdiagonal_2d(es, rho, t1_points=128,
-                                             t2_points=256)
+        dataset = acq.tomo_dataset(es, rho, 128, 256)
         bin1 = 1.0 / (128 * dataset.dwell1)
         peaks = [p for p in acq.peak_pick_2d(dataset) if abs(p[0]) > bin1]
         if not peaks:      # tiny transfer amplitude for this element
@@ -209,16 +210,19 @@ def test_coherence_order_assignment(shifted_citrate_es):
         assert abs(order) == abs(int(round(es.mz[k] - es.mz[l])))
 
 
-@pytest.mark.parametrize("offsets", [[29820.528196969815],
-                                     [29820.528196969815, -29820.528196969815]])
+# the top |f| of these systems rounds just above the default dwell's
+# Nyquist frequency
+NYQUIST_EDGES = [[29820.528196969815],
+                 [29820.528196969815, -29820.528196969815]]
+
+
+@pytest.mark.parametrize("offsets", NYQUIST_EDGES)
 def test_tomo_offdiagonal_at_nyquist(offsets):
-    # the top |f| of these systems rounds just above the default dwell's
-    # Nyquist frequency; the measurement still runs and reports every element
+    # the measurement still runs and reports every element
     es = core.eigensystem(core.SpinSystem.create("edge", offsets))
     rho = dyn.equilibrium_deviation(es)
-    dataset, coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=32,
-                                                  t2_points=64)
-    assert dataset.data.shape == (32, 64)
+    coherences = acq.tomo_offdiagonal_2d(es, rho, t1_points=32, t2_points=64)
+    assert acq.tomo_dataset(es, rho, 32, 64).data.shape == (32, 64)
     assert [(r.k, r.l) for r in coherences] == list(
         zip(*np.triu_indices(es.dim, 1)))
     assert all(math.isfinite(r.magnitude) for r in coherences)
@@ -264,8 +268,7 @@ def hex_peaks(peaks):
 
 def test_peak_pick_matches_loop_on_ghz(demo3_es):
     rho = pr.ghz_create(demo3_es).final_state
-    dataset, _ = acq.tomo_offdiagonal_2d(demo3_es, rho, t1_points=256,
-                                         t2_points=512)
+    dataset = acq.tomo_dataset(demo3_es, rho, 256, 512)
     want = loop_peak_pick(dataset)
     assert want
     assert hex_peaks(acq.peak_pick_2d(dataset)) == hex_peaks(want)
@@ -419,16 +422,38 @@ def spy_tomo_halves(monkeypatch):
     return designs, peaks
 
 
+def random_es(n, seed):
+    """The eigensystem of a seeded random oriented system of n spins."""
+    rng = np.random.default_rng(seed)
+    offs = rng.uniform(-300, 300, n).tolist()
+    j = np.triu(rng.uniform(0, 15, (n, n)), 1)
+    d = np.triu(rng.uniform(-200, 200, (n, n)), 1)
+    return core.eigensystem(core.SpinSystem.create(f"r{n}", offs, j + j.T,
+                                                   d + d.T))
+
+
+def tomo_test_es(system, request):
+    """A shipped system's fixture, the Nyquist edge system ``edge<i>``, or
+    the seeded random system ``random<n>`` of n spins."""
+    if system.startswith("edge"):
+        offsets = NYQUIST_EDGES[int(system[4:])]
+        return core.eigensystem(core.SpinSystem.create("edge", offsets))
+    if system.startswith("random"):
+        n = int(system[6:])
+        return random_es(n, 30 + n)
+    return request.getfixturevalue(f"{system}_es")
+
+
 # 256 x 1024 are the CLI defaults; t1 counts of 48 and 1 check the peak-bin
-# spectrum against fft2 off powers of two and on a single row, and one row
-# more than a block of the t2 pass at 1024 points leaves a partial last block
+# spectrum against fft2 off powers of two and on a single row
 @pytest.mark.parametrize("system, t1_points, t2_points", [
     ("citrate", 64, 32), ("demo3", 32, 16), ("demo4", 16, 8),
     ("citrate", 256, 1024), ("demo3", 48, 16), ("citrate", 1, 32),
-    ("citrate", acq._TOMO_FFT_BLOCK // 1024 + 1, 1024)])
+    ("edge0", 32, 64), ("edge1", 32, 64), ("random1", 16, 32),
+    ("random2", 24, 64), ("random3", 32, 16), ("random4", 16, 8)])
 def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
                                                 request, monkeypatch):
-    es = request.getfixturevalue(f"{system}_es")
+    es = tomo_test_es(system, request)
     cat = core.transition_catalog(es)
     designs, peaks = spy_tomo_halves(monkeypatch)
     # the model uses the default dwells as computed, not dataset.dwell2,
@@ -437,16 +462,18 @@ def test_tomo_design_matrix_matches_scalar_loop(system, t1_points, t2_points,
     a_ref, bins = _reference_design(es, cat, t1_points, t2_points, dwell, dwell)
     rng = np.random.default_rng(es.dim)
     for _ in range(2):
-        a = rng.normal(size=(es.dim, es.dim)) + 1j * rng.normal(size=(es.dim, es.dim))
-        rho = (a + a.conj().T) / 2
+        rho = random_hermitian(rng, es.dim)
         peaks.clear()
-        dataset, _ = acq.tomo_offdiagonal_2d(es, rho, t1_points=t1_points,
-                                             t2_points=t2_points)
-        b_ref = np.fft.fft2(dataset.data)[bins]
+        acq.tomo_offdiagonal_2d(es, rho, t1_points=t1_points,
+                                t2_points=t2_points)
         assert len(designs) == 1 and len(peaks) == 1
         assert np.array_equal(bits(designs[0][3]), bits(a_ref))
-        assert np.array_equal(bits(peaks[0]),
-                              bits(np.concatenate([b_ref.real, b_ref.imag])))
+        # the peak bins read from line amplitudes against the fft2 of the
+        # synthesized time-domain data of the same readout
+        dataset = acq.tomo_dataset(es, rho, t1_points, t2_points)
+        b_ref = np.fft.fft2(dataset.data)[bins]
+        b_ref = np.concatenate([b_ref.real, b_ref.imag])
+        assert np.max(np.abs(peaks[0] - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
 
 
 def fresh_eigensystem(name):
@@ -485,6 +512,8 @@ def test_tomo_grid_checked_before_the_model(t1_points, t2_points, message):
         with pytest.raises(acq.AcquisitionError, match=f"^{message}$"):
             acq.tomo_offdiagonal_2d(es, rho, t1_points=t1_points,
                                     t2_points=t2_points)
+        with pytest.raises(acq.AcquisitionError, match=f"^{message}$"):
+            acq.tomo_dataset(es, rho, t1_points, t2_points)
     assert es not in acq._TOMO_MODELS
 
 
@@ -510,11 +539,11 @@ def test_tomo_model_is_built_once_per_eigensystem_and_grid(monkeypatch):
             arr[0] = 0
     # a second state on the model: no new build, and the bits of a cold
     # build on a new eigensystem of the same system
-    _, warm = acq.tomo_offdiagonal_2d(es, second, t1_points=32, t2_points=16)
+    warm = acq.tomo_offdiagonal_2d(es, second, t1_points=32, t2_points=16)
     assert len(calls) == 1
     assert acq._TOMO_MODELS[es] is model
-    _, cold = acq.tomo_offdiagonal_2d(fresh_eigensystem("demo3.spin"), second,
-                                      t1_points=32, t2_points=16)
+    cold = acq.tomo_offdiagonal_2d(fresh_eigensystem("demo3.spin"), second,
+                                   t1_points=32, t2_points=16)
     assert len(calls) == 2
     assert coherence_bits(warm) == coherence_bits(cold)
     # another grid replaces the model
@@ -545,7 +574,7 @@ def test_tomo_kept_solve_matches_dense_lstsq(system, t1_points, t2_points, rank,
     designs, peaks = spy_tomo_halves(monkeypatch)
     rng = np.random.default_rng(28)
     for _ in range(3):
-        _, coherences = acq.tomo_offdiagonal_2d(
+        coherences = acq.tomo_offdiagonal_2d(
             es, random_hermitian(rng, es.dim), t1_points=t1_points,
             t2_points=t2_points)
         a_real = designs[0][3]
@@ -617,7 +646,7 @@ def test_tomo_4spin_gate_outputs_roundtrip(build, demo4_es):
     es = demo4_es
     rho = build(es).final_state
     diag, _ = acq.tomo_diagonal(es, rho)
-    _, table = acq.tomo_offdiagonal_2d(es, rho, t1_points=32, t2_points=16)
+    table = acq.tomo_offdiagonal_2d(es, rho, t1_points=32, t2_points=16)
     _, fidelity = acq.reconstruct_density(diag, table, reference=rho)
     assert fidelity >= 0.999999
 
@@ -667,8 +696,8 @@ def test_reconstruct_random_states_roundtrip(shifted_citrate_es):
         mat[l, k] += np.conj(z)
         rho = mat
         diag, _ = acq.tomo_diagonal(es, rho)
-        _, table = acq.tomo_offdiagonal_2d(es, rho, t1_points=64,
-                                           t2_points=128)
+        table = acq.tomo_offdiagonal_2d(es, rho, t1_points=64,
+                                        t2_points=128)
         _, fid = acq.reconstruct_density(diag, table, reference=rho)
         worst = min(worst, fid)
     assert worst >= 0.99

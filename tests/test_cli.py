@@ -310,6 +310,24 @@ def test_dj2_reports_without_synthesizing_fids(tmp_path, capsys, monkeypatch):
               "--out", str(tmp_path)])
 
 
+def test_tomo_reports_without_synthesizing_fids(tmp_path, capsys, monkeypatch):
+    # the MQ inversion reads its peak bins from line amplitudes; the report
+    # is the one the synthesized 256 x 1024 dataset gave
+    from spinsim import acquisition as acq
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("synthesized a 2D dataset")
+
+    monkeypatch.setattr(acq, "acquire_fid", refuse)
+    monkeypatch.setattr(acq, "run_2d", refuse)
+    code, out, err = run_cli(capsys, "tomo", "citrate.spin", "--protocol", "epr",
+                             "--out", str(tmp_path))
+    report = ("name=epr_tomo\nfidelity=0.99904758654\n"
+              "scale_ratio=8.62369208584e-14\nunderdetermined=0\n")
+    assert (code, out, err) == (0, report, "")
+    assert (tmp_path / "epr_tomo.report").read_bytes() == report.encode()
+
+
 @pytest.mark.parametrize("name, system, text", [
     ("pops:x", "citrate.spin", "'x'"),
     ("pops:", "citrate.spin", "''"),

@@ -247,7 +247,7 @@ def test_streamed_cli_files_equal_joined_texts(tmp_path, recorded, monkeypatch):
     assert read(tmp_path / "r" / "epr.state") == dyn.format_state(run_rho)
     assert read(tmp_path / "p" / "dj2_f1.state") == dyn.format_state(dj2_rho)
     assert read(tmp_path / "t" / "epr_tomo.state") == dyn.format_state(recon)
-    ds = recorded["datasets"][0]            # tomo records its own after it
+    [ds] = recorded["datasets"]             # dj2's: tomo synthesizes none
     assert ds.data.shape == (8, 16)
     assert np.count_nonzero(np.abs(ds.data) >= CUT) > dyn._SPARSE_SLICE
     text = read(tmp_path / "p" / "dj2_f1.2d")
